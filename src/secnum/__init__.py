@@ -73,11 +73,10 @@ from .homotopy import (
     is_contractible,
     is_nullhomotopic_in,
 )
-from .resources import Budget, BudgetExhausted, LimitExceeded, Limits
+from .resources import Budget, BudgetExhausted, LimitExceeded, SelfCheckFailed
 from .sectional import (
     CoverCertificate,
     CoverResult,
-    RouteMismatch,
     TcBounds,
     liftable_opens,
     relative_sec,

@@ -29,20 +29,11 @@ from .finspace import (
 from .homotopy import is_contractible
 from .resources import Budget, LimitExceeded
 
-CENSUS_DEFAULT_MAX = 4
 CENSUS_HARD_MAX = 5
 
 # preorders (= finite topologies) and posets on n unlabeled points
 KNOWN_PREORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
 KNOWN_POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
-
-
-def relation_bits(space: FinSpace) -> int:
-    key = 0
-    n = space.n
-    for i, row in enumerate(space.reach_rows):
-        key |= row << (i * n)
-    return key
 
 
 def _signature_blocks(rows, co, n):

@@ -28,7 +28,7 @@ from .finspace import (
     identity_map,
     is_hausdorff,
 )
-from .resources import Budget, BudgetExhausted, Limits
+from .resources import Budget, BudgetExhausted, SelfCheckFailed
 
 CLAIM_REMARK = "remark_sec1_iff_not_cp"
 CLAIM_KEY_LEMMA = "key_lemma_k"
@@ -65,7 +65,7 @@ def _revalidate_witness(witness: CMap, g: CMap) -> CMap:
     checked = CMap(witness.source, witness.target, witness.assignment, validate=True)
     for x in range(g.source.n):
         if checked(x) == g(x):
-            raise AssertionError(f"witness agrees with g at point {x}; search is buggy")
+            raise SelfCheckFailed(f"witness agrees with g at point {x}; search is buggy")
     return checked
 
 
@@ -131,24 +131,21 @@ def _describe(X: FinSpace, Y: FinSpace, g: CMap) -> str:
     )
 
 
-def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int,
-                                budget: Budget, limits: Limits | None, route: str):
+def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget, route: str):
     from .sectional import relative_sec
 
-    conf, projections = configuration_space(Y, k, limits)
-    return relative_sec(projections[1], g, route=route, budget=budget, limits=limits)
+    conf, projections = configuration_space(Y, k)
+    return relative_sec(projections[1], g, route=route, budget=budget)
 
 
 def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
-                 budget: Budget | int | None = None,
-                 limits: Limits | None = None,
-                 route: str = "both") -> TheoremReport:
+                 budget: Budget | int | None = None) -> TheoremReport:
     """Hypothesis-free equivalence: the relative sectional number of the
     two-point configuration projection is 1 exactly when CP fails."""
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g))
     try:
-        sec_value = _relative_sec_of_projection(Y, g, 2, budget, limits, route).value
+        sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
         cp = has_cp(X, Y, g, budget)
     except BudgetExhausted:
         report.add(CLAIM_REMARK, INCONCLUSIVE)
@@ -168,9 +165,7 @@ def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
 
 
 def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
-                    budget: Budget | int | None = None,
-                    limits: Limits | None = None,
-                    route: str = "lift") -> TheoremReport:
+                    budget: Budget | int | None = None) -> TheoremReport:
     """For Hausdorff targets with at least k points, the relative sectional
     number of the k-point configuration projection is at most k."""
     if k < 2:
@@ -179,7 +174,7 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
     report = TheoremReport(instance=_describe(X, Y, g) + f" k={k}")
     hausdorff = is_hausdorff(Y)
     try:
-        sec_value = _relative_sec_of_projection(Y, g, k, budget, limits, route).value
+        sec_value = _relative_sec_of_projection(Y, g, k, budget, "lift").value
     except BudgetExhausted:
         report.add(CLAIM_KEY_LEMMA, INCONCLUSIVE, k=k)
         return report
@@ -199,9 +194,7 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
 
 
 def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
-                       budget: Budget | int | None = None,
-                       limits: Limits | None = None,
-                       route: str = "both") -> TheoremReport:
+                       budget: Budget | int | None = None) -> TheoremReport:
     """For Hausdorff targets with at least two points: CP holds exactly when
     the relative sectional number of the two-point projection equals 2.
 
@@ -211,7 +204,7 @@ def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
     report = TheoremReport(instance=_describe(X, Y, g))
     hausdorff = is_hausdorff(Y)
     try:
-        sec_value = _relative_sec_of_projection(Y, g, 2, budget, limits, route).value
+        sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
         cp = has_cp(X, Y, g, budget)
     except BudgetExhausted:
         report.add(CLAIM_MAIN, INCONCLUSIVE)
@@ -234,8 +227,7 @@ def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
 
 
 def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
-                         budget: Budget | int | None = None,
-                         limits: Limits | None = None) -> TheoremReport:
+                         budget: Budget | int | None = None) -> TheoremReport:
     """CP for (X, Y; g) forces FPP for Y; hypothesis-free.
 
     When FPP fails, the fixed-point-free witness composed with g must be a
@@ -260,11 +252,8 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
         composite = compose(fpp.witness, g)
         try:
             _revalidate_witness(composite, g)
-        except AssertionError:
+        except SelfCheckFailed:
             report.add(CLAIM_CP_FPP, VIOLATED, detail="composite witness has a coincidence")
-            return report
-        if cp.holds:
-            report.add(CLAIM_CP_FPP, VIOLATED, detail="CP held despite composite witness")
             return report
         report.add(CLAIM_CP_FPP, VERIFIED, contrapositive_witness=list(composite.assignment))
         return report

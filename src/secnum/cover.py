@@ -10,19 +10,18 @@ and lexicographic tie-breaking, so results are deterministic.
 from __future__ import annotations
 
 from .finspace import FinSpace, iter_open_masks
-from .resources import Budget, Limits, ensure_limits
+from .resources import Budget, check_opens
 
 
-def open_masks_by_size(space: FinSpace, limits: Limits | None = None) -> list[int]:
+def open_masks_by_size(space: FinSpace) -> list[int]:
     """Nonempty open masks, largest first, ties by ascending mask value."""
-    limits = ensure_limits(limits)
-    limits.check_opens(space.n)
+    check_opens(space.n)
     masks = [m for m in iter_open_masks(space) if m]
     masks.sort(key=lambda m: (-m.bit_count(), m))
     return masks
 
 
-def find_maximal_good_opens(space: FinSpace, is_good, limits: Limits | None = None):
+def find_maximal_good_opens(space: FinSpace, is_good):
     """Maximal nonempty opens satisfying a shrink-closed property.
 
     is_good(mask) returns a witness (any non-None value) or None.  Opens are
@@ -31,7 +30,7 @@ def find_maximal_good_opens(space: FinSpace, is_good, limits: Limits | None = No
     Returns [(mask, witness), ...] in scan order.
     """
     accepted: list[tuple[int, object]] = []
-    for mask in open_masks_by_size(space, limits):
+    for mask in open_masks_by_size(space):
         if any(mask & ~amask == 0 for amask, _ in accepted):
             continue
         witness = is_good(mask)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .resources import Budget, Limits, ensure_limits
+from .resources import Budget, check_opens, check_product
 
 
 class DiscontinuityError(ValueError):
@@ -323,21 +323,19 @@ def iter_open_masks(space: FinSpace):
             yield mask
 
 
-def all_open_sets(space: FinSpace, limits: Limits | None = None) -> list[OpenSet]:
+def all_open_sets(space: FinSpace) -> list[OpenSet]:
     """Every open set including the empty set and the whole space, in
     lexicographic bitmask order.  Capped; see iter_open_masks for lazy use."""
-    limits = ensure_limits(limits)
-    limits.check_opens(space.n)
+    check_opens(space.n)
     return [OpenSet(space, mask) for mask in iter_open_masks(space)]
 
 
-def product(a: FinSpace, b: FinSpace, limits: Limits | None = None):
+def product(a: FinSpace, b: FinSpace):
     """Product space with componentwise reach; returns (space, proj_a, proj_b).
 
     Points are the pairs (i, j) in lexicographic order, index i * b.n + j.
     """
-    limits = ensure_limits(limits)
-    limits.check_product(a.n * b.n)
+    check_product(a.n * b.n)
     n = a.n * b.n
     rows = []
     brows = b.reach_rows
@@ -388,13 +386,7 @@ def subspace_of_mask(space: FinSpace, mask: int, name=None):
     return subspace(space, _bits(mask), name=name)
 
 
-def restrict_map(f: CMap, mask: int) -> CMap:
-    """f restricted to the subspace on mask (as a map from that subspace)."""
-    sub, incl = subspace_of_mask(f.source, mask)
-    return compose(f, incl)
-
-
-def pullback(p: CMap, g: CMap, limits: Limits | None = None):
+def pullback(p: CMap, g: CMap):
     """Canonical pullback of p: E -> B along g: X -> B.
 
     Points are the pairs (x, e) with g(x) = p(e), ordered lexicographically;
@@ -403,9 +395,8 @@ def pullback(p: CMap, g: CMap, limits: Limits | None = None):
     """
     if p.target != g.target:
         raise ValueError("pullback needs p and g to share their target")
-    limits = ensure_limits(limits)
     X, E = g.source, p.source
-    limits.check_product(X.n * E.n)
+    check_product(X.n * E.n)
     pairs = [(x, e) for x in range(X.n) for e in range(E.n) if g(x) == p(e)]
     rows = []
     for x, e in pairs:
@@ -424,7 +415,7 @@ def pullback(p: CMap, g: CMap, limits: Limits | None = None):
     return space, to_base, to_total
 
 
-def configuration_space(space: FinSpace, k: int, limits: Limits | None = None):
+def configuration_space(space: FinSpace, k: int):
     """Ordered configuration space of k pairwise-distinct points.
 
     Returns (conf, projections) where projections[r] forgets the last k - r
@@ -433,10 +424,9 @@ def configuration_space(space: FinSpace, k: int, limits: Limits | None = None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    limits = ensure_limits(limits)
     if k == 1:
         return space, {1: identity_map(space)}
-    limits.check_product(space.n ** k)
+    check_product(space.n ** k)
     rows_src = space.reach_rows
 
     def build(level: int):
@@ -599,10 +589,3 @@ def enumerate_maps(
     domains = _normalize_domains(source, target, constraints)
     for assignment in iter_assignments(source, target, domains, budget, order=order):
         yield CMap(source, target, assignment, validate=False)
-
-
-def first_map(source, target, constraints=None, budget=None, order="mcf"):
-    """First continuous map respecting the constraints, or None."""
-    for f in enumerate_maps(source, target, constraints, budget=budget, order=order):
-        return f
-    return None

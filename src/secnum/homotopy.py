@@ -30,7 +30,7 @@ from .finspace import (
     iter_assignments,
     subspace_of_mask,
 )
-from .resources import Budget, Limits
+from .resources import Budget, SelfCheckFailed
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,11 @@ def _component_bfs(
     start: tuple[int, ...],
     budget: Budget,
     stop=None,
-    record_parents: bool = False,
 ):
     """BFS over the comparability graph of continuous maps src -> tgt.
 
-    stop(t) may end the search early; returns (found_tuple_or_None, parents).
+    stop(t) may end the search early; returns (found_tuple_or_None, parents),
+    where parents maps each visited tuple to the one it was reached from.
     """
     rows, co = tgt.reach_rows, tgt.co_rows
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
@@ -179,7 +179,7 @@ def _component_bfs(
             for neighbour in iter_assignments(src, tgt, domains, budget):
                 if neighbour in parents:
                     continue
-                parents[neighbour] = current if record_parents else None
+                parents[neighbour] = current
                 if stop is not None and stop(neighbour):
                     return neighbour, parents
                 queue.append(neighbour)
@@ -217,8 +217,7 @@ def homotopy_fence(f: CMap, g: CMap, budget: Budget | int | None = None) -> Fenc
         core_chain = [cf]
     else:
         found, parents = _component_bfs(
-            src_core.space, tgt_core.space, cf, budget,
-            stop=lambda t: t == cg, record_parents=True,
+            src_core.space, tgt_core.space, cf, budget, stop=lambda t: t == cg
         )
         if found is None:
             return None
@@ -285,10 +284,6 @@ def is_nullhomotopic_in(incl: CMap, budget: Budget | int | None = None) -> bool:
     return nullhomotopy_target(incl, budget) is not None
 
 
-class CrossCheckMismatch(AssertionError):
-    """Two independent procedures disagreed; this always signals a bug."""
-
-
 def is_contractible(X: FinSpace, budget: Budget | int | None = None, cross_check: bool = False) -> bool:
     """True when the core is a single point.
 
@@ -301,7 +296,7 @@ def is_contractible(X: FinSpace, budget: Budget | int | None = None, cross_check
     if cross_check:
         by_fence = nullhomotopy_target(identity_map(X), budget) is not None
         if by_core != by_fence:
-            raise CrossCheckMismatch(
+            raise SelfCheckFailed(
                 f"core reduction says contractible={by_core} but fence search says "
                 f"{by_fence} on {X!r}"
             )
@@ -321,7 +316,7 @@ def nullhomotopic_open(X: FinSpace, mask: int, budget: Budget | int | None = Non
     return is_nullhomotopic_in(incl, budget)
 
 
-def cat(X: FinSpace, budget: Budget | int | None = None, limits: Limits | None = None) -> CatResult:
+def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
     """Least size of an open cover by sets nullhomotopic within the space.
 
     The candidates are the maximal such opens (the property shrinks), and the
@@ -332,7 +327,7 @@ def cat(X: FinSpace, budget: Budget | int | None = None, limits: Limits | None =
         return CatResult(ExtNat(1), (), degenerate=True)
     budget = Budget.ensure(budget)
     good = find_maximal_good_opens(
-        X, lambda mask: True if nullhomotopic_open(X, mask, budget) else None, limits
+        X, lambda mask: True if nullhomotopic_open(X, mask, budget) else None
     )
     masks = [mask for mask, _ in good]
     union = 0

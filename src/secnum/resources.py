@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "SECNUM_BUDGET"
@@ -14,7 +13,11 @@ class BudgetExhausted(RuntimeError):
 
 
 class LimitExceeded(RuntimeError):
-    """An instance is larger than the configured enumeration or product cap."""
+    """An instance is larger than the open-enumeration or construction cap."""
+
+
+class SelfCheckFailed(AssertionError):
+    """An independent re-check disagreed with a search result; this always signals a bug."""
 
 
 def default_node_budget() -> int:
@@ -57,29 +60,20 @@ class Budget:
         return budget
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Caps that turn combinatorial blow-ups into loud errors."""
-
-    opens_max_points: int = 10
-    product_max_points: int = 4096
-
-    def check_opens(self, n: int) -> None:
-        if n > self.opens_max_points:
-            raise LimitExceeded(
-                f"open-set enumeration needs 2^{n} subsets; cap is "
-                f"{self.opens_max_points} points (use iter_open_masks for lazy iteration)"
-            )
-
-    def check_product(self, size: int) -> None:
-        if size > self.product_max_points:
-            raise LimitExceeded(
-                f"construction would have {size} points; cap is {self.product_max_points}"
-            )
+OPENS_MAX_POINTS = 10
+PRODUCT_MAX_POINTS = 4096
 
 
-DEFAULT_LIMITS = Limits()
+def check_opens(n: int) -> None:
+    if n > OPENS_MAX_POINTS:
+        raise LimitExceeded(
+            f"open-set enumeration needs 2^{n} subsets; cap is "
+            f"{OPENS_MAX_POINTS} points (use iter_open_masks for lazy iteration)"
+        )
 
 
-def ensure_limits(limits: Limits | None) -> Limits:
-    return DEFAULT_LIMITS if limits is None else limits
+def check_product(size: int) -> None:
+    if size > PRODUCT_MAX_POINTS:
+        raise LimitExceeded(
+            f"construction would have {size} points; cap is {PRODUCT_MAX_POINTS}"
+        )

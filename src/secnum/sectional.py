@@ -29,7 +29,7 @@ from .finspace import (
     subspace_of_mask,
 )
 from .homotopy import _component_bfs, _compress, core, homotopic, is_contractible
-from .resources import Budget, Limits
+from .resources import Budget, SelfCheckFailed
 
 MODE_SECTION = "section"
 MODE_HOMOTOPY = "homotopy-section"
@@ -42,10 +42,6 @@ _EQUATIONS = {
     MODE_HOMOTOPY: "compose(f, witness) homotopic to inclusion",
     MODE_LIFT: "compose(p, witness) == restriction of g",
 }
-
-
-class CertificateError(AssertionError):
-    """A certificate failed re-validation; this always signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -68,44 +64,44 @@ class CoverCertificate:
     def verify(self, budget: Budget | int | None = None) -> bool:
         budget = Budget.ensure(budget)
         if self.mode not in _EQUATIONS:
-            raise CertificateError(f"unknown mode {self.mode!r}")
+            raise SelfCheckFailed(f"unknown mode {self.mode!r}")
         union = 0
         for element in self.cover:
             if element.space != self.base:
-                raise CertificateError("cover element lives on the wrong space")
+                raise SelfCheckFailed("cover element lives on the wrong space")
             union |= element.mask
         if self.degenerate:
             if self.base.n != 0 or self.cover:
-                raise CertificateError("degenerate certificate must be an empty cover of the empty base")
+                raise SelfCheckFailed("degenerate certificate must be an empty cover of the empty base")
             return True
         if union != self.base.full_mask:
-            raise CertificateError("cover does not exhaust the base")
+            raise SelfCheckFailed("cover does not exhaust the base")
         if len(self.cover) != len(self.witnesses):
-            raise CertificateError("one witness per cover element is required")
+            raise SelfCheckFailed("one witness per cover element is required")
         for element, witness in zip(self.cover, self.witnesses):
             # re-validate continuity independently of the search
             CMap(witness.source, witness.target, witness.assignment, validate=True)
             sub, incl = subspace_of_mask(self.base, element.mask)
             if witness.source != sub:
-                raise CertificateError("witness domain is not the cover element subspace")
+                raise SelfCheckFailed("witness domain is not the cover element subspace")
             if self.mode in (MODE_SECTION, MODE_HOMOTOPY):
                 (f,) = self.context
                 if witness.target != f.source:
-                    raise CertificateError("witness target is not the section source")
+                    raise SelfCheckFailed("witness target is not the section source")
                 composite = compose(f, witness)
                 if self.mode == MODE_SECTION:
                     if composite.assignment != incl.assignment:
-                        raise CertificateError("witness is not a strict local section")
+                        raise SelfCheckFailed("witness is not a strict local section")
                 elif not homotopic(composite, incl, budget):
-                    raise CertificateError("witness is not a homotopy local section")
+                    raise SelfCheckFailed("witness is not a homotopy local section")
             else:
                 p, g = self.context
                 if witness.target != p.source:
-                    raise CertificateError("witness target is not the lift source")
+                    raise SelfCheckFailed("witness target is not the lift source")
                 got = compose(p, witness).assignment
                 expected = tuple(g(u) for u in incl.assignment)
                 if got != expected:
-                    raise CertificateError("witness is not a lift of g through p")
+                    raise SelfCheckFailed("witness is not a lift of g through p")
         return True
 
     def to_json_dict(self) -> dict:
@@ -200,8 +196,7 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None
 
 
 def sectionable_opens(f: CMap, mode: str = MODE_SECTION,
-                      budget: Budget | int | None = None,
-                      limits: Limits | None = None):
+                      budget: Budget | int | None = None):
     """Maximal opens of the target admitting a (homotopy) local section of f.
 
     Returns [(OpenSet, witness CMap), ...]; both section properties are closed
@@ -224,13 +219,11 @@ def sectionable_opens(f: CMap, mode: str = MODE_SECTION,
         raise ValueError(f"unknown mode {mode!r}")
     return [
         (OpenSet(Y, mask), witness)
-        for mask, witness in find_maximal_good_opens(Y, is_good, limits)
+        for mask, witness in find_maximal_good_opens(Y, is_good)
     ]
 
 
-def liftable_opens(p: CMap, g: CMap,
-                   budget: Budget | int | None = None,
-                   limits: Limits | None = None):
+def liftable_opens(p: CMap, g: CMap, budget: Budget | int | None = None):
     """Maximal opens U of the base of g with a strict lift of g through p."""
     if p.target != g.target:
         raise ValueError("lift search needs p and g to share their target")
@@ -249,7 +242,7 @@ def liftable_opens(p: CMap, g: CMap,
 
     return [
         (OpenSet(X, mask), witness)
-        for mask, witness in find_maximal_good_opens(X, is_good, limits)
+        for mask, witness in find_maximal_good_opens(X, is_good)
     ]
 
 
@@ -275,27 +268,22 @@ def _cover_result(base: FinSpace, mode: str, pairs, context, budget: Budget) -> 
     return CoverResult(ExtNat(len(chosen)), certificate)
 
 
-def sec(f: CMap, budget: Budget | int | None = None, limits: Limits | None = None) -> CoverResult:
+def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by strictly sectionable opens."""
     budget = Budget.ensure(budget)
-    pairs = sectionable_opens(f, MODE_SECTION, budget, limits) if f.target.n else []
+    pairs = sectionable_opens(f, MODE_SECTION, budget) if f.target.n else []
     return _cover_result(f.target, MODE_SECTION, pairs, (f,), budget)
 
 
-def secat(f: CMap, budget: Budget | int | None = None, limits: Limits | None = None) -> CoverResult:
+def secat(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by homotopy-sectionable opens."""
     budget = Budget.ensure(budget)
-    pairs = sectionable_opens(f, MODE_HOMOTOPY, budget, limits) if f.target.n else []
+    pairs = sectionable_opens(f, MODE_HOMOTOPY, budget) if f.target.n else []
     return _cover_result(f.target, MODE_HOMOTOPY, pairs, (f,), budget)
 
 
-class RouteMismatch(AssertionError):
-    """The pullback and lifting routes disagreed; this always signals a bug."""
-
-
 def relative_sec(p: CMap, g: CMap, route: str = "both",
-                 budget: Budget | int | None = None,
-                 limits: Limits | None = None) -> CoverResult:
+                 budget: Budget | int | None = None) -> CoverResult:
     """Sectional number of p relative to g.
 
     route='pullback' measures the canonical pullback projection onto the base
@@ -310,32 +298,30 @@ def relative_sec(p: CMap, g: CMap, route: str = "both",
         raise ValueError(f"unknown route {route!r}")
     result_pb = result_lift = None
     if route in ("pullback", "both"):
-        _, to_base, _ = pullback(p, g, limits)
-        result_pb = sec(to_base, budget, limits)
+        _, to_base, _ = pullback(p, g)
+        result_pb = sec(to_base, budget)
     if route in ("lift", "both"):
         X = g.source
-        pairs = liftable_opens(p, g, budget, limits) if X.n else []
+        pairs = liftable_opens(p, g, budget) if X.n else []
         result_lift = _cover_result(X, MODE_LIFT, pairs, (p, g), budget)
     if route == "pullback":
         return result_pb
     if route == "lift":
         return result_lift
     if result_pb.value != result_lift.value:
-        raise RouteMismatch(
+        raise SelfCheckFailed(
             f"pullback route gives {result_pb.value} but lift route gives {result_lift.value}"
         )
     return result_pb
 
 
-def relative_secat(p: CMap, g: CMap,
-                   budget: Budget | int | None = None,
-                   limits: Limits | None = None) -> CoverResult:
+def relative_secat(p: CMap, g: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Sectional category of the canonical pullback of p along g."""
     if p.target != g.target:
         raise ValueError("relative invariants need p and g to share their target")
     budget = Budget.ensure(budget)
-    _, to_base, _ = pullback(p, g, limits)
-    return secat(to_base, budget, limits)
+    _, to_base, _ = pullback(p, g)
+    return secat(to_base, budget)
 
 
 @dataclass(frozen=True)
@@ -361,13 +347,11 @@ class TcBounds:
         }
 
 
-def relative_tc_bounds(f: CMap, g: CMap,
-                       budget: Budget | int | None = None,
-                       limits: Limits | None = None) -> TcBounds:
+def relative_tc_bounds(f: CMap, g: CMap, budget: Budget | int | None = None) -> TcBounds:
     if f.target != g.target:
         raise ValueError("tc bounds need f and g to share their target")
     budget = Budget.ensure(budget)
-    lower = relative_sec(f, g, route="both", budget=budget, limits=limits).value
+    lower = relative_sec(f, g, route="both", budget=budget).value
     contractible = is_contractible(f.source, budget)
     if contractible:
         return TcBounds(lower=lower, upper=lower, exact=True, domain_contractible=True)

@@ -23,6 +23,7 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from . import coincidence as coin
 from .census import (
@@ -55,7 +56,6 @@ from .finspace import (
     subspace_of_mask,
 )
 from .homotopy import (
-    CrossCheckMismatch,
     Fence,
     cat,
     core,
@@ -65,9 +65,8 @@ from .homotopy import (
     nullhomotopy_target,
     _component_bfs,
 )
-from .resources import Budget, BudgetExhausted, default_node_budget
+from .resources import Budget, BudgetExhausted, SelfCheckFailed, default_node_budget
 from .sectional import (
-    RouteMismatch,
     relative_sec,
     relative_secat,
     relative_tc_bounds,
@@ -167,253 +166,21 @@ class Claim:
     statement: str
     hypotheses: str
     kind: str  # "theorem" | "exploratory"
+    evaluate: Callable[[tuple, int], dict]  # (payload, budget limit) -> outcome
 
 
-REGISTRY: tuple[Claim, ...] = (
-    Claim(
-        "remark_sec1_iff_not_cp",
-        "the relative sectional number of the 2-point configuration projection "
-        "equals 1 exactly when a coincidence-free map exists",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "main_theorem",
-        "CP holds exactly when the relative sectional number of the 2-point "
-        "configuration projection equals 2",
-        "target Hausdorff with at least 2 points; other instances explored",
-        "theorem",
-    ),
-    Claim(
-        "key_lemma_k",
-        "the relative sectional number of the k-point configuration projection "
-        "is at most k",
-        "target Hausdorff with at least k points; other instances explored",
-        "theorem",
-    ),
-    Claim(
-        "cp_implies_fpp",
-        "CP for (X, Y; g) implies FPP for Y; on failure of FPP the composite of "
-        "the fixed-point-free witness with g is a coincidence-free witness",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "sierpinski_boundary",
-        "for the Sierpinski space with the identity: CP holds, FPP holds, and the "
-        "relative sectional number of the 2-point projection is infinite on both "
-        "routes, so the Hausdorff hypothesis of the main equivalence is necessary",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "fpp_iff_cp_identity",
-        "a space has FPP exactly when (X, X; identity) has CP",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "cp_target_restriction",
-        "when g lands in a proper open subset A and CP holds into A, any "
-        "coincidence-free map into the full target must leave A",
-        "g factors through a proper open subset and CP holds into it",
-        "theorem",
-    ),
-    Claim(
-        "contractible_core_vs_fence",
-        "core reduction and fence search from the identity to a constant agree "
-        "on contractibility",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "cat_core_invariance",
-        "the category of a space equals the category of its core",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "cat1_iff_contractible",
-        "category 1 is equivalent to contractibility",
-        "nonempty space",
-        "theorem",
-    ),
-    Claim(
-        "homotopic_matches_direct_components",
-        "the core-compressed homotopy decision agrees with components of the "
-        "uncompressed comparability graph on the full map set",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "fences_revalidate",
-        "every fence produced as a homotopy witness revalidates step by step",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "finspace_invariants",
-        "minimal opens are least opens containing their point; opens are closed "
-        "under union and intersection; Hausdorff is equivalent to all singletons "
-        "open; enumerated maps compose and revalidate",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "config_matches_offdiagonal_subspace",
-        "the 2-point configuration space equals the off-diagonal subspace of the "
-        "square, point for point",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "pullback_along_identity_iso",
-        "pulling back along the identity returns a space isomorphic to the total "
-        "space",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "census_counts",
-        "census sizes match the known counts of finite spaces and posets up to "
-        "isomorphism, and emitted spaces are pairwise non-isomorphic",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "pullback_secat_strict_drop",
-        "some canonical pullback strictly drops the sectional category while the "
-        "sectional number obeys its monotonicity",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "composition_chain",
-        "rel-sec of the outer map <= rel-sec of the composite <= rel-sec of the "
-        "outer map times sec of the inner map",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "product_sec_equality",
-        "crossing with an identity preserves the sectional number",
-        "identity factor space nonempty",
-        "theorem",
-    ),
-    Claim(
-        "product_secat_equality",
-        "crossing with an identity preserves the sectional category",
-        "identity factor space nonempty",
-        "theorem",
-    ),
-    Claim(
-        "square_rule_sec",
-        "in a strictly commuting square, sec(left) * sec(bottom) >= sec(right)",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "square_rule_secat",
-        "in a strictly commuting square, secat(left) * secat(bottom) >= secat(right)",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "square_rule_secat_homotopy",
-        "in a homotopy-commuting square, secat(left) * secat(bottom) >= secat(right)",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "triangle_sec_monotone",
-        "factoring f' = f o h forces sec(f') >= sec(f) and secat(f') >= secat(f)",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "triangle_secat_homotopy",
-        "f' homotopic to f o h forces secat(f') >= secat(f)",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "secat_le_sec",
-        "sectional category never exceeds the sectional number",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "secat_le_cat_target",
-        "sectional category is bounded by the category of the target",
-        "source nonempty and target connected (the classical standing "
-        "conventions; falsifiable otherwise on finite instances)",
-        "theorem",
-    ),
-    Claim(
-        "nullhomotopic_secat_eq_cat",
-        "a nullhomotopic map has sectional category equal to the category of its "
-        "target",
-        "map nullhomotopic, source nonempty, target connected",
-        "theorem",
-    ),
-    Claim(
-        "relative_sec_le_sec",
-        "the relative sectional number never exceeds the plain one",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "relative_times_sec_ge_sec",
-        "rel-sec of p along g times sec of g bounds sec of p from above",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "relative_secat_le_cat_base",
-        "relative sectional category is bounded by the category of the base",
-        "base connected and pullback nonempty (the degenerate empty pullback "
-        "falsifies the unrestricted statement)",
-        "theorem",
-    ),
-    Claim(
-        "relative_secat_homotopy_invariance",
-        "relative sectional category is unchanged when g is replaced by a "
-        "homotopic map",
-        "requires a homotopy lifting property of p that is not decidable here; "
-        "evaluated unrestricted, counterexamples expected and recorded",
-        "exploratory",
-    ),
-    Claim(
-        "retraction_relative_sec",
-        "relative to a retraction onto an open subspace, the relative sectional "
-        "number equals the plain one",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "route_equivalence",
-        "the pullback route and the lifting route compute the same relative "
-        "sectional number",
-        "none",
-        "theorem",
-    ),
-    Claim(
-        "tc_bounds_contractible",
-        "with a contractible domain the relative complexity interval is exact and "
-        "equals the relative sectional number",
-        "domain of the work map contractible",
-        "theorem",
-    ),
-    Claim(
-        "tc_bounds_noncontractible",
-        "with a non-contractible domain the reported lower bound equals the "
-        "relative sectional number and the upper bound is unknown",
-        "none",
-        "theorem",
-    ),
-)
+_registered: list[Claim] = []
 
-CLAIMS_BY_ID = {claim.id: claim for claim in REGISTRY}
+
+def _register(id: str, statement: str, hypotheses: str = "none", kind: str = "theorem"):
+    """Decorator registering its evaluator as a claim; the order of
+    registration is the order of the report."""
+
+    def register(evaluate):
+        _registered.append(Claim(id, statement, hypotheses, kind, evaluate))
+        return evaluate
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +208,7 @@ def _value(v: ExtNat):
 
 
 # ---------------------------------------------------------------------------
-# evaluators (top-level, picklable); each returns an outcome dict
+# evaluators: each is registered as one claim and returns an outcome dict
 
 
 def _outcome(status, witness=None, **extras):
@@ -464,12 +231,23 @@ def _from_report(report: coin.TheoremReport, witness=None):
     return _outcome(VIOLATED, witness)
 
 
+@_register(
+    "remark_sec1_iff_not_cp",
+    "the relative sectional number of the 2-point configuration projection "
+    "equals 1 exactly when a coincidence-free map exists",
+)
 def _eval_remark(payload, budget):
     X, Y, g = payload
     report = coin.check_remark(X, Y, g, budget=Budget(budget))
     return _from_report(report, witness=_triple_json(X, Y, g))
 
 
+@_register(
+    "main_theorem",
+    "CP holds exactly when the relative sectional number of the 2-point "
+    "configuration projection equals 2",
+    hypotheses="target Hausdorff with at least 2 points; other instances explored",
+)
 def _eval_main_theorem(payload, budget):
     X, Y, g = payload
     report = coin.check_main_theorem(X, Y, g, budget=Budget(budget))
@@ -486,18 +264,35 @@ def _eval_main_theorem(payload, budget):
     return out
 
 
+@_register(
+    "key_lemma_k",
+    "the relative sectional number of the k-point configuration projection "
+    "is at most k",
+    hypotheses="target Hausdorff with at least k points; other instances explored",
+)
 def _eval_key_lemma(payload, budget):
     X, Y, g, k = payload
     report = coin.check_key_lemma(X, Y, g, k, budget=Budget(budget))
     return _from_report(report, witness=_triple_json(X, Y, g) | {"k": k})
 
 
+@_register(
+    "cp_implies_fpp",
+    "CP for (X, Y; g) implies FPP for Y; on failure of FPP the composite of "
+    "the fixed-point-free witness with g is a coincidence-free witness",
+)
 def _eval_cp_implies_fpp(payload, budget):
     X, Y, g = payload
     report = coin.check_cp_implies_fpp(X, Y, g, budget=Budget(budget))
     return _from_report(report, witness=_triple_json(X, Y, g))
 
 
+@_register(
+    "sierpinski_boundary",
+    "for the Sierpinski space with the identity: CP holds, FPP holds, and the "
+    "relative sectional number of the 2-point projection is infinite on both "
+    "routes, so the Hausdorff hypothesis of the main equivalence is necessary",
+)
 def _eval_sierpinski_boundary(payload, budget):
     S = sierpinski()
     one = identity_map(S)
@@ -524,6 +319,10 @@ def _eval_sierpinski_boundary(payload, budget):
     )
 
 
+@_register(
+    "fpp_iff_cp_identity",
+    "a space has FPP exactly when (X, X; identity) has CP",
+)
 def _eval_fpp_iff_cp_identity(payload, budget):
     (X,) = payload
     b = Budget(budget)
@@ -535,6 +334,12 @@ def _eval_fpp_iff_cp_identity(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
 
+@_register(
+    "cp_target_restriction",
+    "when g lands in a proper open subset A and CP holds into A, any "
+    "coincidence-free map into the full target must leave A",
+    hypotheses="g factors through a proper open subset and CP holds into it",
+)
 def _eval_cp_target_restriction(payload, budget):
     X, Y, g = payload
     b = Budget(budget)
@@ -561,17 +366,26 @@ def _eval_cp_target_restriction(payload, budget):
     )
 
 
+@_register(
+    "contractible_core_vs_fence",
+    "core reduction and fence search from the identity to a constant agree "
+    "on contractibility",
+)
 def _eval_contractible_core_vs_fence(payload, budget):
     (X,) = payload
     try:
         is_contractible(X, budget=Budget(budget), cross_check=True)
     except BudgetExhausted:
         return _outcome(INCONCLUSIVE, {"X": _space_json(X)})
-    except CrossCheckMismatch:
+    except SelfCheckFailed:
         return _outcome(VIOLATED, {"X": _space_json(X)})
     return _outcome(VERIFIED)
 
 
+@_register(
+    "cat_core_invariance",
+    "the category of a space equals the category of its core",
+)
 def _eval_cat_core_invariance(payload, budget):
     (X,) = payload
     b = Budget(budget)
@@ -579,6 +393,11 @@ def _eval_cat_core_invariance(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
 
+@_register(
+    "cat1_iff_contractible",
+    "category 1 is equivalent to contractibility",
+    hypotheses="nonempty space",
+)
 def _eval_cat1_iff_contractible(payload, budget):
     (X,) = payload
     if X.n == 0:
@@ -588,6 +407,11 @@ def _eval_cat1_iff_contractible(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
 
+@_register(
+    "homotopic_matches_direct_components",
+    "the core-compressed homotopy decision agrees with components of the "
+    "uncompressed comparability graph on the full map set",
+)
 def _eval_homotopic_matches_direct(payload, budget):
     A, B = payload
     b = Budget(budget)
@@ -611,6 +435,10 @@ def _eval_homotopic_matches_direct(payload, budget):
     return _outcome(VERIFIED)
 
 
+@_register(
+    "fences_revalidate",
+    "every fence produced as a homotopy witness revalidates step by step",
+)
 def _eval_fences_revalidate(payload, budget):
     f, g = payload
     b = Budget(budget)
@@ -627,6 +455,12 @@ def _eval_fences_revalidate(payload, budget):
                     None if ok else {"f": _map_json(f), "g": list(g.assignment)})
 
 
+@_register(
+    "finspace_invariants",
+    "minimal opens are least opens containing their point; opens are closed "
+    "under union and intersection; Hausdorff is equivalent to all singletons "
+    "open; enumerated maps compose and revalidate",
+)
 def _eval_finspace_invariants(payload, budget):
     (X,) = payload
     b = Budget(budget)
@@ -654,6 +488,11 @@ def _eval_finspace_invariants(payload, budget):
     return _outcome(VERIFIED)
 
 
+@_register(
+    "config_matches_offdiagonal_subspace",
+    "the 2-point configuration space equals the off-diagonal subspace of the "
+    "square, point for point",
+)
 def _eval_config_matches_offdiagonal(payload, budget):
     (X,) = payload
     conf, _ = configuration_space(X, 2)
@@ -664,6 +503,11 @@ def _eval_config_matches_offdiagonal(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
 
+@_register(
+    "pullback_along_identity_iso",
+    "pulling back along the identity returns a space isomorphic to the total "
+    "space",
+)
 def _eval_pullback_identity_iso(payload, budget):
     (p,) = payload
     P, _, _ = pullback(p, identity_map(p.target))
@@ -671,6 +515,11 @@ def _eval_pullback_identity_iso(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(p))
 
 
+@_register(
+    "census_counts",
+    "census sizes match the known counts of finite spaces and posets up to "
+    "isomorphism, and emitted spaces are pairwise non-isomorphic",
+)
 def _eval_census_counts(payload, budget):
     n, posets_only, expected = payload
     spaces = census_spaces(n, posets_only)
@@ -685,6 +534,11 @@ def _eval_census_counts(payload, budget):
     return _outcome(VERIFIED)
 
 
+@_register(
+    "pullback_secat_strict_drop",
+    "some canonical pullback strictly drops the sectional category while the "
+    "sectional number obeys its monotonicity",
+)
 def _eval_pullback_secat_strict_drop(payload, budget):
     b = Budget(budget)
     for Y in census_up_to(3):
@@ -705,6 +559,11 @@ def _eval_pullback_secat_strict_drop(payload, budget):
     return _outcome(VIOLATED, {"detail": "no strict drop instance found in the census"})
 
 
+@_register(
+    "composition_chain",
+    "rel-sec of the outer map <= rel-sec of the composite <= rel-sec of the "
+    "outer map times sec of the inner map",
+)
 def _eval_composition_chain(payload, budget):
     p1, p2, g = payload
     b = Budget(budget)
@@ -742,10 +601,20 @@ def _eval_product_equality(payload, budget, invariant):
                                      "crossed": _value(lhs), "plain": _value(rhs)})
 
 
+@_register(
+    "product_sec_equality",
+    "crossing with an identity preserves the sectional number",
+    hypotheses="identity factor space nonempty",
+)
 def _eval_product_sec(payload, budget):
     return _eval_product_equality(payload, budget, sec)
 
 
+@_register(
+    "product_secat_equality",
+    "crossing with an identity preserves the sectional category",
+    hypotheses="identity factor space nonempty",
+)
 def _eval_product_secat(payload, budget):
     return _eval_product_equality(payload, budget, secat)
 
@@ -762,14 +631,32 @@ def _eval_square_rule(payload, budget, invariant):
                                      "lhs": _value(lhs), "rhs": _value(rhs)})
 
 
+@_register(
+    "square_rule_sec",
+    "in a strictly commuting square, sec(left) * sec(bottom) >= sec(right)",
+)
 def _eval_square_rule_sec(payload, budget):
     return _eval_square_rule(payload, budget, sec)
 
 
+@_register(
+    "square_rule_secat",
+    "in a strictly commuting square, secat(left) * secat(bottom) >= secat(right)",
+)
 def _eval_square_rule_secat(payload, budget):
     return _eval_square_rule(payload, budget, secat)
 
 
+_register(
+    "square_rule_secat_homotopy",
+    "in a homotopy-commuting square, secat(left) * secat(bottom) >= secat(right)",
+)(_eval_square_rule_secat)
+
+
+@_register(
+    "triangle_sec_monotone",
+    "factoring f' = f o h forces sec(f') >= sec(f) and secat(f') >= secat(f)",
+)
 def _eval_triangle_monotone(payload, budget):
     f, h = payload
     b = Budget(budget)
@@ -781,6 +668,10 @@ def _eval_triangle_monotone(payload, budget):
     return _outcome(VERIFIED)
 
 
+@_register(
+    "triangle_secat_homotopy",
+    "f' homotopic to f o h forces secat(f') >= secat(f)",
+)
 def _eval_triangle_secat_homotopy(payload, budget):
     f, h, f_prime = payload
     b = Budget(budget)
@@ -790,6 +681,10 @@ def _eval_triangle_secat_homotopy(payload, budget):
                                      "f_prime": _map_json(f_prime)})
 
 
+@_register(
+    "secat_le_sec",
+    "sectional category never exceeds the sectional number",
+)
 def _eval_secat_le_sec(payload, budget):
     (f,) = payload
     b = Budget(budget)
@@ -797,6 +692,14 @@ def _eval_secat_le_sec(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(f))
 
 
+@_register(
+    "secat_le_cat_target",
+    "sectional category is bounded by the category of the target",
+    hypotheses=(
+        "source nonempty and target connected (the classical standing "
+        "conventions; falsifiable otherwise on finite instances)"
+    ),
+)
 def _eval_secat_le_cat_target(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
@@ -806,6 +709,12 @@ def _eval_secat_le_cat_target(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(f))
 
 
+@_register(
+    "nullhomotopic_secat_eq_cat",
+    "a nullhomotopic map has sectional category equal to the category of its "
+    "target",
+    hypotheses="map nullhomotopic, source nonempty, target connected",
+)
 def _eval_nullhomotopic_secat_eq_cat(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
@@ -817,6 +726,10 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(f))
 
 
+@_register(
+    "relative_sec_le_sec",
+    "the relative sectional number never exceeds the plain one",
+)
 def _eval_relative_sec_le_sec(payload, budget):
     p, g = payload
     b = Budget(budget)
@@ -825,6 +738,10 @@ def _eval_relative_sec_le_sec(payload, budget):
                     None if ok else {"p": _map_json(p), "g": _map_json(g)})
 
 
+@_register(
+    "relative_times_sec_ge_sec",
+    "rel-sec of p along g times sec of g bounds sec of p from above",
+)
 def _eval_relative_times_sec_ge_sec(payload, budget):
     p, g = payload
     b = Budget(budget)
@@ -834,6 +751,14 @@ def _eval_relative_times_sec_ge_sec(payload, budget):
                     None if ok else {"p": _map_json(p), "g": _map_json(g)})
 
 
+@_register(
+    "relative_secat_le_cat_base",
+    "relative sectional category is bounded by the category of the base",
+    hypotheses=(
+        "base connected and pullback nonempty (the degenerate empty pullback "
+        "falsifies the unrestricted statement)"
+    ),
+)
 def _eval_relative_secat_le_cat_base(payload, budget):
     p, g = payload
     X = g.source
@@ -848,6 +773,16 @@ def _eval_relative_secat_le_cat_base(payload, budget):
                     None if ok else {"p": _map_json(p), "g": _map_json(g)})
 
 
+@_register(
+    "relative_secat_homotopy_invariance",
+    "relative sectional category is unchanged when g is replaced by a "
+    "homotopic map",
+    hypotheses=(
+        "requires a homotopy lifting property of p that is not decidable here; "
+        "evaluated unrestricted, counterexamples expected and recorded"
+    ),
+    kind="exploratory",
+)
 def _eval_relative_secat_homotopy_invariance(payload, budget):
     p, g, g_prime = payload
     b = Budget(budget)
@@ -863,6 +798,11 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
     })
 
 
+@_register(
+    "retraction_relative_sec",
+    "relative to a retraction onto an open subspace, the relative sectional "
+    "number equals the plain one",
+)
 def _eval_retraction_relative_sec(payload, budget):
     r, p = payload
     b = Budget(budget)
@@ -871,16 +811,27 @@ def _eval_retraction_relative_sec(payload, budget):
                     None if ok else {"r": _map_json(r), "p": _map_json(p)})
 
 
+@_register(
+    "route_equivalence",
+    "the pullback route and the lifting route compute the same relative "
+    "sectional number",
+)
 def _eval_route_equivalence(payload, budget):
     p, g = payload
     b = Budget(budget)
     try:
         relative_sec(p, g, route="both", budget=b)
-    except RouteMismatch as exc:
+    except SelfCheckFailed as exc:
         return _outcome(VIOLATED, {"p": _map_json(p), "g": _map_json(g), "detail": str(exc)})
     return _outcome(VERIFIED)
 
 
+@_register(
+    "tc_bounds_contractible",
+    "with a contractible domain the relative complexity interval is exact and "
+    "equals the relative sectional number",
+    hypotheses="domain of the work map contractible",
+)
 def _eval_tc_bounds_contractible(payload, budget):
     f, g = payload
     b = Budget(budget)
@@ -898,6 +849,11 @@ def _eval_tc_bounds_contractible(payload, budget):
                     None if ok else {"f": _map_json(f), "g": _map_json(g)})
 
 
+@_register(
+    "tc_bounds_noncontractible",
+    "with a non-contractible domain the reported lower bound equals the "
+    "relative sectional number and the upper bound is unknown",
+)
 def _eval_tc_bounds_noncontractible(payload, budget):
     f, g = payload
     b = Budget(budget)
@@ -910,50 +866,14 @@ def _eval_tc_bounds_noncontractible(payload, budget):
                     None if ok else {"f": _map_json(f), "g": _map_json(g)})
 
 
-EVALUATORS = {
-    "remark_sec1_iff_not_cp": _eval_remark,
-    "main_theorem": _eval_main_theorem,
-    "key_lemma_k": _eval_key_lemma,
-    "cp_implies_fpp": _eval_cp_implies_fpp,
-    "sierpinski_boundary": _eval_sierpinski_boundary,
-    "fpp_iff_cp_identity": _eval_fpp_iff_cp_identity,
-    "cp_target_restriction": _eval_cp_target_restriction,
-    "contractible_core_vs_fence": _eval_contractible_core_vs_fence,
-    "cat_core_invariance": _eval_cat_core_invariance,
-    "cat1_iff_contractible": _eval_cat1_iff_contractible,
-    "homotopic_matches_direct_components": _eval_homotopic_matches_direct,
-    "fences_revalidate": _eval_fences_revalidate,
-    "finspace_invariants": _eval_finspace_invariants,
-    "config_matches_offdiagonal_subspace": _eval_config_matches_offdiagonal,
-    "pullback_along_identity_iso": _eval_pullback_identity_iso,
-    "census_counts": _eval_census_counts,
-    "pullback_secat_strict_drop": _eval_pullback_secat_strict_drop,
-    "composition_chain": _eval_composition_chain,
-    "product_sec_equality": _eval_product_sec,
-    "product_secat_equality": _eval_product_secat,
-    "square_rule_sec": _eval_square_rule_sec,
-    "square_rule_secat": _eval_square_rule_secat,
-    "square_rule_secat_homotopy": _eval_square_rule_secat,
-    "triangle_sec_monotone": _eval_triangle_monotone,
-    "triangle_secat_homotopy": _eval_triangle_secat_homotopy,
-    "secat_le_sec": _eval_secat_le_sec,
-    "secat_le_cat_target": _eval_secat_le_cat_target,
-    "nullhomotopic_secat_eq_cat": _eval_nullhomotopic_secat_eq_cat,
-    "relative_sec_le_sec": _eval_relative_sec_le_sec,
-    "relative_times_sec_ge_sec": _eval_relative_times_sec_ge_sec,
-    "relative_secat_le_cat_base": _eval_relative_secat_le_cat_base,
-    "relative_secat_homotopy_invariance": _eval_relative_secat_homotopy_invariance,
-    "retraction_relative_sec": _eval_retraction_relative_sec,
-    "route_equivalence": _eval_route_equivalence,
-    "tc_bounds_contractible": _eval_tc_bounds_contractible,
-    "tc_bounds_noncontractible": _eval_tc_bounds_noncontractible,
-}
+REGISTRY: tuple[Claim, ...] = tuple(_registered)
+CLAIMS_BY_ID = {claim.id: claim for claim in REGISTRY}
 
 
 def _eval_task(task):
     claim_id, payload, budget_limit = task
     try:
-        return EVALUATORS[claim_id](payload, budget_limit)
+        return CLAIMS_BY_ID[claim_id].evaluate(payload, budget_limit)
     except BudgetExhausted:
         return _outcome(INCONCLUSIVE)
 

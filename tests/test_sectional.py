@@ -20,9 +20,9 @@ from secnum.finspace import (
     subspace,
 )
 from secnum.homotopy import cat, homotopic, is_contractible
+from secnum.resources import SelfCheckFailed
 from secnum.sectional import (
     MODE_SECTION,
-    CertificateError,
     CoverCertificate,
     relative_sec,
     relative_secat,
@@ -137,7 +137,7 @@ def test_tampered_certificate_fails():
         witnesses=(constant_map(s, s, 1),),
         context=cert.context,
     )
-    with pytest.raises(CertificateError):
+    with pytest.raises(SelfCheckFailed):
         swapped.verify()
 
 

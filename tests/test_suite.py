@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,16 @@ def test_registry_ids_are_unique_and_documented():
     for claim in REGISTRY:
         assert claim.kind in ("theorem", "exploratory")
         assert claim.statement and claim.hypotheses
+
+
+def test_readme_claim_table_matches_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| (.+) \|$", readme, re.MULTILINE)
+    assert [claim_id for claim_id, _, _ in rows] == [claim.id for claim in REGISTRY]
+    for claim_id, kind, text in rows:
+        claim = CLAIMS_BY_ID[claim_id]
+        assert kind == claim.kind, claim_id
+        assert text.startswith(claim.statement), claim_id
 
 
 def test_tiny_suite_runs_clean():
