@@ -1,10 +1,16 @@
 """Exhaustive censuses of finite spaces and seeded random instance generation.
 
-census_spaces(n) yields every preorder on n points up to isomorphism.  All
-reflexive-transitive relations are enumerated and collapsed to canonical
-representatives; the canonical form is the minimum relation bitmask over all
-relabelings, restricted to permutations compatible with per-point degree
-signatures (isomorphisms preserve those, so the restriction is sound).
+census_spaces(n) yields every preorder on n points up to isomorphism, built by
+one-point extension (canonical augmentation in the sense of McKay, "Isomorph-free
+exhaustive generation", 1998).  Deleting a point from a preorder leaves a
+preorder, so every space on n points extends a representative on n - 1 points
+by a new point z: its minimal open set is {z} plus an open set R of the base,
+and the points that reach z form a closed set C of the base each of whose
+minimal open sets contains R (posets additionally need R and C disjoint).
+The extensions are collapsed to canonical representatives; the canonical form
+is the minimum relation bitmask over all relabelings, restricted to
+permutations compatible with per-point degree signatures (isomorphisms
+preserve those, so the restriction is sound).
 
 InstanceGenerator draws reproducible random spaces, maps, commuting squares,
 triples and retractions from a seeded generator; identical seeds give
@@ -29,11 +35,12 @@ from .finspace import (
 from .homotopy import is_contractible
 from .resources import Budget, LimitExceeded
 
-CENSUS_HARD_MAX = 5
+CENSUS_HARD_MAX = 7
 
-# preorders (= finite topologies) and posets on n unlabeled points
-KNOWN_PREORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
-KNOWN_POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+# preorders (= finite topologies, OEIS A001930) and posets (OEIS A000112) on n
+# unlabeled points
+KNOWN_PREORDER_COUNTS = {0: 1, 1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718, 7: 4535}
+KNOWN_POSET_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 
 
 def _signature_blocks(rows, co, n):
@@ -77,12 +84,29 @@ def _space_from_relation_key(key: int, n: int) -> FinSpace:
     return FinSpace(rows, validate=False)
 
 
-def _is_poset_rows(rows, n) -> bool:
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (rows[i] >> j) & 1 and (rows[j] >> i) & 1:
-                return False
-    return True
+def _one_point_extension_keys(bases, posets_only: bool) -> set[int]:
+    """Canonical forms of every space on m + 1 points whose restriction to the
+    points 0..m-1 is one of the bases (all on m points); the new point is m."""
+    keys = set()
+    for base in bases:
+        rows = base.reach_rows
+        z = 1 << base.n
+        opens = list(iter_open_masks(base))
+        for up in opens:
+            # points whose minimal open set contains up may reach z
+            may_reach = 0
+            for c, row in enumerate(rows):
+                if row & up == up:
+                    may_reach |= 1 << c
+            if posets_only:
+                may_reach &= ~up
+            for closed in (base.full_mask & ~mask for mask in opens):
+                if closed & ~may_reach:
+                    continue
+                new_rows = [row | z if (closed >> c) & 1 else row for c, row in enumerate(rows)]
+                new_rows.append(up | z)
+                keys.add(canonical_form(FinSpace(new_rows, validate=False)))
+    return keys
 
 
 @functools.lru_cache(maxsize=32)
@@ -95,40 +119,13 @@ def census_spaces(n: int, posets_only: bool = False) -> tuple[FinSpace, ...]:
         raise LimitExceeded(f"census capped at {CENSUS_HARD_MAX} points, asked for {n}")
     if n == 0:
         return (make_space(0, [], name="empty"),)
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    base = [1 << i for i in range(n)]
-    seen: dict[int, int] = {}
-    for mask in range(1 << len(positions)):
-        rows = list(base)
-        m = mask
-        while m:
-            b = m & -m
-            i, j = positions[b.bit_length() - 1]
-            rows[i] |= 1 << j
-            m ^= b
-        transitive = True
-        for i in range(n):
-            row = rows[i]
-            probe = row & ~(1 << i)
-            while probe:
-                b = probe & -probe
-                if rows[b.bit_length() - 1] & ~row:
-                    transitive = False
-                    break
-                probe ^= b
-            if not transitive:
-                break
-        if not transitive:
-            continue
-        if posets_only and not _is_poset_rows(rows, n):
-            continue
-        space = FinSpace(rows, validate=False)
-        key = canonical_form(space)
-        if key not in seen:
-            seen[key] = key
-    return tuple(
-        _space_from_relation_key(key, n) for key in sorted(seen)
-    )
+    # sizes are built bottom-up here rather than through census_spaces(n - 1),
+    # so that one call is one census computation
+    keys = {0}
+    for m in range(n):
+        bases = [_space_from_relation_key(key, m) for key in keys]
+        keys = _one_point_extension_keys(bases, posets_only)
+    return tuple(_space_from_relation_key(key, n) for key in sorted(keys))
 
 
 def census_up_to(n_max: int, posets_only: bool = False, include_empty: bool = False):

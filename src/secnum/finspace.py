@@ -10,8 +10,10 @@ reach.  Points are dense indices 0..n-1 and every enumeration order is fixed
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .resources import Budget, check_opens, check_product
 
@@ -131,6 +133,34 @@ class FinSpace:
 
 def _rebuild_space(rows, labels, name):
     return FinSpace(rows, labels=labels, name=name, validate=False)
+
+
+def cached_by_space(maxsize: int):
+    """lru_cache for a function of (space, ...) whose result carries the
+    space's labels or name.
+
+    FinSpace equality ignores labels and name, so a cache keyed on the space
+    would hand one caller the result built for a differently labelled copy.
+    The key is the reach rows, labels and name plus the other arguments
+    instead, and a miss computes on a rebuilt copy that equals the caller's
+    space in every attribute.
+    Cached results are shared between callers, so they must be immutable.
+    """
+
+    def decorate(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(rows, labels, name, *args, **kwargs):
+            return fn(_rebuild_space(rows, labels, name), *args, **kwargs)
+
+        @functools.wraps(fn)
+        def wrapper(space, *args, **kwargs):
+            return cached(space.reach_rows, space.labels, space.name, *args, **kwargs)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -415,17 +445,19 @@ def pullback(p: CMap, g: CMap):
     return space, to_base, to_total
 
 
+@cached_by_space(maxsize=64)
 def configuration_space(space: FinSpace, k: int):
     """Ordered configuration space of k pairwise-distinct points.
 
     Returns (conf, projections) where projections[r] forgets the last k - r
     coordinates, for 1 <= r <= k.  For r = 1 the target is the space itself;
     for k = 1 the space itself is returned with the identity projection.
+    Results are memoised and shared, so projections is a read-only mapping.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return space, {1: identity_map(space)}
+        return space, MappingProxyType({1: identity_map(space)})
     check_product(space.n ** k)
     rows_src = space.reach_rows
 
@@ -456,7 +488,7 @@ def configuration_space(space: FinSpace, k: int):
         projections[r] = CMap(
             conf, target, (key(t) for t in tuples), name=f"proj_{k}_{r}", validate=False
         )
-    return conf, projections
+    return conf, MappingProxyType(projections)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ test suite checks the two procedures against each other.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .cover import exact_min_cover, find_maximal_good_opens
@@ -25,6 +24,7 @@ from .finspace import (
     FinSpace,
     OpenSet,
     _bits,
+    cached_by_space,
     compose,
     identity_map,
     iter_assignments,
@@ -123,7 +123,7 @@ def _compute_core(space: FinSpace) -> Core:
     return Core(space=current, retraction=retraction, inclusion=inclusion, stages=tuple(stages))
 
 
-@functools.lru_cache(maxsize=8192)
+@cached_by_space(maxsize=8192)
 def core(space: FinSpace) -> Core:
     """Stable beat-point-free retract with retraction/inclusion maps."""
     return _compute_core(space)

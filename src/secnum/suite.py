@@ -299,6 +299,8 @@ def _eval_sierpinski_boundary(payload, budget):
     b = Budget(budget)
     cp = has_cp(S, S, one, b)
     fpp = has_fpp(S, b)
+    if not (cp.exhaustive and fpp.exhaustive):
+        return _outcome(INCONCLUSIVE, {"X": _space_json(S)})
     conf, projections = configuration_space(S, 2)
     by_pullback = relative_sec(projections[1], one, route="pullback", budget=b)
     by_lift = relative_sec(projections[1], one, route="lift", budget=b)

@@ -8,8 +8,16 @@ and minimum covers come from trying all combinations by ascending size.
 
 import itertools
 
+from secnum.census import canonical_form
 from secnum.extnat import INF, ExtNat
-from secnum.finspace import compose, enumerate_maps, iter_open_masks, subspace_of_mask
+from secnum.finspace import (
+    FinSpace,
+    compose,
+    enumerate_maps,
+    iter_open_masks,
+    make_space,
+    subspace_of_mask,
+)
 
 
 def all_maps(source, target):
@@ -139,4 +147,36 @@ def brute_relative_sec_lift(p, g):
 def brute_has_fixed_point_free_map(space):
     return any(
         all(m(x) != x for x in range(space.n)) for m in all_maps(space, space)
+    )
+
+
+def brute_census(n, posets_only=False):
+    """Every reflexive relation on n points (2^(n(n-1)) of them), kept when
+    transitive (and antisymmetric for posets), collapsed by canonical form and
+    returned as spaces in ascending canonical order, like census_spaces."""
+    if n == 0:
+        return (make_space(0, [], name="empty"),)
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keys = set()
+    for mask in range(1 << len(positions)):
+        rows = [1 << i for i in range(n)]
+        for bit, (i, j) in enumerate(positions):
+            if (mask >> bit) & 1:
+                rows[i] |= 1 << j
+        transitive = all(
+            rows[j] & ~rows[i] == 0
+            for i in range(n) for j in range(n) if (rows[i] >> j) & 1
+        )
+        if not transitive:
+            continue
+        if posets_only and any(
+            (rows[i] >> j) & 1 and (rows[j] >> i) & 1
+            for i in range(n) for j in range(i + 1, n)
+        ):
+            continue
+        keys.add(canonical_form(FinSpace(rows, validate=False)))
+    full = (1 << n) - 1
+    return tuple(
+        FinSpace([(key >> (i * n)) & full for i in range(n)], validate=False)
+        for key in sorted(keys)
     )

@@ -1,6 +1,8 @@
 import pytest
 
 from secnum.census import (
+    KNOWN_POSET_COUNTS,
+    KNOWN_PREORDER_COUNTS,
     InstanceGenerator,
     are_isomorphic,
     canonical_form,
@@ -19,10 +21,25 @@ from secnum.finspace import (
 from secnum.homotopy import homotopic, is_contractible
 from secnum.resources import LimitExceeded
 
+from oracles import brute_census
+
 
 def test_census_counts_match_known_values():
     assert [len(census_spaces(n)) for n in range(5)] == [1, 1, 3, 9, 33]
     assert [len(census_spaces(n, posets_only=True)) for n in range(1, 5)] == [1, 2, 5, 16]
+
+
+def test_six_point_census_counts():
+    assert len(census_spaces(6)) == KNOWN_PREORDER_COUNTS[6] == 718
+    assert len(census_spaces(6, posets_only=True)) == KNOWN_POSET_COUNTS[6] == 318
+
+
+@pytest.mark.parametrize("posets_only", [False, True])
+def test_census_matches_brute_force_oracle(posets_only):
+    for n in range(5):
+        library = [(X.n, X.reach_rows, X.name) for X in census_spaces(n, posets_only)]
+        oracle = [(X.n, X.reach_rows, X.name) for X in brute_census(n, posets_only)]
+        assert library == oracle, n
 
 
 def test_two_point_census_contents():
@@ -48,7 +65,7 @@ def test_census_soundness():
 
 def test_census_cap():
     with pytest.raises(LimitExceeded):
-        census_spaces(6)
+        census_spaces(8)
 
 
 def test_canonical_form_invariant_under_relabeling():

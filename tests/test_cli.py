@@ -133,7 +133,7 @@ def test_census_output(capsys):
 
 
 def test_census_over_cap_is_input_error(capsys):
-    assert main(["census", "--max-points", "7"]) == 4
+    assert main(["census", "--max-points", "8"]) == 4
 
 
 def test_suite_cli_roundtrip(tmp_path, capsys):

@@ -227,6 +227,20 @@ def test_configuration_space_examples():
     assert same == sierpinski() and projs1[1].is_identity()
 
 
+def test_configuration_space_cache_keeps_labels():
+    plain = sierpinski()
+    labelled = FinSpace(plain.reach_rows, labels=["a", "b"])
+    conf, projs = configuration_space(plain, 2)
+    conf_l, projs_l = configuration_space(labelled, 2)
+    assert conf == conf_l
+    assert conf.labels is None and projs[1].target.name == "S"
+    assert conf_l.labels == ("(a,b)", "(b,a)")
+    assert projs_l[1].target.labels == ("a", "b") and projs_l[1].target.name is None
+    assert configuration_space(labelled, 2)[0] is conf_l
+    with pytest.raises(TypeError):
+        projs_l[1] = projs[1]
+
+
 def test_configuration_space_matches_offdiagonal_subspace():
     for space in census_spaces(3):
         conf, _ = configuration_space(space, 2)

@@ -21,6 +21,7 @@ from secnum.finspace import (
 )
 from secnum.homotopy import (
     Fence,
+    _compute_core,
     cat,
     core,
     homotopic,
@@ -32,6 +33,15 @@ from secnum.homotopy import (
 from secnum.resources import BudgetExhausted
 
 from oracles import brute_cat, brute_homotopic, brute_nullhomotopic_inclusion
+
+
+def test_core_cache_keeps_labels():
+    a = make_space(3, [(1, 0), (2, 0)])
+    b = make_space(3, [(1, 0), (2, 0)], labels=["p", "q", "r"])
+    assert core(a).space.labels is None
+    assert core(b).space.labels == _compute_core(b).space.labels == ("r",)
+    assert core(a).space.labels is None
+    assert core(b) is core(b)
 
 
 def test_fence_validation():

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from secnum.suite import CLAIMS_BY_ID, REGISTRY, SuiteConfig, run_suite
+from secnum.suite import (
+    CLAIMS_BY_ID,
+    INCONCLUSIVE,
+    REGISTRY,
+    VERIFIED,
+    SuiteConfig,
+    _eval_task,
+    run_suite,
+)
 
 TINY = dict(
     max_points=2,
@@ -34,6 +42,16 @@ def test_readme_claim_table_matches_registry():
         claim = CLAIMS_BY_ID[claim_id]
         assert kind == claim.kind, claim_id
         assert text.startswith(claim.statement), claim_id
+
+
+def test_sierpinski_boundary_is_inconclusive_on_a_tiny_budget():
+    # budget 1 leaves the CP and FPP searches unfinished; their verdicts
+    # must not be read as definite
+    out = CLAIMS_BY_ID["sierpinski_boundary"].evaluate(None, 1)
+    assert out["status"] == INCONCLUSIVE
+    statuses = [_eval_task(("sierpinski_boundary", None, budget))["status"] for budget in range(1, 40)]
+    assert set(statuses) == {INCONCLUSIVE, VERIFIED}
+    assert statuses[-1] == VERIFIED
 
 
 def test_tiny_suite_runs_clean():
