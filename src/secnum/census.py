@@ -33,7 +33,7 @@ from .finspace import (
     subspace_of_mask,
 )
 from .homotopy import is_contractible
-from .resources import Budget, LimitExceeded
+from .resources import DEFAULT_NODE_BUDGET, Budget, LimitExceeded
 
 CENSUS_HARD_MAX = 7
 
@@ -201,7 +201,7 @@ class InstanceGenerator:
                     mask |= 1 << y
                 domains.append(mask)
         for assignment in iter_assignments(
-            source, target, domains, Budget(), value_orders=value_orders
+            source, target, domains, Budget(DEFAULT_NODE_BUDGET), value_orders=value_orders
         ):
             return CMap(source, target, assignment, validate=False)
         return None
@@ -212,7 +212,8 @@ class InstanceGenerator:
         candidates = {g.assignment}
         for rows in (Y.reach_rows, Y.co_rows):
             domains = [rows[y] for y in g.assignment]
-            for assignment in iter_assignments(g.source, Y, domains, Budget()):
+            budget = Budget(DEFAULT_NODE_BUDGET)
+            for assignment in iter_assignments(g.source, Y, domains, budget):
                 candidates.add(assignment)
         pick = self.rng.choice(sorted(candidates))
         return CMap(g.source, Y, pick, validate=False)
@@ -283,7 +284,8 @@ class InstanceGenerator:
             psi_fibers[py] |= 1 << y
         domains = [psi_fibers[needed(x)] for x in range(X.n)]
         if 0 not in domains:
-            for assignment in iter_assignments(X, Y, domains, Budget(), order="mcf"):
+            budget = Budget(DEFAULT_NODE_BUDGET)
+            for assignment in iter_assignments(X, Y, domains, budget, order="mcf"):
                 f = CMap(X, Y, assignment, validate=False)
                 return phi, f, f_prime, psi
         f = self.cmap(X, Yp)

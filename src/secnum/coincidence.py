@@ -9,9 +9,11 @@ The checkers compare these searches against the covering invariants: a global
 coincidence-free map is exactly a global lift through the two-point
 configuration projection, which ties CP to the relative sectional number.
 Each checker emits a TheoremReport whose conclusions carry a stable claim id
-and one of the statuses verified / hypothesis-not-met / VIOLATED /
-inconclusive.  VIOLATED is reserved for instances where every stated
-hypothesis holds and the conclusion still fails, which signals a bug.
+and one of the statuses verified / hypothesis-not-met / VIOLATED.  VIOLATED
+is reserved for instances where every stated hypothesis holds and the
+conclusion still fails, which signals a bug.  A search that runs out of nodes
+proves nothing, so it raises BudgetExhausted instead of returning a verdict
+or a report; callers decide how to show that the question stayed open.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .finspace import (
     identity_map,
     is_hausdorff,
 )
-from .resources import Budget, BudgetExhausted, SelfCheckFailed
+from .resources import Budget, SelfCheckFailed
 
 CLAIM_REMARK = "remark_sec1_iff_not_cp"
 CLAIM_KEY_LEMMA = "key_lemma_k"
@@ -38,26 +40,31 @@ CLAIM_CP_FPP = "cp_implies_fpp"
 VERIFIED = "verified"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VIOLATED = "VIOLATED"
-INCONCLUSIVE = "inconclusive"
 
 REPORT_SCHEMA = "secnum.theorem-report/1"
 
 
 @dataclass(frozen=True)
 class CoincidenceVerdict:
-    """Outcome of a CP/FPP search.
+    """Outcome of a finished CP/FPP search.
 
     witness is a coincidence-free (respectively fixed-point-free) map, present
-    exactly when holds is False.  exhaustive is False when the budget
-    truncated the search; such verdicts are inconclusive, never 'holds'."""
+    exactly when holds is False.  A search cut short by its budget raises
+    BudgetExhausted instead of returning a verdict."""
 
     holds: bool
     witness: CMap | None
-    exhaustive: bool
 
     def __post_init__(self):
-        if (self.witness is None) != self.holds and self.exhaustive:
+        if (self.witness is None) != self.holds:
             raise ValueError("witness must be present exactly when the property fails")
+
+    @property
+    def exhaustive(self) -> bool:
+        """Always True: every verdict comes from a finished search.  The
+        benchmark's query checks (bench/calculator.py, bench/child.py) still
+        read it."""
+        return True
 
 
 def _revalidate_witness(witness: CMap, g: CMap) -> CMap:
@@ -71,19 +78,17 @@ def _revalidate_witness(witness: CMap, g: CMap) -> CMap:
 
 def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
            budget: Budget | int | None = None) -> CoincidenceVerdict:
-    """Search for a continuous f with f(x) != g(x) everywhere."""
+    """Search for a continuous f with f(x) != g(x) everywhere; raises
+    BudgetExhausted when the budget runs out first."""
     if g.source != X or g.target != Y:
         raise ValueError("g must be a map from X to Y")
     budget = Budget.ensure(budget)
     constraints = [
         [y for y in range(Y.n) if y != g(x)] for x in range(X.n)
     ]
-    try:
-        for f in enumerate_maps(X, Y, constraints, budget=budget, order="mcf"):
-            return CoincidenceVerdict(holds=False, witness=_revalidate_witness(f, g), exhaustive=True)
-    except BudgetExhausted:
-        return CoincidenceVerdict(holds=True, witness=None, exhaustive=False)
-    return CoincidenceVerdict(holds=True, witness=None, exhaustive=True)
+    for f in enumerate_maps(X, Y, constraints, budget=budget, order="mcf"):
+        return CoincidenceVerdict(holds=False, witness=_revalidate_witness(f, g))
+    return CoincidenceVerdict(holds=True, witness=None)
 
 
 def has_fpp(X: FinSpace, budget: Budget | int | None = None) -> CoincidenceVerdict:
@@ -110,7 +115,7 @@ class TheoremReport:
 
     @property
     def status(self) -> str:
-        return self.conclusions[0]["status"] if self.conclusions else INCONCLUSIVE
+        return self.conclusions[0]["status"]
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,21 +149,14 @@ def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
     two-point configuration projection is 1 exactly when CP fails."""
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g))
-    try:
-        sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
-        cp = has_cp(X, Y, g, budget)
-    except BudgetExhausted:
-        report.add(CLAIM_REMARK, INCONCLUSIVE)
-        return report
+    sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
+    cp = has_cp(X, Y, g, budget)
     report.quantities.update({
         "cp_holds": cp.holds,
         "sec_relative_pi21": sec_value,
         "hausdorff": is_hausdorff(Y),
         "target_points": Y.n,
     })
-    if not cp.exhaustive:
-        report.add(CLAIM_REMARK, INCONCLUSIVE)
-        return report
     consistent = (sec_value == ExtNat(1)) == (not cp.holds)
     report.add(CLAIM_REMARK, VERIFIED if consistent else VIOLATED)
     return report
@@ -173,11 +171,7 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g) + f" k={k}")
     hausdorff = is_hausdorff(Y)
-    try:
-        sec_value = _relative_sec_of_projection(Y, g, k, budget, "lift").value
-    except BudgetExhausted:
-        report.add(CLAIM_KEY_LEMMA, INCONCLUSIVE, k=k)
-        return report
+    sec_value = _relative_sec_of_projection(Y, g, k, budget, "lift").value
     report.quantities.update({
         "sec_relative_pik1": sec_value,
         "hausdorff": hausdorff,
@@ -203,21 +197,14 @@ def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g))
     hausdorff = is_hausdorff(Y)
-    try:
-        sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
-        cp = has_cp(X, Y, g, budget)
-    except BudgetExhausted:
-        report.add(CLAIM_MAIN, INCONCLUSIVE)
-        return report
+    sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
+    cp = has_cp(X, Y, g, budget)
     report.quantities.update({
         "cp_holds": cp.holds,
         "sec_relative_pi21": sec_value,
         "hausdorff": hausdorff,
         "target_points": Y.n,
     })
-    if not cp.exhaustive:
-        report.add(CLAIM_MAIN, INCONCLUSIVE)
-        return report
     biconditional = cp.holds == (sec_value == ExtNat(2))
     if hausdorff and Y.n >= 2:
         report.add(CLAIM_MAIN, VERIFIED if biconditional else VIOLATED)
@@ -235,16 +222,9 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
     composite and re-validates it, reproducing the contrapositive construction."""
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g))
-    try:
-        cp = has_cp(X, Y, g, budget)
-        fpp = has_fpp(Y, budget)
-    except BudgetExhausted:
-        report.add(CLAIM_CP_FPP, INCONCLUSIVE)
-        return report
+    cp = has_cp(X, Y, g, budget)
+    fpp = has_fpp(Y, budget)
     report.quantities.update({"cp_holds": cp.holds, "fpp_holds": fpp.holds})
-    if not (cp.exhaustive and fpp.exhaustive):
-        report.add(CLAIM_CP_FPP, INCONCLUSIVE)
-        return report
     if cp.holds:
         report.add(CLAIM_CP_FPP, VERIFIED if fpp.holds else VIOLATED)
         return report

@@ -156,13 +156,6 @@ def load_document(path: str, into: Document | None = None) -> Document:
     return parse_document(text, into=into)
 
 
-def load_files(paths, into: Document | None = None) -> Document:
-    doc = into if into is not None else Document()
-    for path in paths:
-        load_document(path, into=doc)
-    return doc
-
-
 def format_space(name: str, space: FinSpace) -> str:
     lines = [f"space {name} {space.n}"]
     for x in range(space.n):

@@ -460,33 +460,29 @@ def configuration_space(space: FinSpace, k: int):
         return space, MappingProxyType({1: identity_map(space)})
     check_product(space.n ** k)
     rows_src = space.reach_rows
+    tuples = list(itertools.permutations(range(space.n), k))
+    rows = []
+    for t in tuples:
+        row = 0
+        for i2, t2 in enumerate(tuples):
+            if all((rows_src[a] >> b) & 1 for a, b in zip(t, t2)):
+                row |= 1 << i2
+        rows.append(row)
+    labels = None
+    if space.labels is not None:
+        labels = ["(" + ",".join(space.label(a) for a in t) + ")" for t in tuples]
+    conf = FinSpace(rows, labels=labels, name=None, validate=False)
 
-    def build(level: int):
-        tuples = list(itertools.permutations(range(space.n), level))
-        index_of = {t: i for i, t in enumerate(tuples)}
-        rows = []
-        for t in tuples:
-            row = 0
-            for i2, t2 in enumerate(tuples):
-                if all((rows_src[a] >> b) & 1 for a, b in zip(t, t2)):
-                    row |= 1 << i2
-            rows.append(row)
-        labels = None
-        if space.labels is not None:
-            labels = ["(" + ",".join(space.label(a) for a in t) + ")" for t in tuples]
-        conf = FinSpace(rows, labels=labels, name=None, validate=False)
-        return conf, tuples, index_of
-
-    conf, tuples, _ = build(k)
     projections: dict[int, CMap] = {k: identity_map(conf)}
-    for r in range(1, k):
-        if r == 1:
-            target, key = space, (lambda t: t[0])
-        else:
-            target_space, _, target_index = build(r)
-            target, key = target_space, (lambda t, ti=target_index: ti[t[:r]])
+    projections[1] = CMap(
+        conf, space, (t[0] for t in tuples), name=f"proj_{k}_1", validate=False
+    )
+    for r in range(2, k):
+        # the memoised lower level lists its points in permutations(range(n), r) order
+        index_of = {t: i for i, t in enumerate(itertools.permutations(range(space.n), r))}
         projections[r] = CMap(
-            conf, target, (key(t) for t in tuples), name=f"proj_{k}_{r}", validate=False
+            conf, configuration_space(space, r)[0], (index_of[t[:r]] for t in tuples),
+            name=f"proj_{k}_{r}", validate=False,
         )
     return conf, MappingProxyType(projections)
 

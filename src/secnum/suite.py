@@ -65,7 +65,13 @@ from .homotopy import (
     nullhomotopy_target,
     _component_bfs,
 )
-from .resources import Budget, BudgetExhausted, SelfCheckFailed, default_node_budget
+from .resources import (
+    DEFAULT_NODE_BUDGET,
+    Budget,
+    BudgetExhausted,
+    SelfCheckFailed,
+    default_node_budget,
+)
 from .sectional import (
     relative_sec,
     relative_secat,
@@ -226,8 +232,6 @@ def _from_report(report: coin.TheoremReport, witness=None):
         return _outcome(VERIFIED)
     if status == coin.HYPOTHESIS_NOT_MET:
         return _outcome(HNM)
-    if status == coin.INCONCLUSIVE:
-        return _outcome(INCONCLUSIVE, witness)
     return _outcome(VIOLATED, witness)
 
 
@@ -299,8 +303,6 @@ def _eval_sierpinski_boundary(payload, budget):
     b = Budget(budget)
     cp = has_cp(S, S, one, b)
     fpp = has_fpp(S, b)
-    if not (cp.exhaustive and fpp.exhaustive):
-        return _outcome(INCONCLUSIVE, {"X": _space_json(S)})
     conf, projections = configuration_space(S, 2)
     by_pullback = relative_sec(projections[1], one, route="pullback", budget=b)
     by_lift = relative_sec(projections[1], one, route="lift", budget=b)
@@ -330,8 +332,6 @@ def _eval_fpp_iff_cp_identity(payload, budget):
     b = Budget(budget)
     fpp = has_fpp(X, b)
     cp = has_cp(X, X, identity_map(X), b)
-    if not (fpp.exhaustive and cp.exhaustive):
-        return _outcome(INCONCLUSIVE, {"X": _space_json(X)})
     ok = fpp.holds == cp.holds
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
@@ -357,8 +357,6 @@ def _eval_cp_target_restriction(payload, budget):
     g_in = CMap(X, sub, [index_of[g(x)] for x in range(X.n)], validate=False)
     cp_in = has_cp(X, sub, g_in, b)
     cp_out = has_cp(X, Y, g, b)
-    if not (cp_in.exhaustive and cp_out.exhaustive):
-        return _outcome(INCONCLUSIVE, _triple_json(X, Y, g))
     if not cp_in.holds or cp_out.holds:
         return _outcome(HNM)
     leaves = bool(cp_out.witness.image_mask() & ~hull)
@@ -377,8 +375,6 @@ def _eval_contractible_core_vs_fence(payload, budget):
     (X,) = payload
     try:
         is_contractible(X, budget=Budget(budget), cross_check=True)
-    except BudgetExhausted:
-        return _outcome(INCONCLUSIVE, {"X": _space_json(X)})
     except SelfCheckFailed:
         return _outcome(VIOLATED, {"X": _space_json(X)})
     return _outcome(VERIFIED)
@@ -872,12 +868,23 @@ REGISTRY: tuple[Claim, ...] = tuple(_registered)
 CLAIMS_BY_ID = {claim.id: claim for claim in REGISTRY}
 
 
+def _payload_json(payload) -> list:
+    return [
+        _space_json(item) if isinstance(item, FinSpace)
+        else _map_json(item) if isinstance(item, CMap)
+        else item
+        for item in payload
+    ]
+
+
 def _eval_task(task):
+    """The one place where a search that ran out of nodes becomes a status:
+    the instance is inconclusive and is its own witness."""
     claim_id, payload, budget_limit = task
     try:
         return CLAIMS_BY_ID[claim_id].evaluate(payload, budget_limit)
     except BudgetExhausted:
-        return _outcome(INCONCLUSIVE)
+        return _outcome(INCONCLUSIVE, _payload_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +894,7 @@ def _eval_task(task):
 def _all_maps(X: FinSpace, Y: FinSpace):
     if X.n > 0 and Y.n == 0:
         return []
-    return list(enumerate_maps(X, Y, budget=Budget(10_000_000)))
+    return list(enumerate_maps(X, Y, budget=DEFAULT_NODE_BUDGET))
 
 
 def _census_triples(cfg: SuiteConfig):
@@ -1099,7 +1106,7 @@ def _census_summary(cfg: SuiteConfig, extras: dict) -> dict:
     for n in range(1, cfg.census_max_points + 1):
         spaces = census_spaces(n)
         spaces_by_size[str(n)] = len(spaces)
-        fpp_by_size[str(n)] = sum(1 for X in spaces if has_fpp(X).holds)
+        fpp_by_size[str(n)] = sum(1 for X in spaces if has_fpp(X, DEFAULT_NODE_BUDGET).holds)
     hits = extras.get("open_question_hit", [])
     return {
         "spaces_by_size": spaces_by_size,

@@ -36,6 +36,16 @@ def test_compute_fpp(files, capsys):
     assert data["holds"] is True and data["exhaustive"] is True
 
 
+def test_compute_fpp_out_of_budget_prints_no_verdict(files, capsys, monkeypatch):
+    circle = files["dir"] / "C.finsp"
+    circle.write_text("space C 4\nreach 2 0\nreach 2 1\nreach 3 0\nreach 3 1\n")
+    monkeypatch.setenv("SECNUM_BUDGET", "2")
+    assert main(["compute", "--input", str(circle), "--invariant", "fpp"]) == 3
+    captured = capsys.readouterr()
+    assert '"holds"' not in captured.out
+    assert captured.err.startswith("inconclusive: ")
+
+
 def test_compute_cat(files, capsys):
     code, data = run_json(capsys, ["compute", "--input", files["S.finsp"], "--invariant", "cat"])
     assert code == 0

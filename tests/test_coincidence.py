@@ -5,7 +5,6 @@ import pytest
 from secnum.census import census_up_to
 from secnum.coincidence import (
     HYPOTHESIS_NOT_MET,
-    INCONCLUSIVE,
     VERIFIED,
     CoincidenceVerdict,
     check_cp_implies_fpp,
@@ -16,6 +15,7 @@ from secnum.coincidence import (
     has_fpp,
 )
 from secnum.extnat import INF, ExtNat
+from secnum.resources import BudgetExhausted
 from secnum.finspace import (
     CMap,
     compose,
@@ -74,14 +74,13 @@ def test_witnesses_revalidate():
     for x in range(c.n):
         assert verdict.witness(x) != x
     with pytest.raises(ValueError):
-        CoincidenceVerdict(holds=False, witness=None, exhaustive=True)
+        CoincidenceVerdict(holds=False, witness=None)
 
 
 def test_budget_truncation_is_inconclusive():
     d = discrete_space(3)
-    verdict = has_fpp(d, budget=2)
-    assert not verdict.exhaustive
-    assert verdict.holds  # true-so-far, flagged inconclusive
+    with pytest.raises(BudgetExhausted):  # no verdict from an unfinished search
+        has_fpp(d, budget=2)
 
 
 def test_check_remark_instances():
@@ -177,5 +176,5 @@ def test_reports_serialize_with_stable_claim_ids():
 
 def test_inconclusive_on_tiny_budget():
     s = sierpinski()
-    r = check_remark(s, s, identity_map(s), budget=2)
-    assert r.status == INCONCLUSIVE
+    with pytest.raises(BudgetExhausted):
+        check_remark(s, s, identity_map(s), budget=2)

@@ -261,6 +261,17 @@ def test_configuration_projections_compose():
     assert compose(projs2[1], two).assignment == projs[1].assignment
 
 
+def test_configuration_space_reuses_the_memoised_lower_level():
+    labelled = FinSpace(discrete_space(3).reach_rows, labels=["a", "b", "c"])
+    conf3, projs3 = configuration_space(labelled, 3)
+    conf2, projs2 = configuration_space(labelled, 2)
+    assert projs3[2].target is conf2
+    assert compose(projs2[1], projs3[2]).assignment == projs3[1].assignment
+    assert [conf2.label(i) for i in projs3[2].assignment] == [
+        label[: label.rindex(",")] + ")" for label in conf3.labels
+    ]
+
+
 def test_enumerate_maps_counts_and_order():
     s = sierpinski()
     point = make_space(1, [])

@@ -47,9 +47,10 @@ def test_readme_claim_table_matches_registry():
 def test_sierpinski_boundary_is_inconclusive_on_a_tiny_budget():
     # budget 1 leaves the CP and FPP searches unfinished; their verdicts
     # must not be read as definite
-    out = CLAIMS_BY_ID["sierpinski_boundary"].evaluate(None, 1)
+    out = _eval_task(("sierpinski_boundary", (), 1))
     assert out["status"] == INCONCLUSIVE
-    statuses = [_eval_task(("sierpinski_boundary", None, budget))["status"] for budget in range(1, 40)]
+    assert "witness" in out
+    statuses = [_eval_task(("sierpinski_boundary", (), budget))["status"] for budget in range(1, 40)]
     assert set(statuses) == {INCONCLUSIVE, VERIFIED}
     assert statuses[-1] == VERIFIED
 
@@ -92,6 +93,23 @@ def test_adversarial_budget_forces_inconclusive_and_exit_3():
     total_inconclusive = sum(c["tallies"]["inconclusive"] for c in report.claims)
     assert total_inconclusive > 0
     assert report.exit_code == 3
+    for entry in report.claims:
+        if entry["tallies"]["inconclusive"] > 0:
+            assert entry["witnesses"], entry["id"]
+
+
+def test_tiny_env_budget_bounds_searches_not_instance_building(monkeypatch):
+    # SECNUM_BUDGET is the per-instance search budget; building the
+    # instances must not spend it, so the run still reaches every claim
+    monkeypatch.setenv("SECNUM_BUDGET", "2")
+    report = run_suite(SuiteConfig(**TINY))
+    assert report.exit_code == 3
+    assert {c["id"] for c in report.claims} == set(CLAIMS_BY_ID)
+    assert any(c["tallies"]["verified"] > 0 for c in report.claims)
+    for entry in report.claims:
+        assert entry["instances"] == sum(entry["tallies"].values())
+        if entry["tallies"]["inconclusive"] > 0:
+            assert entry["witnesses"], entry["id"]
 
 
 def test_exploratory_falsifications_do_not_gate_exit():
