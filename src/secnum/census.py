@@ -26,10 +26,14 @@ import random
 from .finspace import (
     CMap,
     FinSpace,
+    compose,
+    fiber_masks,
+    first_lift,
     identity_map,
     iter_assignments,
     iter_open_masks,
     make_space,
+    pseudocircle,
     subspace_of_mask,
 )
 from .homotopy import is_contractible
@@ -180,8 +184,6 @@ class InstanceGenerator:
             X = self.space(max_points)
             if not is_contractible(X):
                 return X
-        from .finspace import pseudocircle
-
         return pseudocircle()
 
     # -- maps ---------------------------------------------------------------
@@ -259,16 +261,12 @@ class InstanceGenerator:
             Yp = self.space(max_points)
             f = self.cmap(X, Y)
             psi = self.cmap(Y, Yp)
-            from .finspace import compose
-
             return identity_map(X), f, compose(psi, f), psi
         if recipe == 1:
             # psi identity, f = f_prime o phi
             Xp = self.space(max_points)
             phi = self.cmap(X, Xp)
             f_prime = self.cmap(Xp, Y)
-            from .finspace import compose
-
             return phi, compose(f_prime, phi), f_prime, identity_map(Y)
         # general: solve for f with psi o f = f_prime o phi, else fall back
         Xp = self.space(max_points)
@@ -276,18 +274,11 @@ class InstanceGenerator:
         phi = self.cmap(X, Xp)
         f_prime = self.cmap(Xp, Yp)
         psi = self.cmap(Y, Yp)
-        from .finspace import compose
-
-        needed = compose(f_prime, phi)
-        psi_fibers = [0] * Yp.n
-        for y, py in enumerate(psi.assignment):
-            psi_fibers[py] |= 1 << y
-        domains = [psi_fibers[needed(x)] for x in range(X.n)]
-        if 0 not in domains:
-            budget = Budget(DEFAULT_NODE_BUDGET)
-            for assignment in iter_assignments(X, Y, domains, budget, order="mcf"):
-                f = CMap(X, Y, assignment, validate=False)
-                return phi, f, f_prime, psi
+        fibers = fiber_masks(psi.assignment, Yp.n)
+        needed = compose(f_prime, phi).assignment
+        f = first_lift(X, Y, fibers, needed, Budget(DEFAULT_NODE_BUDGET))
+        if f is not None:
+            return phi, f, f_prime, psi
         f = self.cmap(X, Yp)
         return identity_map(X), f, f, identity_map(Yp)
 

@@ -81,7 +81,6 @@ def _cmd_compute(args) -> int:
     _emit({
         "invariant": "fpp",
         "holds": verdict.holds,
-        "exhaustive": verdict.exhaustive,
         "witness": None if verdict.witness is None else list(verdict.witness.assignment),
     })
     return 0

@@ -136,11 +136,11 @@ def _describe(X: FinSpace, Y: FinSpace, g: CMap) -> str:
     )
 
 
-def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget, route: str):
+def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget):
     from .sectional import relative_sec
 
     conf, projections = configuration_space(Y, k)
-    return relative_sec(projections[1], g, route=route, budget=budget)
+    return relative_sec(projections[1], g, budget=budget)
 
 
 def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
@@ -149,7 +149,7 @@ def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
     two-point configuration projection is 1 exactly when CP fails."""
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g))
-    sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
+    sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
     cp = has_cp(X, Y, g, budget)
     report.quantities.update({
         "cp_holds": cp.holds,
@@ -171,7 +171,7 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g) + f" k={k}")
     hausdorff = is_hausdorff(Y)
-    sec_value = _relative_sec_of_projection(Y, g, k, budget, "lift").value
+    sec_value = _relative_sec_of_projection(Y, g, k, budget).value
     report.quantities.update({
         "sec_relative_pik1": sec_value,
         "hausdorff": hausdorff,
@@ -197,7 +197,7 @@ def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
     budget = Budget.ensure(budget)
     report = TheoremReport(instance=_describe(X, Y, g))
     hausdorff = is_hausdorff(Y)
-    sec_value = _relative_sec_of_projection(Y, g, 2, budget, "both").value
+    sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
     cp = has_cp(X, Y, g, budget)
     report.quantities.update({
         "cp_holds": cp.holds,

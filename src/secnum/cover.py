@@ -1,15 +1,16 @@
 """Exact minimum set cover and the maximal-good-opens driver.
 
-Both covering invariants (sectional numbers and LS-category) minimise over
-open covers whose elements satisfy a property that is closed under shrinking
-opens, so it suffices to search covers drawn from the maximal good opens.
+Every covering invariant (sectional numbers, their relative versions and
+LS-category) minimises over open covers whose elements satisfy a property
+that is closed under shrinking opens, so it suffices to search covers drawn
+from the maximal good opens; min_good_cover is that one pipeline.
 The cover search itself is exact branch-and-bound with a greedy upper bound
 and lexicographic tie-breaking, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from .finspace import FinSpace, iter_open_masks
+from .finspace import FinSpace, _bits, iter_open_masks
 from .resources import Budget, check_opens
 
 
@@ -111,3 +112,20 @@ def exact_min_cover(universe: int, masks: list[int], budget: Budget | None = Non
 
     branch(universe)
     return tuple(best)
+
+
+def min_good_cover(space: FinSpace, is_good, budget: Budget):
+    """Minimum cover of the space by opens with a shrink-closed property.
+
+    Returns ([(mask, witness), ...], None), the chosen maximal good opens with
+    their is_good witnesses, or (None, point) naming the lowest point that
+    lies in no good open.
+    """
+    good = find_maximal_good_opens(space, is_good)
+    union = 0
+    for mask, _ in good:
+        union |= mask
+    if union != space.full_mask:
+        return None, next(_bits(space.full_mask & ~union))
+    chosen = exact_min_cover(space.full_mask, [mask for mask, _ in good], budget)
+    return [good[i] for i in chosen], None

@@ -599,6 +599,29 @@ def iter_assignments(
     yield from backtrack(0)
 
 
+def fiber_masks(assignment, n: int) -> list[int]:
+    """Mask of the preimage of each of the points 0..n-1 of the target."""
+    fibers = [0] * n
+    for x, y in enumerate(assignment):
+        fibers[y] |= 1 << x
+    return fibers
+
+
+def first_lift(source: FinSpace, target: FinSpace, fibers, images,
+               budget: Budget) -> CMap | None:
+    """First continuous k: source -> target with k(x) in fibers[images[x]] for
+    every x, searched most constrained first, or None when there is none.
+
+    With fibers = fiber_masks(p.assignment, ...) and images the assignment of
+    a map g into the target of p, k is a strict lift of g through p."""
+    domains = [fibers[b] for b in images]
+    if 0 in domains:
+        return None
+    for assignment in iter_assignments(source, target, domains, budget, order="mcf"):
+        return CMap(source, target, assignment, validate=False)
+    return None
+
+
 def enumerate_maps(
     source: FinSpace,
     target: FinSpace,

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import exact_min_cover, find_maximal_good_opens
+from .cover import min_good_cover
 from .extnat import INF, ExtNat
 from .finspace import (
     CMap,
     FinSpace,
     OpenSet,
-    _bits,
     cached_by_space,
     compose,
     identity_map,
     iter_assignments,
     subspace_of_mask,
 )
-from .resources import Budget, SelfCheckFailed
+from .resources import Budget
 
 
 @dataclass(frozen=True)
@@ -284,23 +283,9 @@ def is_nullhomotopic_in(incl: CMap, budget: Budget | int | None = None) -> bool:
     return nullhomotopy_target(incl, budget) is not None
 
 
-def is_contractible(X: FinSpace, budget: Budget | int | None = None, cross_check: bool = False) -> bool:
-    """True when the core is a single point.
-
-    cross_check additionally decides contractibility by fence search from the
-    identity to a constant and insists the two procedures agree.
-    """
-    if X.n == 0:
-        return False
-    by_core = core(X).space.n == 1
-    if cross_check:
-        by_fence = nullhomotopy_target(identity_map(X), budget) is not None
-        if by_core != by_fence:
-            raise SelfCheckFailed(
-                f"core reduction says contractible={by_core} but fence search says "
-                f"{by_fence} on {X!r}"
-            )
-    return by_core
+def is_contractible(X: FinSpace) -> bool:
+    """True when the core is a single point."""
+    return X.n > 0 and core(X).space.n == 1
 
 
 @dataclass(frozen=True)
@@ -309,11 +294,6 @@ class CatResult:
     cover: tuple[OpenSet, ...]
     degenerate: bool
     uncovered_point: int | None = None
-
-
-def nullhomotopic_open(X: FinSpace, mask: int, budget: Budget | int | None = None) -> bool:
-    sub, incl = subspace_of_mask(X, mask)
-    return is_nullhomotopic_in(incl, budget)
 
 
 def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
@@ -326,16 +306,14 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
     if X.n == 0:
         return CatResult(ExtNat(1), (), degenerate=True)
     budget = Budget.ensure(budget)
-    good = find_maximal_good_opens(
-        X, lambda mask: True if nullhomotopic_open(X, mask, budget) else None
-    )
-    masks = [mask for mask, _ in good]
-    union = 0
-    for m in masks:
-        union |= m
-    if union != X.full_mask:
-        missing = X.full_mask & ~union
-        return CatResult(INF, (), degenerate=False, uncovered_point=next(_bits(missing)))
-    chosen = exact_min_cover(X.full_mask, masks, budget)
-    cover = tuple(OpenSet(X, masks[i]) for i in chosen)
-    return CatResult(ExtNat(len(chosen)), cover, degenerate=False)
+
+    def is_good(mask: int):
+        # the witness is the point the open contracts to within X
+        _, incl = subspace_of_mask(X, mask)
+        return nullhomotopy_target(incl, budget)
+
+    chosen, uncovered = min_good_cover(X, is_good, budget)
+    if chosen is None:
+        return CatResult(INF, (), degenerate=False, uncovered_point=uncovered)
+    return CatResult(ExtNat(len(chosen)), tuple(OpenSet(X, mask) for mask, _ in chosen),
+                     degenerate=False)

@@ -2,11 +2,14 @@
 
 sec(f) is the least size of an open cover of the target such that every cover
 element admits a strict local section of f; secat(f) relaxes the section
-equation to hold up to homotopy.  The relative versions pull a map p: E -> B
-back along g: X -> B and measure the pulled-back projection over X; by the
-lifting characterisation this equals the least open cover of X whose elements
-admit strict lifts of g through p.  Both routes are implemented and checked
-against each other.
+equation to hold up to homotopy.  The sectional number of p: E -> B relative
+to g: X -> B is the least size of an open cover of X whose elements admit
+strict lifts of g through p.  A section of f is a lift of the identity, so sec
+and relative_sec share one lift test (finspace.first_lift), and every value
+comes out of one cover pipeline (cover.min_good_cover).  relative_sec computes
+the lift route by default; its pullback route, the sectional number of the
+pulled-back projection onto X, is an independent algorithm for the same value
+and is kept as the cross-check.  relative_secat takes the pullback route.
 
 Every finite answer carries a certificate (the cover and one witness map per
 element) that re-validates independently of the search that produced it.
@@ -16,15 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import exact_min_cover, find_maximal_good_opens
+from .cover import find_maximal_good_opens, min_good_cover
 from .extnat import INF, ExtNat
 from .finspace import (
     CMap,
     FinSpace,
     OpenSet,
-    _bits,
     compose,
-    iter_assignments,
+    fiber_masks,
+    first_lift,
+    identity_map,
     pullback,
     subspace_of_mask,
 )
@@ -142,21 +146,17 @@ class CoverResult:
         }
 
 
-def _fiber_masks(f: CMap) -> list[int]:
-    fibers = [0] * f.target.n
-    for x, fx in enumerate(f.assignment):
-        fibers[fx] |= 1 << x
-    return fibers
+def _lift_test(p: CMap, g: CMap, budget: Budget):
+    """is_good for the opens of the source of g over which g lifts strictly
+    through p; the witness is the lift."""
+    fibers = fiber_masks(p.assignment, p.target.n)
+    X = g.source
 
+    def is_good(mask: int):
+        sub, incl = subspace_of_mask(X, mask)
+        return first_lift(sub, p.source, fibers, [g(u) for u in incl.assignment], budget)
 
-def _section_witness(f: CMap, mask: int, fibers, budget: Budget) -> CMap | None:
-    sub, incl = subspace_of_mask(f.target, mask)
-    domains = [fibers[u] for u in incl.assignment]
-    if 0 in domains:
-        return None
-    for assignment in iter_assignments(sub, f.source, domains, budget, order="mcf"):
-        return CMap(sub, f.source, assignment, validate=False)
-    return None
+    return is_good
 
 
 def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None:
@@ -173,26 +173,27 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None
     sub_core, y_core = core(sub), core(Y)
     start = _compress(incl, sub_core, y_core)
     retraction = y_core.retraction.assignment
-    compressed_f = [retraction[fy] for fy in f.assignment]
-    fibers = [0] * y_core.space.n
-    for x, c in enumerate(compressed_f):
-        fibers[c] |= 1 << x
+    fibers = fiber_masks([retraction[fy] for fy in f.assignment], y_core.space.n)
     found = {}
 
     def try_lift(t) -> bool:
-        domains = [fibers[c] for c in t]
-        if 0 in domains:
-            return False
-        for assignment in iter_assignments(sub_core.space, f.source, domains, budget, order="mcf"):
-            found["lift"] = assignment
-            return True
-        return False
+        found["lift"] = first_lift(sub_core.space, f.source, fibers, t, budget)
+        return found["lift"] is not None
 
     hit, _ = _component_bfs(sub_core.space, y_core.space, start, budget, stop=try_lift)
     if hit is None:
         return None
-    core_section = CMap(sub_core.space, f.source, found["lift"], validate=False)
-    return compose(core_section, sub_core.retraction)
+    return compose(found["lift"], sub_core.retraction)
+
+
+def _section_test(f: CMap, mode: str, budget: Budget):
+    """is_good for the opens of the target of f admitting a (homotopy) local
+    section; a strict section is a lift of the identity through f."""
+    if mode == MODE_SECTION:
+        return _lift_test(f, identity_map(f.target), budget)
+    if mode == MODE_HOMOTOPY:
+        return lambda mask: _homotopy_section_witness(f, mask, budget)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def sectionable_opens(f: CMap, mode: str = MODE_SECTION,
@@ -202,67 +203,30 @@ def sectionable_opens(f: CMap, mode: str = MODE_SECTION,
     Returns [(OpenSet, witness CMap), ...]; both section properties are closed
     under shrinking opens, so these maximal elements generate all candidates.
     """
-    budget = Budget.ensure(budget)
-    Y = f.target
-    if mode == MODE_SECTION:
-        fibers = _fiber_masks(f)
-
-        def is_good(mask: int):
-            return _section_witness(f, mask, fibers, budget)
-
-    elif mode == MODE_HOMOTOPY:
-
-        def is_good(mask: int):
-            return _homotopy_section_witness(f, mask, budget)
-
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return [
-        (OpenSet(Y, mask), witness)
-        for mask, witness in find_maximal_good_opens(Y, is_good)
-    ]
+    pairs = find_maximal_good_opens(f.target, _section_test(f, mode, Budget.ensure(budget)))
+    return [(OpenSet(f.target, mask), witness) for mask, witness in pairs]
 
 
 def liftable_opens(p: CMap, g: CMap, budget: Budget | int | None = None):
     """Maximal opens U of the base of g with a strict lift of g through p."""
     if p.target != g.target:
         raise ValueError("lift search needs p and g to share their target")
-    budget = Budget.ensure(budget)
-    X = g.source
-    fibers = _fiber_masks(p)
-
-    def is_good(mask: int):
-        sub, incl = subspace_of_mask(X, mask)
-        domains = [fibers[g(u)] for u in incl.assignment]
-        if 0 in domains:
-            return None
-        for assignment in iter_assignments(sub, p.source, domains, budget, order="mcf"):
-            return CMap(sub, p.source, assignment, validate=False)
-        return None
-
-    return [
-        (OpenSet(X, mask), witness)
-        for mask, witness in find_maximal_good_opens(X, is_good)
-    ]
+    pairs = find_maximal_good_opens(g.source, _lift_test(p, g, Budget.ensure(budget)))
+    return [(OpenSet(g.source, mask), witness) for mask, witness in pairs]
 
 
-def _cover_result(base: FinSpace, mode: str, pairs, context, budget: Budget) -> CoverResult:
+def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
     if base.n == 0:
         certificate = CoverCertificate(mode, base, (), (), tuple(context), degenerate=True)
         return CoverResult(ExtNat(1), certificate, degenerate=True)
-    masks = [element.mask for element, _ in pairs]
-    union = 0
-    for m in masks:
-        union |= m
-    if union != base.full_mask:
-        missing = base.full_mask & ~union
-        return CoverResult(INF, None, uncovered_point=next(_bits(missing)))
-    chosen = exact_min_cover(base.full_mask, masks, budget)
+    chosen, uncovered = min_good_cover(base, is_good, budget)
+    if chosen is None:
+        return CoverResult(INF, None, uncovered_point=uncovered)
     certificate = CoverCertificate(
         mode,
         base,
-        tuple(pairs[i][0] for i in chosen),
-        tuple(pairs[i][1] for i in chosen),
+        tuple(OpenSet(base, mask) for mask, _ in chosen),
+        tuple(witness for _, witness in chosen),
         tuple(context),
     )
     return CoverResult(ExtNat(len(chosen)), certificate)
@@ -271,24 +235,25 @@ def _cover_result(base: FinSpace, mode: str, pairs, context, budget: Budget) -> 
 def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by strictly sectionable opens."""
     budget = Budget.ensure(budget)
-    pairs = sectionable_opens(f, MODE_SECTION, budget) if f.target.n else []
-    return _cover_result(f.target, MODE_SECTION, pairs, (f,), budget)
+    is_good = _section_test(f, MODE_SECTION, budget)
+    return _cover_result(f.target, MODE_SECTION, is_good, (f,), budget)
 
 
 def secat(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by homotopy-sectionable opens."""
     budget = Budget.ensure(budget)
-    pairs = sectionable_opens(f, MODE_HOMOTOPY, budget) if f.target.n else []
-    return _cover_result(f.target, MODE_HOMOTOPY, pairs, (f,), budget)
+    is_good = _section_test(f, MODE_HOMOTOPY, budget)
+    return _cover_result(f.target, MODE_HOMOTOPY, is_good, (f,), budget)
 
 
-def relative_sec(p: CMap, g: CMap, route: str = "both",
+def relative_sec(p: CMap, g: CMap, route: str = "lift",
                  budget: Budget | int | None = None) -> CoverResult:
-    """Sectional number of p relative to g.
+    """Sectional number of p relative to g: the least size of an open cover
+    of the base of g whose elements admit strict lifts of g through p.
 
-    route='pullback' measures the canonical pullback projection onto the base
-    of g; route='lift' covers that base by opens admitting strict lifts of g
-    through p.  The two agree on every instance; route='both' computes both,
+    route='lift' searches those covers directly; route='pullback' measures the
+    sectional number of the canonical pullback projection onto the base of g,
+    an independent algorithm for the same value.  route='both' computes both,
     insists they match, and returns the pullback-route result.
     """
     if p.target != g.target:
@@ -301,9 +266,7 @@ def relative_sec(p: CMap, g: CMap, route: str = "both",
         _, to_base, _ = pullback(p, g)
         result_pb = sec(to_base, budget)
     if route in ("lift", "both"):
-        X = g.source
-        pairs = liftable_opens(p, g, budget) if X.n else []
-        result_lift = _cover_result(X, MODE_LIFT, pairs, (p, g), budget)
+        result_lift = _cover_result(g.source, MODE_LIFT, _lift_test(p, g, budget), (p, g), budget)
     if route == "pullback":
         return result_pb
     if route == "lift":
@@ -350,9 +313,7 @@ class TcBounds:
 def relative_tc_bounds(f: CMap, g: CMap, budget: Budget | int | None = None) -> TcBounds:
     if f.target != g.target:
         raise ValueError("tc bounds need f and g to share their target")
-    budget = Budget.ensure(budget)
-    lower = relative_sec(f, g, route="both", budget=budget).value
-    contractible = is_contractible(f.source, budget)
-    if contractible:
-        return TcBounds(lower=lower, upper=lower, exact=True, domain_contractible=True)
-    return TcBounds(lower=lower, upper=None, exact=False, domain_contractible=False)
+    lower = relative_sec(f, g, budget=budget).value
+    contractible = is_contractible(f.source)
+    return TcBounds(lower=lower, upper=lower if contractible else None, exact=contractible,
+                    domain_contractible=contractible)

@@ -373,11 +373,8 @@ def _eval_cp_target_restriction(payload, budget):
 )
 def _eval_contractible_core_vs_fence(payload, budget):
     (X,) = payload
-    try:
-        is_contractible(X, budget=Budget(budget), cross_check=True)
-    except SelfCheckFailed:
-        return _outcome(VIOLATED, {"X": _space_json(X)})
-    return _outcome(VERIFIED)
+    ok = is_contractible(X) == (nullhomotopy_target(identity_map(X), Budget(budget)) is not None)
+    return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
 
 @_register(
@@ -401,7 +398,7 @@ def _eval_cat1_iff_contractible(payload, budget):
     if X.n == 0:
         return _outcome(HNM)
     b = Budget(budget)
-    ok = (cat(X, b).value == ExtNat(1)) == is_contractible(X, b)
+    ok = (cat(X, b).value == ExtNat(1)) == is_contractible(X)
     return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
 
 
@@ -565,8 +562,8 @@ def _eval_pullback_secat_strict_drop(payload, budget):
 def _eval_composition_chain(payload, budget):
     p1, p2, g = payload
     b = Budget(budget)
-    outer = relative_sec(p2, g, route="both", budget=b).value
-    composite = relative_sec(compose(p2, p1), g, route="both", budget=b).value
+    outer = relative_sec(p2, g, budget=b).value
+    composite = relative_sec(compose(p2, p1), g, budget=b).value
     inner = sec(p1, b).value
     ok = outer <= composite and composite <= outer * inner
     return _outcome(VERIFIED if ok else VIOLATED,
@@ -731,7 +728,7 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
 def _eval_relative_sec_le_sec(payload, budget):
     p, g = payload
     b = Budget(budget)
-    ok = relative_sec(p, g, route="both", budget=b).value <= sec(p, b).value
+    ok = relative_sec(p, g, budget=b).value <= sec(p, b).value
     return _outcome(VERIFIED if ok else VIOLATED,
                     None if ok else {"p": _map_json(p), "g": _map_json(g)})
 
@@ -743,7 +740,7 @@ def _eval_relative_sec_le_sec(payload, budget):
 def _eval_relative_times_sec_ge_sec(payload, budget):
     p, g = payload
     b = Budget(budget)
-    lhs = relative_sec(p, g, route="both", budget=b).value * sec(g, b).value
+    lhs = relative_sec(p, g, budget=b).value * sec(g, b).value
     ok = lhs >= sec(p, b).value
     return _outcome(VERIFIED if ok else VIOLATED,
                     None if ok else {"p": _map_json(p), "g": _map_json(g)})
@@ -804,7 +801,7 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
 def _eval_retraction_relative_sec(payload, budget):
     r, p = payload
     b = Budget(budget)
-    ok = relative_sec(p, r, route="both", budget=b).value == sec(p, b).value
+    ok = relative_sec(p, r, budget=b).value == sec(p, b).value
     return _outcome(VERIFIED if ok else VIOLATED,
                     None if ok else {"r": _map_json(r), "p": _map_json(p)})
 
@@ -824,6 +821,22 @@ def _eval_route_equivalence(payload, budget):
     return _outcome(VERIFIED)
 
 
+def _eval_tc_bounds(payload, budget, contractible):
+    f, g = payload
+    if is_contractible(f.source) != contractible:
+        return _outcome(HNM)
+    b = Budget(budget)
+    bounds = relative_tc_bounds(f, g, budget=b)
+    reference = relative_sec(f, g, route="pullback", budget=b).value
+    ok = (
+        bounds.exact == contractible
+        and bounds.lower == reference
+        and bounds.upper == (reference if contractible else None)
+    )
+    return _outcome(VERIFIED if ok else VIOLATED,
+                    None if ok else {"f": _map_json(f), "g": _map_json(g)})
+
+
 @_register(
     "tc_bounds_contractible",
     "with a contractible domain the relative complexity interval is exact and "
@@ -831,20 +844,7 @@ def _eval_route_equivalence(payload, budget):
     hypotheses="domain of the work map contractible",
 )
 def _eval_tc_bounds_contractible(payload, budget):
-    f, g = payload
-    b = Budget(budget)
-    if not is_contractible(f.source, b):
-        return _outcome(HNM)
-    bounds = relative_tc_bounds(f, g, budget=b)
-    reference = relative_sec(f, g, route="both", budget=b).value
-    ok = (
-        bounds.exact
-        and bounds.upper is not None
-        and bounds.lower == bounds.upper == reference
-        and bounds.lower <= bounds.upper
-    )
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"f": _map_json(f), "g": _map_json(g)})
+    return _eval_tc_bounds(payload, budget, contractible=True)
 
 
 @_register(
@@ -853,15 +853,7 @@ def _eval_tc_bounds_contractible(payload, budget):
     "relative sectional number and the upper bound is unknown",
 )
 def _eval_tc_bounds_noncontractible(payload, budget):
-    f, g = payload
-    b = Budget(budget)
-    if is_contractible(f.source, b):
-        return _outcome(HNM)
-    bounds = relative_tc_bounds(f, g, budget=b)
-    reference = relative_sec(f, g, route="both", budget=b).value
-    ok = not bounds.exact and bounds.upper is None and bounds.lower == reference
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"f": _map_json(f), "g": _map_json(g)})
+    return _eval_tc_bounds(payload, budget, contractible=False)
 
 
 REGISTRY: tuple[Claim, ...] = tuple(_registered)

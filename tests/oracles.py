@@ -180,3 +180,12 @@ def brute_census(n, posets_only=False):
         FinSpace([(key >> (i * n)) & full for i in range(n)], validate=False)
         for key in sorted(keys)
     )
+
+
+def brute_lift_exists(source, target, fibers, images):
+    """Whether some continuous k: source -> target has k(x) in fibers[images[x]]
+    for every x, by trying every continuous map."""
+    return any(
+        all((fibers[images[x]] >> k(x)) & 1 for x in range(source.n))
+        for k in all_maps(source, target)
+    )

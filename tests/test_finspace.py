@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from secnum.census import census_spaces
+from secnum.census import census_spaces, census_up_to
 from secnum.finspace import (
     CMap,
     DiscontinuityError,
@@ -14,6 +14,8 @@ from secnum.finspace import (
     discrete_space,
     empty_space,
     enumerate_maps,
+    fiber_masks,
+    first_lift,
     identity_map,
     is_connected,
     is_hausdorff,
@@ -26,7 +28,9 @@ from secnum.finspace import (
     sierpinski,
     subspace,
 )
-from secnum.resources import BudgetExhausted, LimitExceeded
+from secnum.resources import Budget, BudgetExhausted, LimitExceeded
+
+from oracles import brute_lift_exists
 
 
 def test_make_space_closure():
@@ -270,6 +274,23 @@ def test_configuration_space_reuses_the_memoised_lower_level():
     assert [conf2.label(i) for i in projs3[2].assignment] == [
         label[: label.rindex(",")] + ")" for label in conf3.labels
     ]
+
+
+def test_first_lift_matches_brute_force_oracle():
+    """For every p: E -> B and g: X -> B on census spaces of at most 3 points
+    (B at most 2), first_lift finds a map exactly when a strict lift of g
+    through p exists, and the map it finds is one."""
+    for X in census_up_to(3):
+        for E in census_up_to(3):
+            for B in census_up_to(2):
+                for p in enumerate_maps(E, B):
+                    fibers = fiber_masks(p.assignment, B.n)
+                    for g in enumerate_maps(X, B):
+                        k = first_lift(X, E, fibers, g.assignment, Budget(10**6))
+                        assert (k is not None) == brute_lift_exists(X, E, fibers, g.assignment)
+                        if k is not None:
+                            CMap(X, E, k.assignment, validate=True)
+                            assert compose(p, k).assignment == g.assignment
 
 
 def test_enumerate_maps_counts_and_order():

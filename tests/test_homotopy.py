@@ -163,7 +163,8 @@ def test_is_contractible():
 
 def test_contractibility_cross_check_census():
     for space in census_up_to(4):
-        assert is_contractible(space, cross_check=True) in (True, False)
+        by_fence = nullhomotopy_target(identity_map(space)) is not None
+        assert is_contractible(space) == by_fence
 
 
 def test_nullhomotopic_inclusions():

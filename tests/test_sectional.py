@@ -20,7 +20,7 @@ from secnum.finspace import (
     subspace,
 )
 from secnum.homotopy import cat, homotopic, is_contractible
-from secnum.resources import SelfCheckFailed
+from secnum.resources import Budget, SelfCheckFailed
 from secnum.sectional import (
     MODE_SECTION,
     CoverCertificate,
@@ -198,6 +198,39 @@ def test_lift_certificate_mode_and_verification():
     assert result.value == ExtNat(1)
     assert result.certificate.mode == "lift"
     assert result.certificate.verify()
+
+
+def test_relative_sec_defaults_to_the_lift_route():
+    """The default route is the definition: a cover by opens over which g lifts
+    through p, certified in lift mode, agreeing with the pullback route."""
+    gen = InstanceGenerator("default-route")
+    finite = 0
+    for _ in range(40):
+        e, b, x = gen.space(3), gen.space(3), gen.space(3)
+        p, g = gen.cmap(e, b), gen.cmap(x, b)
+        result = relative_sec(p, g)
+        by_pullback = relative_sec(p, g, route="pullback")
+        assert result.value == by_pullback.value
+        assert result.uncovered_point == by_pullback.uncovered_point
+        if result.value.is_finite:
+            finite += 1
+            assert result.certificate.mode == "lift"
+            assert result.certificate.context == (p, g)
+            assert result.certificate.verify()
+    assert finite > 0
+
+
+def test_tc_bounds_run_one_relative_sec_search():
+    gen = InstanceGenerator("tc-nodes")
+    instances = [(_pi21(pseudocircle()), identity_map(pseudocircle()))]
+    for _ in range(20):
+        e, y, x = gen.space(3), gen.space(3), gen.space(3)
+        instances.append((gen.cmap(e, y), gen.cmap(x, y)))
+    for f, g in instances:
+        by_bounds, by_lift = Budget(10**6), Budget(10**6)
+        relative_tc_bounds(f, g, budget=by_bounds)
+        relative_sec(f, g, route="lift", budget=by_lift)
+        assert by_bounds.remaining == by_lift.remaining
 
 
 def test_tc_bounds_contractible_exact():
