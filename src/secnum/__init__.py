@@ -42,7 +42,6 @@ from .finspace import (
     DiscontinuityError,
     FinSpace,
     OpenSet,
-    all_open_sets,
     compose,
     configuration_space,
     constant_map,
@@ -71,14 +70,12 @@ from .homotopy import (
     homotopic,
     homotopy_fence,
     is_contractible,
-    is_nullhomotopic_in,
 )
 from .resources import Budget, BudgetExhausted, LimitExceeded, SelfCheckFailed
 from .sectional import (
     CoverCertificate,
     CoverResult,
     TcBounds,
-    liftable_opens,
     relative_sec,
     relative_secat,
     relative_tc_bounds,

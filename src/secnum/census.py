@@ -95,7 +95,7 @@ def _one_point_extension_keys(bases, posets_only: bool) -> set[int]:
     for base in bases:
         rows = base.reach_rows
         z = 1 << base.n
-        opens = list(iter_open_masks(base))
+        opens = list(iter_open_masks(base, Budget(DEFAULT_NODE_BUDGET)))
         for up in opens:
             # points whose minimal open set contains up may reach z
             may_reach = 0
@@ -221,7 +221,8 @@ class InstanceGenerator:
         return CMap(g.source, Y, pick, validate=False)
 
     def open_mask(self, space: FinSpace, nonempty: bool = True) -> int:
-        masks = [m for m in iter_open_masks(space) if m or not nonempty]
+        masks = [m for m in iter_open_masks(space, Budget(DEFAULT_NODE_BUDGET))
+                 if m or not nonempty]
         return self.rng.choice(masks)
 
     def retraction(self, max_points: int, attempts: int = 32):

@@ -11,18 +11,17 @@ and lexicographic tie-breaking, so results are deterministic.
 from __future__ import annotations
 
 from .finspace import FinSpace, _bits, iter_open_masks
-from .resources import Budget, check_opens
+from .resources import Budget
 
 
-def open_masks_by_size(space: FinSpace) -> list[int]:
+def open_masks_by_size(space: FinSpace, budget: Budget) -> list[int]:
     """Nonempty open masks, largest first, ties by ascending mask value."""
-    check_opens(space.n)
-    masks = [m for m in iter_open_masks(space) if m]
+    masks = [m for m in iter_open_masks(space, budget) if m]
     masks.sort(key=lambda m: (-m.bit_count(), m))
     return masks
 
 
-def find_maximal_good_opens(space: FinSpace, is_good):
+def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget):
     """Maximal nonempty opens satisfying a shrink-closed property.
 
     is_good(mask) returns a witness (any non-None value) or None.  Opens are
@@ -31,7 +30,7 @@ def find_maximal_good_opens(space: FinSpace, is_good):
     Returns [(mask, witness), ...] in scan order.
     """
     accepted: list[tuple[int, object]] = []
-    for mask in open_masks_by_size(space):
+    for mask in open_masks_by_size(space, budget):
         if any(mask & ~amask == 0 for amask, _ in accepted):
             continue
         witness = is_good(mask)
@@ -121,7 +120,7 @@ def min_good_cover(space: FinSpace, is_good, budget: Budget):
     their is_good witnesses, or (None, point) naming the lowest point that
     lies in no good open.
     """
-    good = find_maximal_good_opens(space, is_good)
+    good = find_maximal_good_opens(space, is_good, budget)
     union = 0
     for mask, _ in good:
         union |= mask

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .resources import Budget, check_opens, check_product
+from .resources import Budget, check_product
 
 
 class DiscontinuityError(ValueError):
@@ -346,18 +346,29 @@ def minimal_open(space: FinSpace, x: int) -> OpenSet:
     return OpenSet(space, space.reach_rows[x])
 
 
-def iter_open_masks(space: FinSpace):
-    """All reach-closed subsets as bitmasks, ascending; lazy, no size cap."""
-    for mask in range(space.full_mask + 1):
-        if space.is_open_mask(mask):
-            yield mask
+def iter_open_masks(space: FinSpace, budget: Budget):
+    """All reach-closed subsets as bitmasks, ascending, charging budget one
+    node per open.
 
-
-def all_open_sets(space: FinSpace) -> list[OpenSet]:
-    """Every open set including the empty set and the whole space, in
-    lexicographic bitmask order.  Capped; see iter_open_masks for lazy use."""
-    check_opens(space.n)
-    return [OpenSet(space, mask) for mask in iter_open_masks(space)]
+    Branches on the highest undecided point x: dropping x forbids every point
+    that reaches x, taking x forces U_x, and the drop branch comes first, so
+    masks come out in ascending order.  Neither branch can dead-end (a point
+    that reaches a forbidden point is forbidden, and U_y lies inside U_x for
+    every y in U_x), so every leaf is an open and the work is linear in the
+    number of opens.
+    """
+    reach_rows, co_rows, full = space.reach_rows, space.co_rows, space.full_mask
+    stack = [(0, 0)]
+    while stack:
+        taken, forbidden = stack.pop()
+        free = full & ~(taken | forbidden)
+        if not free:
+            budget.charge()
+            yield taken
+            continue
+        x = free.bit_length() - 1
+        stack.append((taken | reach_rows[x], forbidden))
+        stack.append((taken, forbidden | co_rows[x]))
 
 
 def product(a: FinSpace, b: FinSpace):

@@ -275,14 +275,6 @@ def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | No
     return tgt_core.inclusion(hit["point"])
 
 
-def is_nullhomotopic_in(incl: CMap, budget: Budget | int | None = None) -> bool:
-    """Whether an open-subspace inclusion is homotopic, inside the ambient
-    space, to some constant map."""
-    if incl.source.n == 0:
-        return True
-    return nullhomotopy_target(incl, budget) is not None
-
-
 def is_contractible(X: FinSpace) -> bool:
     """True when the core is a single point."""
     return X.n > 0 and core(X).space.n == 1

@@ -13,7 +13,7 @@ class BudgetExhausted(RuntimeError):
 
 
 class LimitExceeded(RuntimeError):
-    """An instance is larger than the open-enumeration or construction cap."""
+    """An instance is larger than a construction or census cap."""
 
 
 class SelfCheckFailed(AssertionError):
@@ -60,16 +60,7 @@ class Budget:
         return budget
 
 
-OPENS_MAX_POINTS = 10
 PRODUCT_MAX_POINTS = 4096
-
-
-def check_opens(n: int) -> None:
-    if n > OPENS_MAX_POINTS:
-        raise LimitExceeded(
-            f"open-set enumeration needs 2^{n} subsets; cap is "
-            f"{OPENS_MAX_POINTS} points (use iter_open_masks for lazy iteration)"
-        )
 
 
 def check_product(size: int) -> None:

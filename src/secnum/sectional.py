@@ -203,16 +203,9 @@ def sectionable_opens(f: CMap, mode: str = MODE_SECTION,
     Returns [(OpenSet, witness CMap), ...]; both section properties are closed
     under shrinking opens, so these maximal elements generate all candidates.
     """
-    pairs = find_maximal_good_opens(f.target, _section_test(f, mode, Budget.ensure(budget)))
+    budget = Budget.ensure(budget)
+    pairs = find_maximal_good_opens(f.target, _section_test(f, mode, budget), budget)
     return [(OpenSet(f.target, mask), witness) for mask, witness in pairs]
-
-
-def liftable_opens(p: CMap, g: CMap, budget: Budget | int | None = None):
-    """Maximal opens U of the base of g with a strict lift of g through p."""
-    if p.target != g.target:
-        raise ValueError("lift search needs p and g to share their target")
-    pairs = find_maximal_good_opens(g.source, _lift_test(p, g, Budget.ensure(budget)))
-    return [(OpenSet(g.source, mask), witness) for mask, witness in pairs]
 
 
 def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
@@ -254,7 +247,7 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
     route='lift' searches those covers directly; route='pullback' measures the
     sectional number of the canonical pullback projection onto the base of g,
     an independent algorithm for the same value.  route='both' computes both,
-    insists they match, and returns the pullback-route result.
+    insists they match, and returns the lift-route result.
     """
     if p.target != g.target:
         raise ValueError("relative invariants need p and g to share their target")
@@ -269,13 +262,11 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
         result_lift = _cover_result(g.source, MODE_LIFT, _lift_test(p, g, budget), (p, g), budget)
     if route == "pullback":
         return result_pb
-    if route == "lift":
-        return result_lift
-    if result_pb.value != result_lift.value:
+    if route == "both" and result_pb.value != result_lift.value:
         raise SelfCheckFailed(
             f"pullback route gives {result_pb.value} but lift route gives {result_lift.value}"
         )
-    return result_pb
+    return result_lift
 
 
 def relative_secat(p: CMap, g: CMap, budget: Budget | int | None = None) -> CoverResult:

@@ -39,7 +39,6 @@ from .extnat import ExtNat
 from .finspace import (
     CMap,
     FinSpace,
-    all_open_sets,
     compose,
     configuration_space,
     constant_map,
@@ -47,6 +46,7 @@ from .finspace import (
     identity_map,
     is_connected,
     is_hausdorff,
+    iter_open_masks,
     make_space,
     minimal_open,
     product,
@@ -459,8 +459,7 @@ def _eval_fences_revalidate(payload, budget):
 def _eval_finspace_invariants(payload, budget):
     (X,) = payload
     b = Budget(budget)
-    opens = all_open_sets(X)
-    masks = {o.mask for o in opens}
+    masks = set(iter_open_masks(X, b))
     for x in range(X.n):
         u = minimal_open(X, x)
         if u.mask not in masks or not (u.mask >> x) & 1:

@@ -14,10 +14,19 @@ from secnum.finspace import (
     FinSpace,
     compose,
     enumerate_maps,
-    iter_open_masks,
     make_space,
     subspace_of_mask,
 )
+
+
+def brute_open_masks(space):
+    """Every subset of the points that contains the minimal open set of each
+    of its points, as bitmasks in ascending order."""
+    rows = space.reach_rows
+    return [
+        mask for mask in range(1 << space.n)
+        if all(rows[x] & ~mask == 0 for x in range(space.n) if (mask >> x) & 1)
+    ]
 
 
 def all_maps(source, target):
@@ -89,7 +98,7 @@ def brute_cat(space):
     if space.n == 0:
         return ExtNat(1)
     good = [
-        mask for mask in iter_open_masks(space)
+        mask for mask in brute_open_masks(space)
         if mask and brute_nullhomotopic_inclusion(space, mask)
     ]
     size = minimum_cover_size(space.full_mask, good)
@@ -121,7 +130,7 @@ def brute_sec(f, mode="section"):
     if Y.n == 0:
         return ExtNat(1)
     test = _has_strict_section if mode == "section" else _has_homotopy_section
-    good = [mask for mask in iter_open_masks(Y) if mask and test(f, mask)]
+    good = [mask for mask in brute_open_masks(Y) if mask and test(f, mask)]
     size = minimum_cover_size(Y.full_mask, good)
     return INF if size is None else ExtNat(size)
 
@@ -132,7 +141,7 @@ def brute_relative_sec_lift(p, g):
     if X.n == 0:
         return ExtNat(1)
     good = []
-    for mask in iter_open_masks(X):
+    for mask in brute_open_masks(X):
         if not mask:
             continue
         sub, incl = subspace_of_mask(X, mask)

@@ -92,6 +92,11 @@ def test_relative_routes_and_tc(files, capsys):
     ])
     assert code == 0
     code, data = run_json(capsys, [
+        "relative", "--p", files["g.fmap"], "--g", files["g.fmap"], "--invariant", "sec",
+    ])
+    assert code == 0
+    assert data["route"] == "both" and data["certificate"]["mode"] == "lift"
+    code, data = run_json(capsys, [
         "relative", "--p", files["g.fmap"], "--g", files["g.fmap"],
         "--invariant", "tc-bounds",
     ])

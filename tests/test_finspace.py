@@ -1,13 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnum.census import census_spaces, census_up_to
 from secnum.finspace import (
     CMap,
     DiscontinuityError,
     FinSpace,
-    all_open_sets,
     compose,
     configuration_space,
     constant_map,
@@ -19,6 +20,7 @@ from secnum.finspace import (
     identity_map,
     is_connected,
     is_hausdorff,
+    iter_open_masks,
     make_map,
     make_space,
     minimal_open,
@@ -30,7 +32,7 @@ from secnum.finspace import (
 )
 from secnum.resources import Budget, BudgetExhausted, LimitExceeded
 
-from oracles import brute_lift_exists
+from oracles import brute_lift_exists, brute_open_masks
 
 
 def test_make_space_closure():
@@ -78,7 +80,7 @@ def test_minimal_open():
 
 def test_minimal_open_is_least_open_containing_point():
     for space in census_spaces(3):
-        opens = [o.mask for o in all_open_sets(space)]
+        opens = list(iter_open_masks(space, Budget()))
         for x in range(space.n):
             u = minimal_open(space, x).mask
             assert u in opens
@@ -87,15 +89,42 @@ def test_minimal_open_is_least_open_containing_point():
                     assert u & ~mask == 0
 
 
-def test_all_open_sets_in_bitmask_order():
-    assert [o.mask for o in all_open_sets(make_space(1, []))] == [0, 1]
-    assert [o.mask for o in all_open_sets(sierpinski())] == [0, 1, 3]
-    assert [o.mask for o in all_open_sets(discrete_space(2))] == [0, 1, 2, 3]
+def test_open_masks_in_bitmask_order():
+    assert list(iter_open_masks(empty_space(), Budget())) == [0]
+    assert list(iter_open_masks(make_space(1, []), Budget())) == [0, 1]
+    assert list(iter_open_masks(sierpinski(), Budget())) == [0, 1, 3]
+    assert list(iter_open_masks(discrete_space(2), Budget())) == [0, 1, 2, 3]
+
+
+def test_open_masks_match_brute_force_oracle_on_census():
+    spaces = census_up_to(6, include_empty=True)
+    assert len(spaces) == 904
+    for space in spaces:
+        assert list(iter_open_masks(space, Budget())) == brute_open_masks(space)
+
+
+@st.composite
+def preorders(draw):
+    """Reflexive-transitive closures of random relations on 1..10 points."""
+    n = draw(st.integers(1, 10))
+    point = st.integers(0, n - 1)
+    return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(preorders())
+def test_open_masks_match_brute_force_oracle_on_random_preorders(space):
+    assert list(iter_open_masks(space, Budget())) == brute_open_masks(space)
+
+
+def test_open_masks_charge_one_node_per_open():
+    budget = Budget(100)
+    assert len(list(iter_open_masks(pseudocircle(), budget))) == 100 - budget.remaining
 
 
 def test_open_sets_closed_under_union_and_intersection():
     for space in census_spaces(3):
-        masks = {o.mask for o in all_open_sets(space)}
+        masks = set(iter_open_masks(space, Budget()))
         for a in masks:
             for b in masks:
                 assert (a | b) in masks
@@ -105,15 +134,14 @@ def test_open_sets_closed_under_union_and_intersection():
 def test_hausdorff_iff_singletons_open():
     for n in range(4):
         for space in census_spaces(n):
-            masks = {o.mask for o in all_open_sets(space)}
+            masks = set(iter_open_masks(space, Budget()))
             singles = all((1 << x) in masks for x in range(space.n))
             assert is_hausdorff(space) == singles
 
 
-def test_all_open_sets_limit():
-    big = discrete_space(11)
-    with pytest.raises(LimitExceeded):
-        all_open_sets(big)
+def test_open_masks_are_bounded_by_the_node_budget():
+    with pytest.raises(BudgetExhausted):
+        list(iter_open_masks(discrete_space(40), Budget(1000)))
 
 
 def test_make_map_validation_and_witness():

@@ -27,12 +27,16 @@ from secnum.homotopy import (
     homotopic,
     homotopy_fence,
     is_contractible,
-    is_nullhomotopic_in,
     nullhomotopy_target,
 )
 from secnum.resources import BudgetExhausted
 
-from oracles import brute_cat, brute_homotopic, brute_nullhomotopic_inclusion
+from oracles import (
+    brute_cat,
+    brute_homotopic,
+    brute_nullhomotopic_inclusion,
+    brute_open_masks,
+)
 
 
 def test_core_cache_keeps_labels():
@@ -170,21 +174,20 @@ def test_contractibility_cross_check_census():
 def test_nullhomotopic_inclusions():
     s = sierpinski()
     sub, incl = subspace(s, [0])
-    assert is_nullhomotopic_in(incl)
-    assert is_nullhomotopic_in(CMap(empty_space(), s, []))
+    assert nullhomotopy_target(incl) is not None
+    assert nullhomotopy_target(CMap(empty_space(), s, [])) is not None
     c = pseudocircle()
-    assert not is_nullhomotopic_in(identity_map(c))
+    assert nullhomotopy_target(identity_map(c)) is None
     u2, incl2 = subspace_of_mask(c, 0b0111)  # minimal open of point 2
-    assert is_nullhomotopic_in(incl2)
+    assert nullhomotopy_target(incl2) is not None
 
 
 def test_nullhomotopic_matches_oracle():
     for space in census_up_to(3):
-        from secnum.finspace import iter_open_masks
-
-        for mask in iter_open_masks(space):
+        for mask in brute_open_masks(space):
             sub, incl = subspace_of_mask(space, mask)
-            assert is_nullhomotopic_in(incl) == brute_nullhomotopic_inclusion(space, mask)
+            found = nullhomotopy_target(incl) is not None
+            assert found == brute_nullhomotopic_inclusion(space, mask)
 
 
 def test_nullhomotopy_target():

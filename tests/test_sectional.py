@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from secnum.census import InstanceGenerator, census_up_to
@@ -38,6 +40,18 @@ from oracles import brute_relative_sec_lift, brute_sec
 def _pi21(space):
     conf, projections = configuration_space(space, 2)
     return projections[1]
+
+
+def _subdivision(space):
+    """Barycentric subdivision of a poset: its nonempty chains, each reaching
+    its subchains."""
+    rows = space.reach_rows
+    chains = [
+        c for size in range(1, space.n + 1) for c in itertools.combinations(range(space.n), size)
+        if all((rows[a] >> b) & 1 or (rows[b] >> a) & 1 for a, b in itertools.combinations(c, 2))
+    ]
+    pairs = [(i, j) for i, c in enumerate(chains) for j, d in enumerate(chains) if set(d) <= set(c)]
+    return make_space(len(chains), pairs)
 
 
 def test_sectionable_opens_identity():
@@ -197,6 +211,24 @@ def test_lift_certificate_mode_and_verification():
     result = relative_sec(_pi21(d), identity_map(d), route="lift")
     assert result.value == ExtNat(1)
     assert result.certificate.mode == "lift"
+    assert result.certificate.verify()
+
+
+def test_relative_sec_both_routes_certifies_with_lifts():
+    d = discrete_space(2)
+    result = relative_sec(_pi21(d), identity_map(d), route="both")
+    assert result.value == ExtNat(1)
+    assert result.certificate.mode == "lift"
+    assert result.certificate.verify()
+
+
+def test_relative_sec_on_sixteen_points():
+    """Opens are listed without a size cap: the twice-subdivided pseudocircle
+    has 16 points."""
+    sd2c = _subdivision(_subdivision(pseudocircle()))
+    assert sd2c.n == 16
+    result = relative_sec(_pi21(sd2c), identity_map(sd2c), route="both")
+    assert result.value == ExtNat(1)
     assert result.certificate.verify()
 
 
