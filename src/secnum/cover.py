@@ -14,23 +14,18 @@ from .finspace import FinSpace, _bits, iter_open_masks
 from .resources import Budget
 
 
-def open_masks_by_size(space: FinSpace, budget: Budget) -> list[int]:
-    """Nonempty open masks, largest first, ties by ascending mask value."""
-    masks = [m for m in iter_open_masks(space, budget) if m]
-    masks.sort(key=lambda m: (-m.bit_count(), m))
-    return masks
-
-
 def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget):
     """Maximal nonempty opens satisfying a shrink-closed property.
 
     is_good(mask) returns a witness (any non-None value) or None.  Opens are
-    scanned largest first; subsets of an accepted open are skipped, which is
-    sound exactly because the property is monotone under shrinking.
-    Returns [(mask, witness), ...] in scan order.
+    scanned largest first, ties by ascending mask value; subsets of an
+    accepted open are skipped, which is sound exactly because the property is
+    monotone under shrinking.  Returns [(mask, witness), ...] in scan order.
     """
+    masks = [m for m in iter_open_masks(space, budget) if m]
+    masks.sort(key=lambda m: (-m.bit_count(), m))
     accepted: list[tuple[int, object]] = []
-    for mask in open_masks_by_size(space, budget):
+    for mask in masks:
         if any(mask & ~amask == 0 for amask, _ in accepted):
             continue
         witness = is_good(mask)

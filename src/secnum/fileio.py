@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .finspace import CMap, DiscontinuityError, FinSpace, make_space
+from .resources import PRODUCT_MAX_POINTS
 
 
 class ParseError(ValueError):
@@ -98,6 +99,8 @@ def parse_document(text: str, into: Document | None = None) -> Document:
                 raise ParseError(line_no, f"point count must be an integer, got {parts[2]!r}")
             if n < 0:
                 raise ParseError(line_no, "point count must be >= 0")
+            if n > PRODUCT_MAX_POINTS:
+                raise ParseError(line_no, f"point count {n} exceeds the cap of {PRODUCT_MAX_POINTS}")
             pending = ("space", name, n, [], [None] * n, line_no)
         elif directive == "reach":
             if pending is None or pending[0] != "space":

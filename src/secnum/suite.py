@@ -23,6 +23,7 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 from . import coincidence as coin
@@ -172,7 +173,7 @@ class Claim:
     statement: str
     hypotheses: str
     kind: str  # "theorem" | "exploratory"
-    evaluate: Callable[[tuple, int], dict]  # (payload, budget limit) -> outcome
+    evaluate: Callable[[tuple, int], str | dict]  # (payload, budget limit) -> status or outcome
 
 
 _registered: list[Claim] = []
@@ -205,34 +206,24 @@ def _map_json(f: CMap) -> dict:
     }
 
 
-def _triple_json(X, Y, g) -> dict:
-    return {"X": _space_json(X), "Y": _space_json(Y), "g": list(g.assignment)}
-
-
-def _value(v: ExtNat):
-    return v.to_json()
+def _payload_json(payload) -> list:
+    return [
+        _space_json(item) if isinstance(item, FinSpace)
+        else _map_json(item) if isinstance(item, CMap)
+        else item
+        for item in payload
+    ]
 
 
 # ---------------------------------------------------------------------------
-# evaluators: each is registered as one claim and returns an outcome dict
+# evaluators: each is registered as one claim and returns a status; the
+# witness of a violated outcome is its instance (see _eval_task)
 
-
-def _outcome(status, witness=None, **extras):
-    out = {"status": status}
-    if witness is not None:
-        out["witness"] = witness
-    if extras:
-        out["extras"] = extras
-    return out
-
-
-def _from_report(report: coin.TheoremReport, witness=None):
-    status = report.status
-    if status == coin.VERIFIED:
-        return _outcome(VERIFIED)
-    if status == coin.HYPOTHESIS_NOT_MET:
-        return _outcome(HNM)
-    return _outcome(VIOLATED, witness)
+_STATUS_OF_REPORT = {
+    coin.VERIFIED: VERIFIED,
+    coin.HYPOTHESIS_NOT_MET: HNM,
+    coin.VIOLATED: VIOLATED,
+}
 
 
 @_register(
@@ -241,9 +232,7 @@ def _from_report(report: coin.TheoremReport, witness=None):
     "equals 1 exactly when a coincidence-free map exists",
 )
 def _eval_remark(payload, budget):
-    X, Y, g = payload
-    report = coin.check_remark(X, Y, g, budget=Budget(budget))
-    return _from_report(report, witness=_triple_json(X, Y, g))
+    return _STATUS_OF_REPORT[coin.check_remark(*payload, budget=Budget(budget)).status]
 
 
 @_register(
@@ -255,16 +244,17 @@ def _eval_remark(payload, budget):
 def _eval_main_theorem(payload, budget):
     X, Y, g = payload
     report = coin.check_main_theorem(X, Y, g, budget=Budget(budget))
-    out = _from_report(report, witness=_triple_json(X, Y, g))
-    if report.status == coin.HYPOTHESIS_NOT_MET:
-        q = report.quantities
-        if (
-            not q.get("hausdorff")
-            and q.get("target_points", 0) >= 2
-            and q.get("cp_holds")
-            and q.get("sec_relative_pi21") == ExtNat(2)
-        ):
-            out.setdefault("extras", {})["open_question_hit"] = _triple_json(X, Y, g)
+    out = {"status": _STATUS_OF_REPORT[report.status]}
+    q = report.quantities
+    if (
+        report.status == coin.HYPOTHESIS_NOT_MET
+        and not q.get("hausdorff")
+        and q.get("target_points", 0) >= 2
+        and q.get("cp_holds")
+        and q.get("sec_relative_pi21") == ExtNat(2)
+    ):
+        hit = {"X": _space_json(X), "Y": _space_json(Y), "g": list(g.assignment)}
+        out["extras"] = {"open_question_hit": hit}
     return out
 
 
@@ -275,9 +265,7 @@ def _eval_main_theorem(payload, budget):
     hypotheses="target Hausdorff with at least k points; other instances explored",
 )
 def _eval_key_lemma(payload, budget):
-    X, Y, g, k = payload
-    report = coin.check_key_lemma(X, Y, g, k, budget=Budget(budget))
-    return _from_report(report, witness=_triple_json(X, Y, g) | {"k": k})
+    return _STATUS_OF_REPORT[coin.check_key_lemma(*payload, budget=Budget(budget)).status]
 
 
 @_register(
@@ -286,9 +274,7 @@ def _eval_key_lemma(payload, budget):
     "the fixed-point-free witness with g is a coincidence-free witness",
 )
 def _eval_cp_implies_fpp(payload, budget):
-    X, Y, g = payload
-    report = coin.check_cp_implies_fpp(X, Y, g, budget=Budget(budget))
-    return _from_report(report, witness=_triple_json(X, Y, g))
+    return _STATUS_OF_REPORT[coin.check_cp_implies_fpp(*payload, budget=Budget(budget)).status]
 
 
 @_register(
@@ -298,29 +284,17 @@ def _eval_cp_implies_fpp(payload, budget):
     "routes, so the Hausdorff hypothesis of the main equivalence is necessary",
 )
 def _eval_sierpinski_boundary(payload, budget):
-    S = sierpinski()
+    (S,) = payload
     one = identity_map(S)
     b = Budget(budget)
-    cp = has_cp(S, S, one, b)
-    fpp = has_fpp(S, b)
-    conf, projections = configuration_space(S, 2)
-    by_pullback = relative_sec(projections[1], one, route="pullback", budget=b)
-    by_lift = relative_sec(projections[1], one, route="lift", budget=b)
+    _, projections = configuration_space(S, 2)
     ok = (
-        cp.holds
-        and fpp.holds
-        and not by_pullback.value.is_finite
-        and not by_lift.value.is_finite
+        has_cp(S, S, one, b).holds
+        and has_fpp(S, b).holds
+        and not relative_sec(projections[1], one, route="pullback", budget=b).value.is_finite
+        and not relative_sec(projections[1], one, route="lift", budget=b).value.is_finite
     )
-    return _outcome(
-        VERIFIED if ok else VIOLATED,
-        None if ok else {
-            "cp": cp.holds,
-            "fpp": fpp.holds,
-            "pullback": _value(by_pullback.value),
-            "lift": _value(by_lift.value),
-        },
-    )
+    return VERIFIED if ok else VIOLATED
 
 
 @_register(
@@ -330,10 +304,8 @@ def _eval_sierpinski_boundary(payload, budget):
 def _eval_fpp_iff_cp_identity(payload, budget):
     (X,) = payload
     b = Budget(budget)
-    fpp = has_fpp(X, b)
-    cp = has_cp(X, X, identity_map(X), b)
-    ok = fpp.holds == cp.holds
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
+    ok = has_fpp(X, b).holds == has_cp(X, X, identity_map(X), b).holds
+    return VERIFIED if ok else VIOLATED
 
 
 @_register(
@@ -351,19 +323,15 @@ def _eval_cp_target_restriction(payload, budget):
         if (image >> y) & 1:
             hull |= Y.reach_rows[y]
     if hull == Y.full_mask:
-        return _outcome(HNM)
+        return HNM
     sub, incl = subspace_of_mask(Y, hull)
     index_of = {p: i for i, p in enumerate(incl.assignment)}
     g_in = CMap(X, sub, [index_of[g(x)] for x in range(X.n)], validate=False)
     cp_in = has_cp(X, sub, g_in, b)
     cp_out = has_cp(X, Y, g, b)
     if not cp_in.holds or cp_out.holds:
-        return _outcome(HNM)
-    leaves = bool(cp_out.witness.image_mask() & ~hull)
-    return _outcome(
-        VERIFIED if leaves else VIOLATED,
-        None if leaves else _triple_json(X, Y, g),
-    )
+        return HNM
+    return VERIFIED if cp_out.witness.image_mask() & ~hull else VIOLATED
 
 
 @_register(
@@ -374,7 +342,7 @@ def _eval_cp_target_restriction(payload, budget):
 def _eval_contractible_core_vs_fence(payload, budget):
     (X,) = payload
     ok = is_contractible(X) == (nullhomotopy_target(identity_map(X), Budget(budget)) is not None)
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
+    return VERIFIED if ok else VIOLATED
 
 
 @_register(
@@ -384,8 +352,7 @@ def _eval_contractible_core_vs_fence(payload, budget):
 def _eval_cat_core_invariance(payload, budget):
     (X,) = payload
     b = Budget(budget)
-    ok = cat(X, b).value == cat(core(X).space, b).value
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
+    return VERIFIED if cat(X, b).value == cat(core(X).space, b).value else VIOLATED
 
 
 @_register(
@@ -396,10 +363,9 @@ def _eval_cat_core_invariance(payload, budget):
 def _eval_cat1_iff_contractible(payload, budget):
     (X,) = payload
     if X.n == 0:
-        return _outcome(HNM)
-    b = Budget(budget)
-    ok = (cat(X, b).value == ExtNat(1)) == is_contractible(X)
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
+        return HNM
+    ok = (cat(X, Budget(budget)).value == ExtNat(1)) == is_contractible(X)
+    return VERIFIED if ok else VIOLATED
 
 
 @_register(
@@ -423,11 +389,8 @@ def _eval_homotopic_matches_direct(payload, budget):
         for g in maps:
             expected = component_of[f.assignment] == component_of[g.assignment]
             if homotopic(f, g, b) != expected:
-                return _outcome(VIOLATED, {
-                    "A": _space_json(A), "B": _space_json(B),
-                    "f": list(f.assignment), "g": list(g.assignment),
-                })
-    return _outcome(VERIFIED)
+                return VIOLATED
+    return VERIFIED
 
 
 @_register(
@@ -438,16 +401,14 @@ def _eval_fences_revalidate(payload, budget):
     f, g = payload
     b = Budget(budget)
     if not homotopic(f, g, b):
-        return _outcome(HNM)
+        return HNM
     fence = homotopy_fence(f, g, b)
     if fence is None:
-        return _outcome(VIOLATED, {"f": _map_json(f), "g": list(g.assignment)})
+        return VIOLATED
     Fence(tuple(fence.steps))  # revalidates comparability
     for step in fence.steps:
         CMap(step.source, step.target, step.assignment, validate=True)
-    ok = fence.steps[0] == f and fence.steps[-1] == g
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"f": _map_json(f), "g": list(g.assignment)})
+    return VERIFIED if fence.steps[0] == f and fence.steps[-1] == g else VIOLATED
 
 
 @_register(
@@ -463,23 +424,23 @@ def _eval_finspace_invariants(payload, budget):
     for x in range(X.n):
         u = minimal_open(X, x)
         if u.mask not in masks or not (u.mask >> x) & 1:
-            return _outcome(VIOLATED, {"X": _space_json(X), "point": x})
+            return VIOLATED
         for m in masks:
             if (m >> x) & 1 and u.mask & ~m:
-                return _outcome(VIOLATED, {"X": _space_json(X), "point": x, "open": m})
+                return VIOLATED
     for m1 in masks:
         for m2 in masks:
             if (m1 | m2) not in masks or (m1 & m2) not in masks:
-                return _outcome(VIOLATED, {"X": _space_json(X), "pair": [m1, m2]})
+                return VIOLATED
     singleton_open = all((1 << x) in masks for x in range(X.n))
     if is_hausdorff(X) != singleton_open:
-        return _outcome(VIOLATED, {"X": _space_json(X)})
+        return VIOLATED
     self_maps = list(enumerate_maps(X, X, budget=b))
     for f in self_maps:
         for g in self_maps:
             composed = compose(f, g)
             CMap(X, X, composed.assignment, validate=True)
-    return _outcome(VERIFIED)
+    return VERIFIED
 
 
 @_register(
@@ -493,8 +454,7 @@ def _eval_config_matches_offdiagonal(payload, budget):
     square, _, _ = product(X, X)
     off = [i for i in range(square.n) if i // X.n != i % X.n]
     sub, _ = subspace(square, off)
-    ok = conf == sub
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else {"X": _space_json(X)})
+    return VERIFIED if conf == sub else VIOLATED
 
 
 @_register(
@@ -505,8 +465,7 @@ def _eval_config_matches_offdiagonal(payload, budget):
 def _eval_pullback_identity_iso(payload, budget):
     (p,) = payload
     P, _, _ = pullback(p, identity_map(p.target))
-    ok = canonical_form(P) == canonical_form(p.source)
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(p))
+    return VERIFIED if canonical_form(P) == canonical_form(p.source) else VIOLATED
 
 
 @_register(
@@ -518,14 +477,12 @@ def _eval_census_counts(payload, budget):
     n, posets_only, expected = payload
     spaces = census_spaces(n, posets_only)
     if len(spaces) != expected:
-        return _outcome(VIOLATED, {"n": n, "got": len(spaces), "expected": expected})
+        return VIOLATED
     keys = set()
     for X in spaces:
         FinSpace(X.reach_rows, validate=True)
         keys.add(canonical_form(X))
-    if len(keys) != len(spaces):
-        return _outcome(VIOLATED, {"n": n, "detail": "isomorphic duplicates emitted"})
-    return _outcome(VERIFIED)
+    return VERIFIED if len(keys) == len(spaces) else VIOLATED
 
 
 @_register(
@@ -534,8 +491,9 @@ def _eval_census_counts(payload, budget):
     "sectional number obeys its monotonicity",
 )
 def _eval_pullback_secat_strict_drop(payload, budget):
+    (max_points,) = payload
     b = Budget(budget)
-    for Y in census_up_to(3):
+    for Y in census_up_to(max_points):
         if Y.n < 2:
             continue
         pt = make_space(1, [])
@@ -547,10 +505,8 @@ def _eval_pullback_secat_strict_drop(payload, budget):
                 _, to_base, _ = pullback(p, g)
                 downstairs = secat(to_base, b).value
                 if downstairs < upstairs:
-                    if sec(to_base, b).value <= sec(p, b).value:
-                        return _outcome(VERIFIED, None)
-                    return _outcome(VIOLATED, {"Y": _space_json(Y), "detail": "sec monotonicity failed"})
-    return _outcome(VIOLATED, {"detail": "no strict drop instance found in the census"})
+                    return VERIFIED if sec(to_base, b).value <= sec(p, b).value else VIOLATED
+    return VIOLATED  # no strict drop in the census
 
 
 @_register(
@@ -564,13 +520,7 @@ def _eval_composition_chain(payload, budget):
     outer = relative_sec(p2, g, budget=b).value
     composite = relative_sec(compose(p2, p1), g, budget=b).value
     inner = sec(p1, b).value
-    ok = outer <= composite and composite <= outer * inner
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {
-                        "p1": _map_json(p1), "p2": _map_json(p2), "g": _map_json(g),
-                        "outer": _value(outer), "composite": _value(composite),
-                        "inner": _value(inner),
-                    })
+    return VERIFIED if outer <= composite and composite <= outer * inner else VIOLATED
 
 
 def _with_identity_factor(Z: FinSpace, f: CMap) -> CMap:
@@ -584,67 +534,43 @@ def _with_identity_factor(Z: FinSpace, f: CMap) -> CMap:
 def _eval_product_equality(payload, budget, invariant):
     Z, f = payload
     if Z.n == 0:
-        return _outcome(HNM)
+        return HNM
     b = Budget(budget)
-    crossed = _with_identity_factor(Z, f)
-    lhs = invariant(crossed, b).value
-    rhs = invariant(f, b).value
-    ok = lhs == rhs
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"Z": _space_json(Z), "f": _map_json(f),
-                                     "crossed": _value(lhs), "plain": _value(rhs)})
+    ok = invariant(_with_identity_factor(Z, f), b).value == invariant(f, b).value
+    return VERIFIED if ok else VIOLATED
 
 
-@_register(
+_register(
     "product_sec_equality",
     "crossing with an identity preserves the sectional number",
     hypotheses="identity factor space nonempty",
-)
-def _eval_product_sec(payload, budget):
-    return _eval_product_equality(payload, budget, sec)
-
-
-@_register(
+)(partial(_eval_product_equality, invariant=sec))
+_register(
     "product_secat_equality",
     "crossing with an identity preserves the sectional category",
     hypotheses="identity factor space nonempty",
-)
-def _eval_product_secat(payload, budget):
-    return _eval_product_equality(payload, budget, secat)
+)(partial(_eval_product_equality, invariant=secat))
 
 
 def _eval_square_rule(payload, budget, invariant):
     phi, f, f_prime, psi = payload
     b = Budget(budget)
     lhs = invariant(f, b).value * invariant(psi, b).value
-    rhs = invariant(f_prime, b).value
-    ok = lhs >= rhs
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"f": _map_json(f), "psi": _map_json(psi),
-                                     "f_prime": _map_json(f_prime),
-                                     "lhs": _value(lhs), "rhs": _value(rhs)})
-
-
-@_register(
-    "square_rule_sec",
-    "in a strictly commuting square, sec(left) * sec(bottom) >= sec(right)",
-)
-def _eval_square_rule_sec(payload, budget):
-    return _eval_square_rule(payload, budget, sec)
-
-
-@_register(
-    "square_rule_secat",
-    "in a strictly commuting square, secat(left) * secat(bottom) >= secat(right)",
-)
-def _eval_square_rule_secat(payload, budget):
-    return _eval_square_rule(payload, budget, secat)
+    return VERIFIED if lhs >= invariant(f_prime, b).value else VIOLATED
 
 
 _register(
+    "square_rule_sec",
+    "in a strictly commuting square, sec(left) * sec(bottom) >= sec(right)",
+)(partial(_eval_square_rule, invariant=sec))
+_register(
+    "square_rule_secat",
+    "in a strictly commuting square, secat(left) * secat(bottom) >= secat(right)",
+)(partial(_eval_square_rule, invariant=secat))
+_register(
     "square_rule_secat_homotopy",
     "in a homotopy-commuting square, secat(left) * secat(bottom) >= secat(right)",
-)(_eval_square_rule_secat)
+)(partial(_eval_square_rule, invariant=secat))
 
 
 @_register(
@@ -655,11 +581,8 @@ def _eval_triangle_monotone(payload, budget):
     f, h = payload
     b = Budget(budget)
     f_prime = compose(f, h)
-    if not (sec(f_prime, b).value >= sec(f, b).value):
-        return _outcome(VIOLATED, {"f": _map_json(f), "h": _map_json(h), "kind": "sec"})
-    if not (secat(f_prime, b).value >= secat(f, b).value):
-        return _outcome(VIOLATED, {"f": _map_json(f), "h": _map_json(h), "kind": "secat"})
-    return _outcome(VERIFIED)
+    ok = sec(f_prime, b).value >= sec(f, b).value and secat(f_prime, b).value >= secat(f, b).value
+    return VERIFIED if ok else VIOLATED
 
 
 @_register(
@@ -669,10 +592,7 @@ def _eval_triangle_monotone(payload, budget):
 def _eval_triangle_secat_homotopy(payload, budget):
     f, h, f_prime = payload
     b = Budget(budget)
-    ok = secat(f_prime, b).value >= secat(f, b).value
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"f": _map_json(f), "h": _map_json(h),
-                                     "f_prime": _map_json(f_prime)})
+    return VERIFIED if secat(f_prime, b).value >= secat(f, b).value else VIOLATED
 
 
 @_register(
@@ -682,8 +602,7 @@ def _eval_triangle_secat_homotopy(payload, budget):
 def _eval_secat_le_sec(payload, budget):
     (f,) = payload
     b = Budget(budget)
-    ok = secat(f, b).value <= sec(f, b).value
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(f))
+    return VERIFIED if secat(f, b).value <= sec(f, b).value else VIOLATED
 
 
 @_register(
@@ -697,10 +616,9 @@ def _eval_secat_le_sec(payload, budget):
 def _eval_secat_le_cat_target(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
-        return _outcome(HNM)
+        return HNM
     b = Budget(budget)
-    ok = secat(f, b).value <= cat(f.target, b).value
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(f))
+    return VERIFIED if secat(f, b).value <= cat(f.target, b).value else VIOLATED
 
 
 @_register(
@@ -712,12 +630,11 @@ def _eval_secat_le_cat_target(payload, budget):
 def _eval_nullhomotopic_secat_eq_cat(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
-        return _outcome(HNM)
+        return HNM
     b = Budget(budget)
     if nullhomotopy_target(f, b) is None:
-        return _outcome(HNM)
-    ok = secat(f, b).value == cat(f.target, b).value
-    return _outcome(VERIFIED if ok else VIOLATED, None if ok else _map_json(f))
+        return HNM
+    return VERIFIED if secat(f, b).value == cat(f.target, b).value else VIOLATED
 
 
 @_register(
@@ -727,9 +644,7 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
 def _eval_relative_sec_le_sec(payload, budget):
     p, g = payload
     b = Budget(budget)
-    ok = relative_sec(p, g, budget=b).value <= sec(p, b).value
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"p": _map_json(p), "g": _map_json(g)})
+    return VERIFIED if relative_sec(p, g, budget=b).value <= sec(p, b).value else VIOLATED
 
 
 @_register(
@@ -740,9 +655,7 @@ def _eval_relative_times_sec_ge_sec(payload, budget):
     p, g = payload
     b = Budget(budget)
     lhs = relative_sec(p, g, budget=b).value * sec(g, b).value
-    ok = lhs >= sec(p, b).value
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"p": _map_json(p), "g": _map_json(g)})
+    return VERIFIED if lhs >= sec(p, b).value else VIOLATED
 
 
 @_register(
@@ -757,14 +670,12 @@ def _eval_relative_secat_le_cat_base(payload, budget):
     p, g = payload
     X = g.source
     if not is_connected(X):
-        return _outcome(HNM)
+        return HNM
     P, to_base, _ = pullback(p, g)
     if P.n == 0:
-        return _outcome(HNM)
+        return HNM
     b = Budget(budget)
-    ok = secat(to_base, b).value <= cat(X, b).value
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"p": _map_json(p), "g": _map_json(g)})
+    return VERIFIED if secat(to_base, b).value <= cat(X, b).value else VIOLATED
 
 
 @_register(
@@ -781,15 +692,17 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
     p, g, g_prime = payload
     b = Budget(budget)
     if not homotopic(g, g_prime, b):
-        return _outcome(HNM)
+        return HNM
     lhs = relative_secat(p, g, budget=b).value
     rhs = relative_secat(p, g_prime, budget=b).value
     if lhs == rhs:
-        return _outcome(VERIFIED)
-    return _outcome(FALSIFIED, {
+        return VERIFIED
+    # the one witness richer than the instance: both values, so that a
+    # reader can re-validate the counterexample from the report alone
+    return {"status": FALSIFIED, "witness": {
         "p": _map_json(p), "g": _map_json(g), "g_prime": list(g_prime.assignment),
-        "secat_g": _value(lhs), "secat_g_prime": _value(rhs),
-    })
+        "secat_g": lhs.to_json(), "secat_g_prime": rhs.to_json(),
+    }}
 
 
 @_register(
@@ -800,9 +713,7 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
 def _eval_retraction_relative_sec(payload, budget):
     r, p = payload
     b = Budget(budget)
-    ok = relative_sec(p, r, budget=b).value == sec(p, b).value
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"r": _map_json(r), "p": _map_json(p)})
+    return VERIFIED if relative_sec(p, r, budget=b).value == sec(p, b).value else VIOLATED
 
 
 @_register(
@@ -812,18 +723,17 @@ def _eval_retraction_relative_sec(payload, budget):
 )
 def _eval_route_equivalence(payload, budget):
     p, g = payload
-    b = Budget(budget)
     try:
-        relative_sec(p, g, route="both", budget=b)
-    except SelfCheckFailed as exc:
-        return _outcome(VIOLATED, {"p": _map_json(p), "g": _map_json(g), "detail": str(exc)})
-    return _outcome(VERIFIED)
+        relative_sec(p, g, route="both", budget=Budget(budget))
+    except SelfCheckFailed:
+        return VIOLATED
+    return VERIFIED
 
 
 def _eval_tc_bounds(payload, budget, contractible):
     f, g = payload
     if is_contractible(f.source) != contractible:
-        return _outcome(HNM)
+        return HNM
     b = Budget(budget)
     bounds = relative_tc_bounds(f, g, budget=b)
     reference = relative_sec(f, g, route="pullback", budget=b).value
@@ -832,50 +742,44 @@ def _eval_tc_bounds(payload, budget, contractible):
         and bounds.lower == reference
         and bounds.upper == (reference if contractible else None)
     )
-    return _outcome(VERIFIED if ok else VIOLATED,
-                    None if ok else {"f": _map_json(f), "g": _map_json(g)})
+    return VERIFIED if ok else VIOLATED
 
 
-@_register(
+_register(
     "tc_bounds_contractible",
     "with a contractible domain the relative complexity interval is exact and "
     "equals the relative sectional number",
     hypotheses="domain of the work map contractible",
-)
-def _eval_tc_bounds_contractible(payload, budget):
-    return _eval_tc_bounds(payload, budget, contractible=True)
-
-
-@_register(
+)(partial(_eval_tc_bounds, contractible=True))
+_register(
     "tc_bounds_noncontractible",
     "with a non-contractible domain the reported lower bound equals the "
     "relative sectional number and the upper bound is unknown",
-)
-def _eval_tc_bounds_noncontractible(payload, budget):
-    return _eval_tc_bounds(payload, budget, contractible=False)
+)(partial(_eval_tc_bounds, contractible=False))
 
 
 REGISTRY: tuple[Claim, ...] = tuple(_registered)
 CLAIMS_BY_ID = {claim.id: claim for claim in REGISTRY}
 
-
-def _payload_json(payload) -> list:
-    return [
-        _space_json(item) if isinstance(item, FinSpace)
-        else _map_json(item) if isinstance(item, CMap)
-        else item
-        for item in payload
-    ]
+_WITNESSED = (VIOLATED, FALSIFIED, INCONCLUSIVE)
 
 
 def _eval_task(task):
-    """The one place where a search that ran out of nodes becomes a status:
-    the instance is inconclusive and is its own witness."""
+    """The one place that makes an evaluator's result an outcome dict.
+
+    A search that ran out of nodes makes the instance inconclusive, and every
+    violated, falsified or inconclusive outcome without a witness of its own
+    has its instance as witness."""
     claim_id, payload, budget_limit = task
     try:
-        return CLAIMS_BY_ID[claim_id].evaluate(payload, budget_limit)
+        out = CLAIMS_BY_ID[claim_id].evaluate(payload, budget_limit)
     except BudgetExhausted:
-        return _outcome(INCONCLUSIVE, _payload_json(payload))
+        out = INCONCLUSIVE
+    if isinstance(out, str):
+        out = {"status": out}
+    if out["status"] in _WITNESSED and "witness" not in out:
+        out["witness"] = _payload_json(payload)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +787,6 @@ def _eval_task(task):
 
 
 def _all_maps(X: FinSpace, Y: FinSpace):
-    if X.n > 0 and Y.n == 0:
-        return []
     return list(enumerate_maps(X, Y, budget=DEFAULT_NODE_BUDGET))
 
 
@@ -933,8 +835,8 @@ def _build_tasks(cfg: SuiteConfig):
         for X, Y, g in _hausdorff_triples(cfg, cfg.key_lemma_target_max, k):
             add("key_lemma_k", (X, Y, g, k))
 
-    add("sierpinski_boundary", ())
-    add("pullback_secat_strict_drop", ())
+    add("sierpinski_boundary", (sierpinski(),))
+    add("pullback_secat_strict_drop", (3,))
 
     for X in census_up_to(min(cfg.census_max_points + 1, 4), include_empty=True):
         add("fpp_iff_cp_identity", (X,))
@@ -1141,9 +1043,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             for outcome in outcomes:
                 status = outcome["status"]
                 tallies[status] += 1
-                if status in (VIOLATED, FALSIFIED, INCONCLUSIVE):
-                    if len(witnesses) < _MAX_WITNESSES and outcome.get("witness") is not None:
-                        witnesses.append({"status": status, "instance": outcome["witness"]})
+                if status in _WITNESSED and len(witnesses) < _MAX_WITNESSES:
+                    witnesses.append({"status": status, "instance": outcome["witness"]})
                 for key, value in outcome.get("extras", {}).items():
                     extras_agg.setdefault(key, []).append(value)
             claims.append({

@@ -9,6 +9,7 @@ records its counterexamples as 'falsified'; the gate requires them to appear
 and re-validates every recorded witness as a genuine counterexample.
 """
 
+import hashlib
 import json
 import time
 
@@ -52,6 +53,10 @@ ACCEPTANCE = SuiteConfig(
     seed=SEED,
     parallelism=1,
 )
+
+# sha256 of the ACCEPTANCE report, the same bytes as `secnum suite --seed
+# 20240801`; a change that adds a claim or alters an entry updates this pin
+REPORT_SHA256 = "53915026938f839a2187a300c3fe6c068206e75dbed964fba9ece69eb22f1e6c"
 
 
 def _report_line(criterion: str, ok: bool, detail: str) -> None:
@@ -403,3 +408,9 @@ def test_criterion_9_suite_determinism(tmp_path):
     # and the written artifact round-trips as JSON
     report = json.loads(runs[0])
     assert report["schema"] == "secnum.suite-report/1"
+
+
+def test_report_bytes_are_pinned(suite_report):
+    digest = hashlib.sha256(suite_report.to_json_bytes()).hexdigest()
+    _report_line("report bytes (sha256 pin)", digest == REPORT_SHA256, digest)
+    assert digest == REPORT_SHA256

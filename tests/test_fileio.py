@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnum.fileio import Document, ParseError, format_map, format_space, parse_document
 from secnum.finspace import make_map, sierpinski
@@ -112,3 +114,57 @@ def test_fence_serializes_and_parses_back():
     doc = parse_document(text)
     steps = [doc.maps[f"step_{i}"] for i in range(len(fence.steps))]
     assert [m.assignment for m in steps] == [m.assignment for m in fence.steps]
+
+
+def test_point_count_is_capped():
+    # reach rows grow as n^2 bits, so the parser holds declared spaces to
+    # the construction cap before allocating anything
+    assert parse_document("space A 4096\n").spaces["A"].n == 4096
+    with pytest.raises(ParseError) as err:
+        parse_document("space A 4097\n")
+    assert "4096" in str(err.value)
+
+
+_NAMES = st.sampled_from(["A", "B"])
+_INDICES = st.integers(-1, 3)
+_TOKENS = st.one_of(
+    _NAMES,
+    _INDICES.map(str),
+    st.sampled_from(["space", "reach", "map", "send", "#", "4097", "99999999999999999999", "1.5"]),
+)
+# well-formed directives with small, edge and out-of-range values, plus
+# free token soup, so that documents reach both the happy and the error paths
+_SPACE_LINES = st.builds(
+    "space {} {}".format, _NAMES, st.sampled_from([-1, 0, 1, 2, 2, 3, 3, 4096, 4097]))
+_LINES = st.one_of(
+    _SPACE_LINES,
+    st.builds("reach {} {}".format, _INDICES, _INDICES),
+    st.builds("label {} {}".format, _INDICES, _NAMES),
+    st.builds("map {} {} {}".format, _NAMES, _NAMES, _NAMES),
+    st.builds("send {} {}".format, _INDICES, _INDICES),
+    st.lists(_TOKENS, max_size=5).map(" ".join),
+)
+_GRAMMAR_DOCUMENTS = st.builds(
+    lambda head, body: "\n".join(head + body),
+    st.lists(_SPACE_LINES, max_size=2),
+    st.lists(_LINES, max_size=10),
+)
+
+
+def _parses_or_raises_parse_error(text: str) -> None:
+    try:
+        parse_document(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_GRAMMAR_DOCUMENTS)
+def test_parser_raises_only_parse_error_on_grammar_tokens(text):
+    _parses_or_raises_parse_error(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text())
+def test_parser_raises_only_parse_error_on_arbitrary_text(text):
+    _parses_or_raises_parse_error(text)

@@ -4,13 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from secnum.finspace import sierpinski
 from secnum.suite import (
     CLAIMS_BY_ID,
+    HNM,
     INCONCLUSIVE,
     REGISTRY,
     VERIFIED,
+    VIOLATED,
     SuiteConfig,
+    _build_tasks,
     _eval_task,
+    _payload_json,
     run_suite,
 )
 
@@ -47,12 +52,37 @@ def test_readme_claim_table_matches_registry():
 def test_sierpinski_boundary_is_inconclusive_on_a_tiny_budget():
     # budget 1 leaves the CP and FPP searches unfinished; their verdicts
     # must not be read as definite
-    out = _eval_task(("sierpinski_boundary", (), 1))
+    payload = (sierpinski(),)
+    out = _eval_task(("sierpinski_boundary", payload, 1))
     assert out["status"] == INCONCLUSIVE
-    assert "witness" in out
-    statuses = [_eval_task(("sierpinski_boundary", (), budget))["status"] for budget in range(1, 40)]
+    assert out["witness"] == [[1, 3]]
+    statuses = [_eval_task(("sierpinski_boundary", payload, budget))["status"]
+                for budget in range(1, 40)]
     assert set(statuses) == {INCONCLUSIVE, VERIFIED}
     assert statuses[-1] == VERIFIED
+
+
+def test_violated_outcome_records_its_instance_as_witness():
+    # the census has 3 preorders on 2 points, so claiming 4 is violated
+    out = _eval_task(("census_counts", (2, False, 4), 10**6))
+    assert out == {"status": VIOLATED, "witness": [2, False, 4]}
+
+
+def test_every_unsettled_outcome_is_witnessed_by_its_instance():
+    # budget 1 leaves almost every search unfinished
+    exploratory = {claim.id for claim in REGISTRY if claim.kind == "exploratory"}
+    unsettled = 0
+    for claim_id, payload, budget in _build_tasks(SuiteConfig(**TINY, budget=1)):
+        out = _eval_task((claim_id, payload, budget))
+        if out["status"] in (VERIFIED, HNM):
+            assert "witness" not in out, claim_id
+            continue
+        unsettled += 1
+        if claim_id not in exploratory:
+            assert out["witness"] == _payload_json(payload), claim_id
+        else:
+            assert out["witness"], claim_id
+    assert unsettled > 0
 
 
 def test_tiny_suite_runs_clean():
