@@ -81,7 +81,6 @@ from .sectional import (
     relative_tc_bounds,
     sec,
     secat,
-    sectionable_opens,
 )
 from .suite import Claim, REGISTRY, SuiteConfig, SuiteReport, run_suite
 

@@ -132,12 +132,12 @@ def census_spaces(n: int, posets_only: bool = False) -> tuple[FinSpace, ...]:
     return tuple(_space_from_relation_key(key, n) for key in sorted(keys))
 
 
-def census_up_to(n_max: int, posets_only: bool = False, include_empty: bool = False):
+def census_up_to(n_max: int, include_empty: bool = False):
     """Censuses of sizes 1..n_max concatenated (optionally starting at 0)."""
     spaces = []
     start = 0 if include_empty else 1
     for n in range(start, n_max + 1):
-        spaces.extend(census_spaces(n, posets_only))
+        spaces.extend(census_spaces(n))
     return spaces
 
 
@@ -160,18 +160,16 @@ class InstanceGenerator:
 
     # -- spaces -------------------------------------------------------------
 
-    def space(self, max_points: int, min_points: int = 1) -> FinSpace:
-        n = self.rng.randint(min_points, max_points)
-        if n == 0:
-            return make_space(0, [])
+    def space(self, max_points: int) -> FinSpace:
+        n = self.rng.randint(1, max_points)
         generators = self.rng.randint(0, 2 * n)
         pairs = [
             (self.rng.randrange(n), self.rng.randrange(n)) for _ in range(generators)
         ]
         return make_space(n, pairs)
 
-    def hausdorff_space(self, max_points: int, min_points: int = 1) -> FinSpace:
-        return make_space(self.rng.randint(min_points, max_points), [])
+    def hausdorff_space(self, max_points: int) -> FinSpace:
+        return make_space(self.rng.randint(1, max_points), [])
 
     def contractible_space(self, max_points: int) -> FinSpace:
         base = self.space(max(1, max_points - 1))
@@ -179,8 +177,8 @@ class InstanceGenerator:
             return base
         return cone(base)
 
-    def noncontractible_space(self, max_points: int, attempts: int = 64) -> FinSpace:
-        for _ in range(attempts):
+    def noncontractible_space(self, max_points: int) -> FinSpace:
+        for _ in range(64):
             X = self.space(max_points)
             if not is_contractible(X):
                 return X
@@ -188,20 +186,13 @@ class InstanceGenerator:
 
     # -- maps ---------------------------------------------------------------
 
-    def cmap(self, source: FinSpace, target: FinSpace, constraints=None) -> CMap | None:
-        """Random continuous map via value-shuffled backtracking; None when
-        no continuous map satisfies the constraints."""
-        if target.n == 0 and source.n > 0:
-            return None
+    def cmap(self, source: FinSpace, target: FinSpace, domains=None) -> CMap | None:
+        """Random continuous map via value-shuffled backtracking, with x sent
+        into the bitmask domains[x] (anywhere when domains is None); None when
+        no continuous map does that."""
         value_orders = [self.rng.sample(range(target.n), target.n) for _ in range(source.n)]
-        domains = [target.full_mask] * source.n
-        if constraints is not None:
-            domains = []
-            for allowed in constraints:
-                mask = 0
-                for y in allowed:
-                    mask |= 1 << y
-                domains.append(mask)
+        if domains is None:
+            domains = [target.full_mask] * source.n
         for assignment in iter_assignments(
             source, target, domains, Budget(DEFAULT_NODE_BUDGET), value_orders=value_orders
         ):
@@ -220,23 +211,23 @@ class InstanceGenerator:
         pick = self.rng.choice(sorted(candidates))
         return CMap(g.source, Y, pick, validate=False)
 
-    def open_mask(self, space: FinSpace, nonempty: bool = True) -> int:
-        masks = [m for m in iter_open_masks(space, Budget(DEFAULT_NODE_BUDGET))
-                 if m or not nonempty]
+    def open_mask(self, space: FinSpace) -> int:
+        """A random nonempty open of the space."""
+        masks = [m for m in iter_open_masks(space, Budget(DEFAULT_NODE_BUDGET)) if m]
         return self.rng.choice(masks)
 
-    def retraction(self, max_points: int, attempts: int = 32):
+    def retraction(self, max_points: int):
         """Random (X, B open in X, r: X -> B) with r restricting to the identity."""
-        for _ in range(attempts):
+        for _ in range(32):
             X = self.space(max_points)
             mask = self.open_mask(X)
             sub, incl = subspace_of_mask(X, mask)
             index_of = {p: i for i, p in enumerate(incl.assignment)}
-            constraints = [
-                [index_of[x]] if x in index_of else list(range(sub.n))
+            domains = [
+                1 << index_of[x] if x in index_of else sub.full_mask
                 for x in range(X.n)
             ]
-            r = self.cmap(X, sub, constraints)
+            r = self.cmap(X, sub, domains)
             if r is not None:
                 return X, sub, incl, r
         X = self.space(max_points)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import coincidence as coin
 from .census import census_spaces
@@ -156,8 +157,6 @@ def _cmd_suite(args) -> int:
     if args.out is not None:
         overrides["out"] = args.out
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     try:
         cfg.validate()

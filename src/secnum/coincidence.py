@@ -2,8 +2,9 @@
 
 (X, Y; g) has the coincidence property (CP) when every continuous f: X -> Y
 agrees with g somewhere; a space has the fixed-point property (FPP) when every
-self-map has a fixed point.  Both are decided by exhaustive constrained map
-search: a continuous map avoiding g everywhere is a counterexample witness.
+self-map has a fixed point.  Both are decided by the strict-lift search
+finspace.first_lift, in which each x may go anywhere in Y minus g(x): a
+continuous map avoiding g everywhere is a counterexample witness.
 
 The checkers compare these searches against the covering invariants: a global
 coincidence-free map is exactly a global lift through the two-point
@@ -26,11 +27,12 @@ from .finspace import (
     FinSpace,
     compose,
     configuration_space,
-    enumerate_maps,
+    first_lift,
     identity_map,
     is_hausdorff,
 )
 from .resources import Budget, SelfCheckFailed
+from .sectional import relative_sec
 
 CLAIM_REMARK = "remark_sec1_iff_not_cp"
 CLAIM_KEY_LEMMA = "key_lemma_k"
@@ -83,12 +85,11 @@ def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
     if g.source != X or g.target != Y:
         raise ValueError("g must be a map from X to Y")
     budget = Budget.ensure(budget)
-    constraints = [
-        [y for y in range(Y.n) if y != g(x)] for x in range(X.n)
-    ]
-    for f in enumerate_maps(X, Y, constraints, budget=budget, order="mcf"):
-        return CoincidenceVerdict(holds=False, witness=_revalidate_witness(f, g))
-    return CoincidenceVerdict(holds=True, witness=None)
+    avoid = [Y.full_mask & ~(1 << y) for y in range(Y.n)]
+    f = first_lift(X, Y, avoid, g.assignment, budget)
+    if f is None:
+        return CoincidenceVerdict(holds=True, witness=None)
+    return CoincidenceVerdict(holds=False, witness=_revalidate_witness(f, g))
 
 
 def has_fpp(X: FinSpace, budget: Budget | int | None = None) -> CoincidenceVerdict:
@@ -137,9 +138,7 @@ def _describe(X: FinSpace, Y: FinSpace, g: CMap) -> str:
 
 
 def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget):
-    from .sectional import relative_sec
-
-    conf, projections = configuration_space(Y, k)
+    _, projections = configuration_space(Y, k)
     return relative_sec(projections[1], g, budget=budget)
 
 

@@ -50,13 +50,12 @@ def greedy_cover(universe: int, masks: list[int]) -> list[int] | None:
     return chosen
 
 
-def exact_min_cover(universe: int, masks: list[int], budget: Budget | None = None):
+def exact_min_cover(universe: int, masks: list[int], budget: Budget):
     """Indices of a minimum-cardinality cover of universe, or None if impossible.
 
     Deterministic: branches on the uncovered element covered by the fewest
     sets (lowest element breaks ties) and tries covering sets in index order.
     """
-    budget = Budget.ensure(budget)
     if universe == 0:
         return ()
     union = 0

@@ -28,14 +28,6 @@ class ExtNat:
     def __setattr__(self, name, value):
         raise AttributeError("ExtNat is immutable")
 
-    @staticmethod
-    def finite(n: int) -> "ExtNat":
-        return ExtNat(n)
-
-    @staticmethod
-    def infinite() -> "ExtNat":
-        return INF
-
     @property
     def is_finite(self) -> bool:
         return self.n is not None

@@ -100,10 +100,6 @@ class FinSpace:
     def __reduce__(self):
         return (_rebuild_space, (self.reach_rows, self.labels, self.name))
 
-    @property
-    def points(self) -> range:
-        return range(self.n)
-
     def reach(self, x: int, y: int) -> bool:
         return bool((self.reach_rows[x] >> y) & 1)
 
@@ -306,7 +302,7 @@ def make_map(source: FinSpace, target: FinSpace, assignment, name=None) -> CMap:
     return CMap(source, target, assignment, name=name, validate=True)
 
 
-def compose(outer: CMap, inner: CMap, name=None) -> CMap:
+def compose(outer: CMap, inner: CMap) -> CMap:
     """(outer o inner)(x) = outer(inner(x))."""
     if inner.target != outer.source:
         raise ValueError("maps do not compose: inner target differs from outer source")
@@ -314,7 +310,6 @@ def compose(outer: CMap, inner: CMap, name=None) -> CMap:
         inner.source,
         outer.target,
         (outer.assignment[fx] for fx in inner.assignment),
-        name=name,
         validate=False,
     )
 
@@ -399,7 +394,7 @@ def product(a: FinSpace, b: FinSpace):
     return space, proj_a, proj_b
 
 
-def subspace(space: FinSpace, points, name=None):
+def subspace(space: FinSpace, points):
     """Subspace on the given points (reach restricted); returns (space, inclusion).
 
     The restriction of reach is exactly the specialization relation of the
@@ -418,13 +413,13 @@ def subspace(space: FinSpace, points, name=None):
                 row |= 1 << index_of[q]
         rows.append(row)
     labels = [space.label(p) for p in pts] if space.labels is not None else None
-    sub = FinSpace(rows, labels=labels, name=name, validate=False)
+    sub = FinSpace(rows, labels=labels, validate=False)
     incl = CMap(sub, space, pts, name="incl", validate=False)
     return sub, incl
 
 
-def subspace_of_mask(space: FinSpace, mask: int, name=None):
-    return subspace(space, _bits(mask), name=name)
+def subspace_of_mask(space: FinSpace, mask: int):
+    return subspace(space, _bits(mask))
 
 
 def pullback(p: CMap, g: CMap):
@@ -499,27 +494,7 @@ def configuration_space(space: FinSpace, k: int):
 
 
 # ---------------------------------------------------------------------------
-# constrained enumeration of continuous maps
-
-
-def _normalize_domains(source: FinSpace, target: FinSpace, constraints):
-    full = target.full_mask
-    if constraints is None:
-        return [full] * source.n
-    if len(constraints) != source.n:
-        raise ValueError("constraints must list allowed targets for every source point")
-    domains = []
-    for allowed in constraints:
-        if allowed is None:
-            domains.append(full)
-            continue
-        mask = 0
-        for y in allowed:
-            if not 0 <= y < target.n:
-                raise ValueError(f"constraint value {y} out of range")
-            mask |= 1 << y
-        domains.append(mask)
-    return domains
+# enumeration of continuous maps
 
 
 def iter_assignments(
@@ -633,21 +608,13 @@ def first_lift(source: FinSpace, target: FinSpace, fibers, images,
     return None
 
 
-def enumerate_maps(
-    source: FinSpace,
-    target: FinSpace,
-    constraints=None,
-    budget: Budget | int | None = None,
-    order: str = "lex",
-):
-    """Lazy stream of exactly the continuous maps respecting the constraints.
-
-    constraints: optional per-point iterables of allowed target points.  With
-    order='lex' maps come out in lexicographic order of their assignment
-    tuples.  Raises BudgetExhausted mid-iteration when the node budget runs
-    out; callers must treat that as inconclusive, never as 'none exists'.
+def enumerate_maps(source: FinSpace, target: FinSpace, budget: Budget | int | None = None):
+    """Lazy stream of exactly the continuous maps, in lexicographic order of
+    their assignment tuples.  Raises BudgetExhausted mid-iteration when the
+    node budget runs out; callers must treat that as inconclusive, never as
+    'none exists'.
     """
     budget = Budget.ensure(budget)
-    domains = _normalize_domains(source, target, constraints)
-    for assignment in iter_assignments(source, target, domains, budget, order=order):
+    domains = [target.full_mask] * source.n
+    for assignment in iter_assignments(source, target, domains, budget):
         yield CMap(source, target, assignment, validate=False)

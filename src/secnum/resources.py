@@ -46,8 +46,8 @@ class Budget:
         self.limit = nodes
         self.remaining = nodes
 
-    def charge(self, n: int = 1) -> None:
-        self.remaining -= n
+    def charge(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExhausted(f"node budget of {self.limit} exhausted")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import find_maximal_good_opens, min_good_cover
+from .cover import min_good_cover
 from .extnat import INF, ExtNat
 from .finspace import (
     CMap,
@@ -168,8 +168,6 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None
     """
     Y = f.target
     sub, incl = subspace_of_mask(Y, mask)
-    if sub.n == 0:
-        return None
     sub_core, y_core = core(sub), core(Y)
     start = _compress(incl, sub_core, y_core)
     retraction = y_core.retraction.assignment
@@ -184,28 +182,6 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None
     if hit is None:
         return None
     return compose(found["lift"], sub_core.retraction)
-
-
-def _section_test(f: CMap, mode: str, budget: Budget):
-    """is_good for the opens of the target of f admitting a (homotopy) local
-    section; a strict section is a lift of the identity through f."""
-    if mode == MODE_SECTION:
-        return _lift_test(f, identity_map(f.target), budget)
-    if mode == MODE_HOMOTOPY:
-        return lambda mask: _homotopy_section_witness(f, mask, budget)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def sectionable_opens(f: CMap, mode: str = MODE_SECTION,
-                      budget: Budget | int | None = None):
-    """Maximal opens of the target admitting a (homotopy) local section of f.
-
-    Returns [(OpenSet, witness CMap), ...]; both section properties are closed
-    under shrinking opens, so these maximal elements generate all candidates.
-    """
-    budget = Budget.ensure(budget)
-    pairs = find_maximal_good_opens(f.target, _section_test(f, mode, budget), budget)
-    return [(OpenSet(f.target, mask), witness) for mask, witness in pairs]
 
 
 def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
@@ -228,15 +204,15 @@ def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -
 def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by strictly sectionable opens."""
     budget = Budget.ensure(budget)
-    is_good = _section_test(f, MODE_SECTION, budget)
+    is_good = _lift_test(f, identity_map(f.target), budget)
     return _cover_result(f.target, MODE_SECTION, is_good, (f,), budget)
 
 
 def secat(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by homotopy-sectionable opens."""
     budget = Budget.ensure(budget)
-    is_good = _section_test(f, MODE_HOMOTOPY, budget)
-    return _cover_result(f.target, MODE_HOMOTOPY, is_good, (f,), budget)
+    return _cover_result(f.target, MODE_HOMOTOPY,
+                         lambda mask: _homotopy_section_witness(f, mask, budget), (f,), budget)
 
 
 def relative_sec(p: CMap, g: CMap, route: str = "lift",

@@ -110,6 +110,17 @@ class SuiteConfig:
     out: str | None = None
 
     def validate(self) -> None:
+        # type(...) is int rejects bools, which JSON configs could otherwise pass
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "out":
+                if value is not None and not isinstance(value, str):
+                    raise ValueError("out must be a path string or null")
+            elif f.name == "k_values":
+                if type(value) is not tuple or any(type(k) is not int for k in value):
+                    raise ValueError("k_values must be a list of integers")
+            elif type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 1 <= self.max_points <= 4:
             raise ValueError("max_points must be in 1..4")
         if not 1 <= self.census_max_points <= 4:
@@ -152,6 +163,8 @@ class SuiteConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict):
+            raise ValueError("suite config must be a JSON object")
         known = {f.name for f in fields(SuiteConfig)}
         kwargs = {}
         for key, value in data.items():

@@ -159,6 +159,19 @@ def brute_has_fixed_point_free_map(space):
     )
 
 
+def brute_coincidence_free(X, Y, g):
+    """Whether some continuous f: X -> Y has f(x) != g(x) for every x, by
+    trying all Y.n ** X.n assignments and checking reach on the rows."""
+    rows, trows = X.reach_rows, Y.reach_rows
+    for f in itertools.product(range(Y.n), repeat=X.n):
+        if any(f[x] == g(x) for x in range(X.n)):
+            continue
+        if all((trows[f[x]] >> f[y]) & 1
+               for x in range(X.n) for y in range(X.n) if (rows[x] >> y) & 1):
+            return True
+    return False
+
+
 def brute_census(n, posets_only=False):
     """Every reflexive relation on n points (2^(n(n-1)) of them), kept when
     transitive (and antisymmetric for posets), collapsed by canonical form and

@@ -54,9 +54,14 @@ ACCEPTANCE = SuiteConfig(
     parallelism=1,
 )
 
-# sha256 of the ACCEPTANCE report, the same bytes as `secnum suite --seed
-# 20240801`; a change that adds a claim or alters an entry updates this pin
-REPORT_SHA256 = "53915026938f839a2187a300c3fe6c068206e75dbed964fba9ece69eb22f1e6c"
+# sha256 of the default-config report per seed, the same bytes as `secnum
+# suite --seed S` (the ACCEPTANCE report for 20240801); a change that adds a
+# claim or alters an entry updates these pins
+REPORT_SHA256 = {
+    SEED: "53915026938f839a2187a300c3fe6c068206e75dbed964fba9ece69eb22f1e6c",
+    0: "d10f23e09f7f83af4fd2dd4752124d2385232505c40cb5ab9bce5e8f8de0c618",
+    7: "340ba9f15d760e0987b600983c3833d903de8a1bdf805eaa6ff7d3366df1fdf6",
+}
 
 
 def _report_line(criterion: str, ok: bool, detail: str) -> None:
@@ -410,7 +415,9 @@ def test_criterion_9_suite_determinism(tmp_path):
     assert report["schema"] == "secnum.suite-report/1"
 
 
-def test_report_bytes_are_pinned(suite_report):
-    digest = hashlib.sha256(suite_report.to_json_bytes()).hexdigest()
-    _report_line("report bytes (sha256 pin)", digest == REPORT_SHA256, digest)
-    assert digest == REPORT_SHA256
+@pytest.mark.parametrize("seed", list(REPORT_SHA256))
+def test_report_bytes_are_pinned(seed, suite_report):
+    report = suite_report if seed == SEED else run_suite(SuiteConfig(seed=seed))
+    digest = hashlib.sha256(report.to_json_bytes()).hexdigest()
+    _report_line(f"report bytes (sha256 pin, seed {seed})", digest == REPORT_SHA256[seed], digest)
+    assert digest == REPORT_SHA256[seed]

@@ -200,6 +200,19 @@ def test_suite_bad_config_is_input_error(tmp_path):
     assert main(["suite", "--config", str(config_path)]) == 4
 
 
+@pytest.mark.parametrize("config", [
+    {"instances_per_property": 2.5, "census_max_points": 1,
+     "contractibility_census_max": 1, "tc_instances": 1},
+    [1],
+])
+def test_suite_config_of_wrong_type_is_input_error(config, tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["suite", "--config", str(config_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_suite_unwritable_out_is_input_error(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({

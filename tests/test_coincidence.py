@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnum.census import census_up_to
 from secnum.coincidence import (
@@ -22,13 +24,14 @@ from secnum.finspace import (
     constant_map,
     discrete_space,
     empty_space,
+    enumerate_maps,
     identity_map,
     make_space,
     pseudocircle,
     sierpinski,
 )
 
-from oracles import brute_has_fixed_point_free_map
+from oracles import brute_coincidence_free, brute_has_fixed_point_free_map
 
 
 def test_fpp_examples():
@@ -54,6 +57,39 @@ def test_cp_examples():
     assert not verdict.holds
     assert set(verdict.witness.assignment) == {1}
     assert has_cp(s, s, identity_map(s)).holds
+
+
+def _assert_cp_matches_oracle(X, Y, g):
+    verdict = has_cp(X, Y, g)
+    assert verdict.holds == (not brute_coincidence_free(X, Y, g))
+    if verdict.witness is not None:
+        assert all(verdict.witness(x) != g(x) for x in range(X.n))
+
+
+def test_cp_against_brute_force_on_census_triples():
+    spaces = census_up_to(3, include_empty=True)
+    for X in spaces:
+        for Y in spaces:
+            for g in enumerate_maps(X, Y):
+                _assert_cp_matches_oracle(X, Y, g)
+
+
+@st.composite
+def triples(draw):
+    """(X, Y, g) on random preorders of 1..4 points and a random map g."""
+    def preorder():
+        n = draw(st.integers(1, 4))
+        point = st.integers(0, n - 1)
+        return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
+
+    X, Y = preorder(), preorder()
+    return X, Y, draw(st.sampled_from(list(enumerate_maps(X, Y))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(triples())
+def test_cp_against_brute_force_on_random_triples(triple):
+    _assert_cp_matches_oracle(*triple)
 
 
 def test_cp_on_empty_source_fails_via_empty_map():
@@ -104,8 +140,6 @@ def test_check_remark_instances():
 def test_check_remark_never_violated_on_census():
     for X in census_up_to(2, include_empty=True):
         for Y in census_up_to(2):
-            from secnum.finspace import enumerate_maps
-
             for g in enumerate_maps(X, Y):
                 assert check_remark(X, Y, g).status == VERIFIED
 

@@ -327,7 +327,7 @@ def test_enumerate_maps_counts_and_order():
     assert len(list(enumerate_maps(point, pseudocircle()))) == 4
     maps = [m.assignment for m in enumerate_maps(s, s)]
     assert maps == [(0, 0), (0, 1), (1, 1)]
-    assert list(enumerate_maps(s, s, constraints=[[1], [0]])) == []
+    assert first_lift(s, s, [0b10, 0b01], [0, 1], Budget()) is None
 
 
 def test_enumerate_maps_empty_cases():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from secnum.census import InstanceGenerator, census_up_to
+from secnum.cover import find_maximal_good_opens
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
@@ -11,7 +12,6 @@ from secnum.finspace import (
     constant_map,
     discrete_space,
     empty_space,
-    enumerate_maps,
     identity_map,
     make_map,
     make_space,
@@ -24,14 +24,13 @@ from secnum.finspace import (
 from secnum.homotopy import cat, homotopic, is_contractible
 from secnum.resources import Budget, SelfCheckFailed
 from secnum.sectional import (
-    MODE_SECTION,
     CoverCertificate,
+    _lift_test,
     relative_sec,
     relative_secat,
     relative_tc_bounds,
     sec,
     secat,
-    sectionable_opens,
 )
 
 from oracles import brute_relative_sec_lift, brute_sec
@@ -54,22 +53,28 @@ def _subdivision(space):
     return make_space(len(chains), pairs)
 
 
+def _sectionable_opens(f):
+    """Maximal opens of the target of f admitting a strict local section."""
+    b = Budget()
+    return find_maximal_good_opens(f.target, _lift_test(f, identity_map(f.target), b), b)
+
+
 def test_sectionable_opens_identity():
     s = sierpinski()
-    pairs = sectionable_opens(identity_map(s), MODE_SECTION)
-    assert [o.mask for o, _ in pairs] == [s.full_mask]
+    pairs = _sectionable_opens(identity_map(s))
+    assert [mask for mask, _ in pairs] == [s.full_mask]
 
 
 def test_sectionable_opens_empty_source():
     s = sierpinski()
     f = CMap(empty_space(), s, [])
-    assert sectionable_opens(f, MODE_SECTION) == []
+    assert _sectionable_opens(f) == []
     assert sec(f).value == INF
 
 
 def test_sectionable_opens_projection_from_config_space():
-    pairs = sectionable_opens(_pi21(sierpinski()), MODE_SECTION)
-    assert [o.mask for o, _ in pairs] == [0b01]
+    pairs = _sectionable_opens(_pi21(sierpinski()))
+    assert [mask for mask, _ in pairs] == [0b01]
 
 
 def test_sec_examples():

@@ -182,6 +182,12 @@ def test_config_validation():
         SuiteConfig(parallelism=0).validate()
     with pytest.raises(ValueError):
         SuiteConfig(seed=-1).validate()
+    for wrong_type in ({"instances_per_property": 2.5}, {"k_values": (2.0,)},
+                       {"out": 1}, {"max_points": True}):
+        with pytest.raises(ValueError):
+            SuiteConfig(**wrong_type).validate()
+        with pytest.raises(ValueError):
+            SuiteConfig.from_json_dict(wrong_type)
 
 
 def test_config_json_round_trip():
