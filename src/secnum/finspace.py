@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -366,6 +368,41 @@ def iter_open_masks(space: FinSpace, budget: Budget):
         stack.append((taken, forbidden | co_rows[x]))
 
 
+def _tuple_space(factors, points) -> FinSpace:
+    """Subspace of the product of factors on the given points, which are
+    tuples with one coordinate per factor, in the order given; reach is
+    componentwise.
+
+    Point t reaches point t' exactly when t'[i] lies in U_{t[i]} for every
+    coordinate i.  So with below[i][a] the mask of the points whose i-th
+    coordinate lies in U_a (an OR of coordinate fibers), the row of t is the
+    AND of below[i][t[i]] over its coordinates: O(N*k + n*n*k) big-int
+    operations for N points of k coordinates, where testing every pair of
+    points would take O(N*N*k).  Labels are "(a,b,...)" when any factor is
+    labelled.
+    """
+    belows = []
+    for factor, coordinates in zip(factors, zip(*points)):
+        fibers = fiber_masks(coordinates, factor.n)
+        below = []
+        for row, fiber in zip(factor.reach_rows, fibers):
+            acc = 0
+            while fiber and row:  # below[a] is read only where some t[i] is a
+                low = row & -row
+                acc |= fibers[low.bit_length() - 1]
+                row ^= low
+            below.append(acc)
+        belows.append(below)
+    rows = [functools.reduce(operator.and_, map(list.__getitem__, belows, t)) for t in points]
+    labels = None
+    if any(factor.labels is not None for factor in factors):
+        labels = [
+            "(" + ",".join(factor.label(a) for factor, a in zip(factors, t)) + ")"
+            for t in points
+        ]
+    return FinSpace(rows, labels=labels, validate=False)
+
+
 def product(a: FinSpace, b: FinSpace):
     """Product space with componentwise reach; returns (space, proj_a, proj_b).
 
@@ -373,22 +410,7 @@ def product(a: FinSpace, b: FinSpace):
     """
     check_product(a.n * b.n)
     n = a.n * b.n
-    rows = []
-    brows = b.reach_rows
-    for i in range(a.n):
-        arow = a.reach_rows[i]
-        for j in range(b.n):
-            row = 0
-            bj = brows[j]
-            for i2 in _bits(arow):
-                row |= bj << (i2 * b.n)
-            rows.append(row)
-    labels = None
-    if a.labels is not None or b.labels is not None:
-        labels = [
-            f"({a.label(i)},{b.label(j)})" for i in range(a.n) for j in range(b.n)
-        ]
-    space = FinSpace(rows, labels=labels, name=None, validate=False)
+    space = _tuple_space((a, b), list(itertools.product(range(a.n), range(b.n))))
     proj_a = CMap(space, a, (i // b.n for i in range(n)), name="proj1", validate=False)
     proj_b = CMap(space, b, (i % b.n for i in range(n)), name="proj2", validate=False)
     return space, proj_a, proj_b
@@ -426,26 +448,19 @@ def pullback(p: CMap, g: CMap):
     """Canonical pullback of p: E -> B along g: X -> B.
 
     Points are the pairs (x, e) with g(x) = p(e), ordered lexicographically;
-    reach is componentwise.  Returns (space, to_base, to_total) where
+    reach is componentwise, and each row is the AND of a mask over x and a
+    mask over e (see _tuple_space).  Returns (space, to_base, to_total) where
     to_base: P -> X is the pulled-back map g*(p) and to_total: P -> E.
+    The point cap counts the pairs, the sum over x of |p^-1(g(x))|, before
+    any is listed.
     """
     if p.target != g.target:
         raise ValueError("pullback needs p and g to share their target")
     X, E = g.source, p.source
-    check_product(X.n * E.n)
-    pairs = [(x, e) for x in range(X.n) for e in range(E.n) if g(x) == p(e)]
-    rows = []
-    for x, e in pairs:
-        xrow, erow = X.reach_rows[x], E.reach_rows[e]
-        row = 0
-        for k, (x2, e2) in enumerate(pairs):
-            if (xrow >> x2) & 1 and (erow >> e2) & 1:
-                row |= 1 << k
-        rows.append(row)
-    labels = None
-    if X.labels is not None or E.labels is not None:
-        labels = [f"({X.label(x)},{E.label(e)})" for x, e in pairs]
-    space = FinSpace(rows, labels=labels, name=None, validate=False)
+    fibers = fiber_masks(p.assignment, p.target.n)
+    check_product(sum(fibers[b].bit_count() for b in g.assignment))
+    pairs = [(x, e) for x, b in enumerate(g.assignment) for e in _bits(fibers[b])]
+    space = _tuple_space((X, E), pairs)
     to_base = CMap(space, X, (x for x, _ in pairs), name="pullback_to_base", validate=False)
     to_total = CMap(space, E, (e for _, e in pairs), name="pullback_to_total", validate=False)
     return space, to_base, to_total
@@ -458,26 +473,21 @@ def configuration_space(space: FinSpace, k: int):
     Returns (conf, projections) where projections[r] forgets the last k - r
     coordinates, for 1 <= r <= k.  For r = 1 the target is the space itself;
     for k = 1 the space itself is returned with the identity projection.
+    Points are the k-permutations of the points in itertools.permutations
+    order, and each row is the AND of one mask per coordinate (see
+    _tuple_space).  The point cap counts the n!/(n-k)! configurations, or
+    n**k when k > n.
     Results are memoised and shared, so projections is a read-only mapping.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return space, MappingProxyType({1: identity_map(space)})
-    check_product(space.n ** k)
-    rows_src = space.reach_rows
+    # for k > n the space is empty, but its projections still build every
+    # level below it, so n**k bounds k there as it always has
+    check_product(math.perm(space.n, k) if k <= space.n else space.n ** k)
     tuples = list(itertools.permutations(range(space.n), k))
-    rows = []
-    for t in tuples:
-        row = 0
-        for i2, t2 in enumerate(tuples):
-            if all((rows_src[a] >> b) & 1 for a, b in zip(t, t2)):
-                row |= 1 << i2
-        rows.append(row)
-    labels = None
-    if space.labels is not None:
-        labels = ["(" + ",".join(space.label(a) for a in t) + ")" for t in tuples]
-    conf = FinSpace(rows, labels=labels, name=None, validate=False)
+    conf = _tuple_space((space,) * k, tuples)
 
     projections: dict[int, CMap] = {k: identity_map(conf)}
     projections[1] = CMap(

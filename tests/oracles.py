@@ -4,9 +4,13 @@ These deliberately avoid every optimisation used by the library: no core
 compression, no maximal-open pruning, no branch-and-bound.  Components of the
 map space come from pairwise comparability over the fully enumerated hom-set,
 and minimum covers come from trying all combinations by ascending size.
+Constructed spaces come from testing every pair of points.  The module also
+holds the random-preorder strategy that the property tests share.
 """
 
 import itertools
+
+from hypothesis import strategies as st
 
 from secnum.census import canonical_form
 from secnum.extnat import INF, ExtNat
@@ -211,3 +215,43 @@ def brute_lift_exists(source, target, fibers, images):
         all((fibers[images[x]] >> k(x)) & 1 for x in range(source.n))
         for k in all_maps(source, target)
     )
+
+
+def brute_configuration_rows(space, k):
+    """The points of F(space, k) in permutations order and their reach rows,
+    by testing every pair of configurations coordinate by coordinate."""
+    rows_src = space.reach_rows
+    tuples = list(itertools.permutations(range(space.n), k))
+    rows = []
+    for t in tuples:
+        row = 0
+        for i2, t2 in enumerate(tuples):
+            if all((rows_src[a] >> b) & 1 for a, b in zip(t, t2)):
+                row |= 1 << i2
+        rows.append(row)
+    return tuples, rows
+
+
+def brute_pullback_rows(p, g):
+    """The pairs (x, e) with g(x) = p(e) in lexicographic order and their
+    componentwise reach rows, by testing every pair of pairs."""
+    X, E = g.source, p.source
+    pairs = [(x, e) for x in range(X.n) for e in range(E.n) if g(x) == p(e)]
+    rows = []
+    for x, e in pairs:
+        xrow, erow = X.reach_rows[x], E.reach_rows[e]
+        row = 0
+        for k, (x2, e2) in enumerate(pairs):
+            if (xrow >> x2) & 1 and (erow >> e2) & 1:
+                row |= 1 << k
+        rows.append(row)
+    return pairs, rows
+
+
+@st.composite
+def preorders(draw, max_points):
+    """Reflexive-transitive closures of random relations on 1..max_points
+    points."""
+    n = draw(st.integers(1, max_points))
+    point = st.integers(0, n - 1)
+    return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))

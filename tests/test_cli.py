@@ -229,3 +229,15 @@ def test_check_k_below_two_is_input_error(files):
         "check", "--claim", "key-lemma", "--k", "1",
         "--x", files["S.finsp"], "--y", files["S.finsp"], "--g", files["g.fmap"],
     ]) == 4
+
+
+def test_check_k_above_the_cap_is_input_error(files, tmp_path, capsys):
+    three = tmp_path / "D3.finsp"
+    three.write_text("space D 3\n")
+    g = tmp_path / "g3.fmap"
+    g.write_text("space D 3\nmap g D D\nsend 0 0\nsend 1 1\nsend 2 2\n")
+    assert main([
+        "check", "--claim", "key-lemma", "--k", "100",
+        "--x", str(three), "--y", str(three), "--g", str(g),
+    ]) == 4
+    assert "error: construction would have" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from secnum.finspace import (
     sierpinski,
 )
 
-from oracles import brute_coincidence_free, brute_has_fixed_point_free_map
+from oracles import brute_coincidence_free, brute_has_fixed_point_free_map, preorders
 
 
 def test_fpp_examples():
@@ -77,16 +77,11 @@ def test_cp_against_brute_force_on_census_triples():
 @st.composite
 def triples(draw):
     """(X, Y, g) on random preorders of 1..4 points and a random map g."""
-    def preorder():
-        n = draw(st.integers(1, 4))
-        point = st.integers(0, n - 1)
-        return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
-
-    X, Y = preorder(), preorder()
+    X, Y = draw(preorders(4)), draw(preorders(4))
     return X, Y, draw(st.sampled_from(list(enumerate_maps(X, Y))))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(triples())
 def test_cp_against_brute_force_on_random_triples(triple):
     _assert_cp_matches_oracle(*triple)

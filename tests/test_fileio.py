@@ -158,13 +158,13 @@ def _parses_or_raises_parse_error(text: str) -> None:
         pass
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(_GRAMMAR_DOCUMENTS)
 def test_parser_raises_only_parse_error_on_grammar_tokens(text):
     _parses_or_raises_parse_error(text)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.text())
 def test_parser_raises_only_parse_error_on_arbitrary_text(text):
     _parses_or_raises_parse_error(text)

@@ -32,7 +32,13 @@ from secnum.finspace import (
 )
 from secnum.resources import Budget, BudgetExhausted, LimitExceeded
 
-from oracles import brute_lift_exists, brute_open_masks
+from oracles import (
+    brute_configuration_rows,
+    brute_lift_exists,
+    brute_open_masks,
+    brute_pullback_rows,
+    preorders,
+)
 
 
 def test_make_space_closure():
@@ -103,16 +109,8 @@ def test_open_masks_match_brute_force_oracle_on_census():
         assert list(iter_open_masks(space, Budget())) == brute_open_masks(space)
 
 
-@st.composite
-def preorders(draw):
-    """Reflexive-transitive closures of random relations on 1..10 points."""
-    n = draw(st.integers(1, 10))
-    point = st.integers(0, n - 1)
-    return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(preorders())
+@settings(max_examples=200)
+@given(preorders(10))
 def test_open_masks_match_brute_force_oracle_on_random_preorders(space):
     assert list(iter_open_masks(space, Budget())) == brute_open_masks(space)
 
@@ -302,6 +300,73 @@ def test_configuration_space_reuses_the_memoised_lower_level():
     assert [conf2.label(i) for i in projs3[2].assignment] == [
         label[: label.rindex(",")] + ")" for label in conf3.labels
     ]
+
+
+def _assert_configuration_space_matches_oracle(space, k):
+    conf, projs = configuration_space(space, k)
+    tuples, rows = brute_configuration_rows(space, k)
+    assert conf.reach_rows == tuple(rows)
+    assert projs[1].assignment == tuple(t[0] for t in tuples)
+    for r in range(2, k):
+        lower, _ = brute_configuration_rows(space, r)
+        assert [lower[i] for i in projs[r].assignment] == [t[:r] for t in tuples]
+
+
+def test_configuration_space_matches_brute_force_oracle_on_census():
+    for k, n_max in ((2, 5), (3, 5), (4, 4)):
+        for space in census_up_to(n_max):
+            _assert_configuration_space_matches_oracle(space, k)
+
+
+@settings(max_examples=100)
+@given(preorders(7), st.integers(2, 3))
+def test_configuration_space_matches_brute_force_oracle_on_random_preorders(space, k):
+    _assert_configuration_space_matches_oracle(space, k)
+
+
+def _assert_pullback_matches_oracle(p, g):
+    space, to_base, to_total = pullback(p, g)
+    pairs, rows = brute_pullback_rows(p, g)
+    assert space.reach_rows == tuple(rows)
+    assert to_base.assignment == tuple(x for x, _ in pairs)
+    assert to_total.assignment == tuple(e for _, e in pairs)
+
+
+def test_pullback_and_product_match_brute_force_oracle_on_census():
+    """Every census (p, g) of the strict-lift family below; and product(X, E),
+    which is the pullback of E -> point along X -> point."""
+    point = make_space(1, [])
+    for X in census_up_to(3):
+        for E in census_up_to(3):
+            for B in census_up_to(2):
+                for p in enumerate_maps(E, B):
+                    for g in enumerate_maps(X, B):
+                        _assert_pullback_matches_oracle(p, g)
+            square, _, _ = product(X, E)
+            _, rows = brute_pullback_rows(constant_map(E, point, 0), constant_map(X, point, 0))
+            assert square.reach_rows == tuple(rows)
+
+
+def test_constructions_cap_the_points_they_build():
+    conf, _ = configuration_space(discrete_space(17), 3)
+    assert conf.n == 17 * 16 * 15 and is_hausdorff(conf)
+    d65, point = discrete_space(65), make_space(1, [])
+    space, _, _ = pullback(identity_map(d65), identity_map(d65))
+    assert space.n == 65 and is_hausdorff(space)
+    with pytest.raises(LimitExceeded, match="57120 points"):
+        configuration_space(discrete_space(17), 4)
+    with pytest.raises(LimitExceeded, match="4225 points"):
+        pullback(constant_map(d65, point, 0), constant_map(d65, point, 0))
+
+
+def test_configuration_space_of_more_points_than_the_space_is_capped():
+    """F(Y, k) is empty for k > n, but it builds every level below it, so a
+    large k must fail at once instead of building k - 1 empty levels."""
+    conf, projections = configuration_space(discrete_space(3), 4)
+    assert conf.n == 0 and sorted(projections) == [1, 2, 3, 4]
+    assert projections[3].target.n == 6
+    with pytest.raises(LimitExceeded, match=f"{3 ** 100} points"):
+        configuration_space(discrete_space(3), 100)
 
 
 def test_first_lift_matches_brute_force_oracle():
