@@ -268,9 +268,9 @@ class InstanceGenerator:
         psi = self.cmap(Y, Yp)
         fibers = fiber_masks(psi.assignment, Yp.n)
         needed = compose(f_prime, phi).assignment
-        f = first_lift(X, Y, fibers, needed, Budget(DEFAULT_NODE_BUDGET))
-        if f is not None:
-            return phi, f, f_prime, psi
+        lift = first_lift(X, Y, fibers, needed, Budget(DEFAULT_NODE_BUDGET))
+        if lift is not None:
+            return phi, CMap(X, Y, lift, validate=False), f_prime, psi
         f = self.cmap(X, Yp)
         return identity_map(X), f, f, identity_map(Yp)
 

@@ -89,7 +89,8 @@ def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
     f = first_lift(X, Y, avoid, g.assignment, budget)
     if f is None:
         return CoincidenceVerdict(holds=True, witness=None)
-    return CoincidenceVerdict(holds=False, witness=_revalidate_witness(f, g))
+    witness = _revalidate_witness(CMap(X, Y, f, validate=False), g)
+    return CoincidenceVerdict(holds=False, witness=witness)
 
 
 def has_fpp(X: FinSpace, budget: Budget | int | None = None) -> CoincidenceVerdict:

@@ -3,14 +3,17 @@
 Every covering invariant (sectional numbers, their relative versions and
 LS-category) minimises over open covers whose elements satisfy a property
 that is closed under shrinking opens, so it suffices to search covers drawn
-from the maximal good opens; min_good_cover is that one pipeline.
+from the maximal good opens; min_good_cover is that one pipeline.  The
+maximal good opens are found from the top down (find_maximal_good_opens), so
+opens below an accepted one are never visited, and is_good sees a bare point
+mask of the space.
 The cover search itself is exact branch-and-bound with a greedy upper bound
 and lexicographic tie-breaking, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from .finspace import FinSpace, _bits, iter_open_masks
+from .finspace import FinSpace, _bits
 from .resources import Budget
 
 
@@ -18,19 +21,38 @@ def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget):
     """Maximal nonempty opens satisfying a shrink-closed property.
 
     is_good(mask) returns a witness (any non-None value) or None.  Opens are
-    scanned largest first, ties by ascending mask value; subsets of an
-    accepted open are skipped, which is sound exactly because the property is
-    monotone under shrinking.  Returns [(mask, witness), ...] in scan order.
+    scanned from the full open down, one size level at a time and by
+    ascending mask within a level, charging budget one node per visited open.
+    An open inside an accepted one is skipped, which is sound exactly because
+    the property is monotone under shrinking.  A bad open hands the next
+    levels its children: the open minus the reach class of a point that no
+    other point of the open outside that class reaches.  Every smaller open
+    lies below a chain of such steps, and each open above a maximal good one
+    is bad, so every maximal good open is visited and nothing else is
+    accepted.  Dropping whole classes, not single points, keeps this exact on
+    preorders that are not T0.  Returns [(mask, witness), ...] in scan
+    order, that is by (-size, mask).
     """
-    masks = [m for m in iter_open_masks(space, budget) if m]
-    masks.sort(key=lambda m: (-m.bit_count(), m))
+    rows, co = space.reach_rows, space.co_rows
     accepted: list[tuple[int, object]] = []
-    for mask in masks:
-        if any(mask & ~amask == 0 for amask, _ in accepted):
-            continue
-        witness = is_good(mask)
-        if witness is not None:
-            accepted.append((mask, witness))
+    levels = {space.n: {space.full_mask}} if space.n else {}  # size -> opens
+    while levels:
+        for mask in sorted(levels.pop(max(levels))):
+            budget.charge()
+            if any(mask & ~amask == 0 for amask, _ in accepted):
+                continue
+            witness = is_good(mask)
+            if witness is not None:
+                accepted.append((mask, witness))
+                continue
+            rest = mask
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                cls = rows[x] & co[x]
+                rest &= ~cls
+                child = mask & ~cls
+                if co[x] & mask == cls and child:
+                    levels.setdefault(child.bit_count(), set()).add(child)
     return accepted
 
 

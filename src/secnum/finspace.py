@@ -483,8 +483,8 @@ def configuration_space(space: FinSpace, k: int):
         raise ValueError("k must be >= 1")
     if k == 1:
         return space, MappingProxyType({1: identity_map(space)})
-    # for k > n the space is empty, but its projections still build every
-    # level below it, so n**k bounds k there as it always has
+    # for k > n the space is empty, and n**k bounds k there as it always has
+    # (for n <= 1 that is no bound, but each empty level costs nothing)
     check_product(math.perm(space.n, k) if k <= space.n else space.n ** k)
     tuples = list(itertools.permutations(range(space.n), k))
     conf = _tuple_space((space,) * k, tuples)
@@ -494,11 +494,12 @@ def configuration_space(space: FinSpace, k: int):
         conf, space, (t[0] for t in tuples), name=f"proj_{k}_1", validate=False
     )
     for r in range(2, k):
-        # the memoised lower level lists its points in permutations(range(n), r) order
+        # the memoised lower level lists its points in permutations(range(n), r)
+        # order; a level above n is empty, as conf then is, and is not built
+        lower = configuration_space(space, r)[0] if r <= space.n else conf
         index_of = {t: i for i, t in enumerate(itertools.permutations(range(space.n), r))}
         projections[r] = CMap(
-            conf, configuration_space(space, r)[0], (index_of[t[:r]] for t in tuples),
-            name=f"proj_{k}_{r}", validate=False,
+            conf, lower, (index_of[t[:r]] for t in tuples), name=f"proj_{k}_{r}", validate=False,
         )
     return conf, MappingProxyType(projections)
 
@@ -514,17 +515,25 @@ def iter_assignments(
     budget: Budget,
     order: str = "lex",
     value_orders=None,
+    mask: int | None = None,
 ):
-    """Backtracking enumeration of continuous assignments as tuples.
+    """Backtracking enumeration of continuous assignments on the subspace of
+    source on the points of mask (all of source when mask is None), as tuples
+    listing the images of those points in ascending order.
 
-    Forward checking prunes the domain of every unassigned point related to the
-    one just assigned.  order='lex' fixes the variable order 0..n-1 (yield order
-    is then lexicographic); order='mcf' picks the most constrained point first
-    (existence searches).  value_orders optionally overrides the per-point value
-    order (used by seeded random draws); default is ascending.
+    domains[x] and value_orders[x] are indexed by the points x of source;
+    entries outside mask are ignored.  The subspace carries the restricted
+    reach, so the search is the one over subspace_of_mask(source, mask),
+    without building that space.  Forward checking prunes the domain of every
+    unassigned point related to the one just assigned.  order='lex' fixes the
+    variable order to ascending points (yield order is then lexicographic);
+    order='mcf' picks the most constrained point first, lowest point on ties
+    (existence searches).  value_orders optionally overrides the per-point
+    value order (used by seeded random draws); default is ascending.
     """
-    n = source.n
-    if n == 0:
+    if mask is None:
+        mask = source.full_mask
+    if not mask:
         budget.charge()
         yield ()
         return
@@ -534,41 +543,38 @@ def iter_assignments(
     co_rows = source.co_rows
     treach = target.reach_rows
     tco = target.co_rows
+    # the whole space (every fence search) yields its assignment as is
+    full = mask == source.full_mask
+    points = range(source.n) if full else list(_bits(mask))
+    n = len(points)
     domains = list(domains)
-    assigned = [-1] * n
-    related = [
-        (reach_rows[x] | co_rows[x]) & ~(1 << x) for x in range(n)
-    ]
-
-    def pick_var(done: int) -> int:
-        if order == "lex":
-            return done
-        best, best_size = -1, None
-        for x in range(n):
-            if assigned[x] < 0:
-                size = domains[x].bit_count()
-                if best_size is None or size < best_size:
-                    best, best_size = x, size
-        return best
-
-    def values_for(x: int):
-        dom = domains[x]
-        if value_orders is not None:
-            return [y for y in value_orders[x] if (dom >> y) & 1]
-        return list(_bits(dom))
+    assigned = [-1] * source.n
+    related = [(reach_rows[x] | co_rows[x]) & mask & ~(1 << x) for x in range(source.n)]
 
     def backtrack(done: int):
         if done == n:
-            yield tuple(assigned)
+            yield tuple(assigned) if full else tuple(map(assigned.__getitem__, points))
             return
-        x = pick_var(done)
-        for y in values_for(x):
+        if order == "lex":
+            x = points[done]
+        else:
+            x, best_size = -1, None
+            for z in points:
+                if assigned[z] < 0:
+                    size = domains[z].bit_count()
+                    if best_size is None or size < best_size:
+                        x, best_size = z, size
+        dom = domains[x]
+        if value_orders is None:
+            values = _bits(dom)
+        else:
+            values = [y for y in value_orders[x] if (dom >> y) & 1]
+        for y in values:
             budget.charge()
             assigned[x] = y
             trail = []
             ok = True
-            rel = related[x]
-            m = rel
+            m = related[x]
             while m:
                 b = m & -m
                 x2 = b.bit_length() - 1
@@ -604,17 +610,24 @@ def fiber_masks(assignment, n: int) -> list[int]:
 
 
 def first_lift(source: FinSpace, target: FinSpace, fibers, images,
-               budget: Budget) -> CMap | None:
-    """First continuous k: source -> target with k(x) in fibers[images[x]] for
-    every x, searched most constrained first, or None when there is none.
+               budget: Budget, mask: int | None = None) -> tuple[int, ...] | None:
+    """First continuous assignment k on the points of mask (all of source when
+    mask is None) into target with k(x) in fibers[images[x]] for every such x,
+    searched most constrained first, or None when there is none.
 
-    With fibers = fiber_masks(p.assignment, ...) and images the assignment of
-    a map g into the target of p, k is a strict lift of g through p."""
+    images is indexed by the points of source, and k lists the images of the
+    points of mask in ascending order, as iter_assignments does.  With
+    fibers = fiber_masks(p.assignment, ...) and images the assignment of a map
+    g into the target of p, k is a strict lift through p of g restricted to
+    the subspace on mask."""
     domains = [fibers[b] for b in images]
-    if 0 in domains:
-        return None
-    for assignment in iter_assignments(source, target, domains, budget, order="mcf"):
-        return CMap(source, target, assignment, validate=False)
+    if mask is None:
+        mask = source.full_mask
+    for x in _bits(mask):
+        if not domains[x]:
+            return None
+    for assignment in iter_assignments(source, target, domains, budget, order="mcf", mask=mask):
+        return assignment
     return None
 
 

@@ -5,14 +5,18 @@ element admits a strict local section of f; secat(f) relaxes the section
 equation to hold up to homotopy.  The sectional number of p: E -> B relative
 to g: X -> B is the least size of an open cover of X whose elements admit
 strict lifts of g through p.  A section of f is a lift of the identity, so sec
-and relative_sec share one lift test (finspace.first_lift), and every value
-comes out of one cover pipeline (cover.min_good_cover).  relative_sec computes
+and relative_sec share one lift test (finspace.first_lift on a point mask of
+the base, so no subspace is built per candidate open), and every value comes
+out of one cover pipeline (cover.min_good_cover).  relative_sec computes
 the lift route by default; its pullback route, the sectional number of the
 pulled-back projection onto X, is an independent algorithm for the same value
 and is kept as the cross-check.  relative_secat takes the pullback route.
 
 Every finite answer carries a certificate (the cover and one witness map per
 element) that re-validates independently of the search that produced it.
+The good-open tests return bare assignments; the cover-element subspaces and
+witness maps are built only for the elements the certificate keeps, and
+CoverCertificate.verify rebuilds each subspace itself.
 """
 
 from __future__ import annotations
@@ -148,19 +152,16 @@ class CoverResult:
 
 def _lift_test(p: CMap, g: CMap, budget: Budget):
     """is_good for the opens of the source of g over which g lifts strictly
-    through p; the witness is the lift."""
+    through p; the witness is the lift's assignment on the open's points, in
+    ascending order."""
     fibers = fiber_masks(p.assignment, p.target.n)
-    X = g.source
-
-    def is_good(mask: int):
-        sub, incl = subspace_of_mask(X, mask)
-        return first_lift(sub, p.source, fibers, [g(u) for u in incl.assignment], budget)
-
-    return is_good
+    X, E, images = g.source, p.source, g.assignment
+    return lambda mask: first_lift(X, E, fibers, images, budget, mask)
 
 
-def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None:
-    """Witness s with compose(f, s) homotopic to the inclusion of the open.
+def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> tuple[int, ...] | None:
+    """Assignment of a witness s with compose(f, s) homotopic to the inclusion
+    of the open.
 
     Works in compressed map space: s exists over U exactly when some map in
     the fence component of the (core-compressed) inclusion lifts strictly
@@ -181,21 +182,29 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> CMap | None
     hit, _ = _component_bfs(sub_core.space, y_core.space, start, budget, stop=try_lift)
     if hit is None:
         return None
-    return compose(found["lift"], sub_core.retraction)
+    lift = found["lift"]
+    return tuple(lift[u] for u in sub_core.retraction.assignment)
 
 
 def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
+    """Cover result from is_good witnesses, which are assignments on the
+    open's points into the source of context[0]; the subspace and the witness
+    map are built only for the cover elements the certificate keeps."""
     if base.n == 0:
         certificate = CoverCertificate(mode, base, (), (), tuple(context), degenerate=True)
         return CoverResult(ExtNat(1), certificate, degenerate=True)
     chosen, uncovered = min_good_cover(base, is_good, budget)
     if chosen is None:
         return CoverResult(INF, None, uncovered_point=uncovered)
+    total = context[0].source
+    # the subspace on every point of the base is the base itself
     certificate = CoverCertificate(
         mode,
         base,
         tuple(OpenSet(base, mask) for mask, _ in chosen),
-        tuple(witness for _, witness in chosen),
+        tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
+                   total, witness, validate=False)
+              for mask, witness in chosen),
         tuple(context),
     )
     return CoverResult(ExtNat(len(chosen)), certificate)

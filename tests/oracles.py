@@ -33,6 +33,21 @@ def brute_open_masks(space):
     ]
 
 
+def brute_maximal_good_opens(space, is_good):
+    """Maximal nonempty opens with a shrink-closed property, by listing every
+    open, sorting by (-size, mask) and skipping subsets of accepted ones."""
+    masks = [m for m in brute_open_masks(space) if m]
+    masks.sort(key=lambda m: (-m.bit_count(), m))
+    accepted = []
+    for mask in masks:
+        if any(mask & ~amask == 0 for amask, _ in accepted):
+            continue
+        witness = is_good(mask)
+        if witness is not None:
+            accepted.append((mask, witness))
+    return accepted
+
+
 def all_maps(source, target):
     return list(enumerate_maps(source, target, budget=10_000_000))
 
@@ -255,3 +270,9 @@ def preorders(draw, max_points):
     n = draw(st.integers(1, max_points))
     point = st.integers(0, n - 1)
     return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
+
+
+@st.composite
+def continuous_maps(draw, source, target):
+    """A continuous map source -> target drawn from all of them."""
+    return draw(st.sampled_from(all_maps(source, target)))

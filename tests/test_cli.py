@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -241,3 +242,23 @@ def test_check_k_above_the_cap_is_input_error(files, tmp_path, capsys):
         "--x", str(three), "--y", str(three), "--g", str(g),
     ]) == 4
     assert "error: construction would have" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_check_large_k_on_a_tiny_target_is_quick(tmp_path, capsys, n):
+    """No point cap bounds k on a 0- or 1-point Y, and F(Y, 100) is empty;
+    the check answers at once instead of rebuilding 99 empty levels."""
+    space = tmp_path / "D.finsp"
+    space.write_text(f"space D {n}\n")
+    g = tmp_path / "g.fmap"
+    g.write_text(f"space D {n}\nmap g D D\n" + "".join(f"send {x} {x}\n" for x in range(n)))
+    started = time.perf_counter()
+    code = main([
+        "check", "--claim", "key-lemma", "--k", "100",
+        "--x", str(space), "--y", str(space), "--g", str(g),
+    ])
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quantities"]["k"] == 100
+    assert report["conclusions"][0]["status"] == "hypothesis-not-met"

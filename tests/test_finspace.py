@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from secnum.finspace import (
     identity_map,
     is_connected,
     is_hausdorff,
+    iter_assignments,
     iter_open_masks,
     make_map,
     make_space,
@@ -29,6 +31,7 @@ from secnum.finspace import (
     pullback,
     sierpinski,
     subspace,
+    subspace_of_mask,
 )
 from secnum.resources import Budget, BudgetExhausted, LimitExceeded
 
@@ -37,6 +40,7 @@ from oracles import (
     brute_lift_exists,
     brute_open_masks,
     brute_pullback_rows,
+    continuous_maps,
     preorders,
 )
 
@@ -369,6 +373,19 @@ def test_configuration_space_of_more_points_than_the_space_is_capped():
         configuration_space(discrete_space(3), 100)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_configuration_space_of_a_tiny_space_is_cheap_for_large_k(n):
+    """For n <= 1 the point cap n**k bounds nothing, so the empty levels
+    above n must cost nothing: F(Y, 100) is empty with levels 1-100, the
+    ones above n empty too, at once."""
+    started = time.perf_counter()
+    conf, projections = configuration_space(discrete_space(n), 100)
+    assert time.perf_counter() - started < 1
+    assert conf.n == 0 and sorted(projections) == list(range(1, 101))
+    assert projections[1].target.n == n
+    assert all(projections[r].target.n == 0 for r in range(2, 101))
+
+
 def test_first_lift_matches_brute_force_oracle():
     """For every p: E -> B and g: X -> B on census spaces of at most 3 points
     (B at most 2), first_lift finds a map exactly when a strict lift of g
@@ -382,8 +399,52 @@ def test_first_lift_matches_brute_force_oracle():
                         k = first_lift(X, E, fibers, g.assignment, Budget(10**6))
                         assert (k is not None) == brute_lift_exists(X, E, fibers, g.assignment)
                         if k is not None:
-                            CMap(X, E, k.assignment, validate=True)
-                            assert compose(p, k).assignment == g.assignment
+                            lift = CMap(X, E, k, validate=True)
+                            assert compose(p, lift).assignment == g.assignment
+
+
+def _assert_masked_search_matches_subspace(X, E, fibers, images, mask):
+    """first_lift and the lex stream of iter_assignments on a mask of X give
+    what they give on the subspace on that mask, node for node."""
+    sub, incl = subspace_of_mask(X, mask)
+    sub_images = [images[u] for u in incl.assignment]
+    on_sub, on_mask = Budget(10**6), Budget(10**6)
+    assert (first_lift(sub, E, fibers, sub_images, on_sub)
+            == first_lift(X, E, fibers, images, on_mask, mask))
+    assert on_sub.remaining == on_mask.remaining
+    domains = [fibers[b] for b in images]
+    assert (list(iter_assignments(sub, E, [domains[u] for u in incl.assignment], on_sub))
+            == list(iter_assignments(X, E, domains, on_mask, mask=mask)))
+    assert on_sub.remaining == on_mask.remaining
+
+
+def test_masked_first_lift_matches_the_subspace_search():
+    """The test_first_lift_matches_brute_force_oracle family, on every open
+    mask of X."""
+    for X in census_up_to(3):
+        masks = brute_open_masks(X)
+        for E in census_up_to(3):
+            for B in census_up_to(2):
+                for p in enumerate_maps(E, B):
+                    fibers = fiber_masks(p.assignment, B.n)
+                    for g in enumerate_maps(X, B):
+                        for mask in masks:
+                            _assert_masked_search_matches_subspace(
+                                X, E, fibers, g.assignment, mask)
+
+
+@st.composite
+def masked_lift_instances(draw):
+    X, E, B = draw(preorders(6)), draw(preorders(4)), draw(preorders(3))
+    p, g = draw(continuous_maps(E, B)), draw(continuous_maps(X, B))
+    return X, E, fiber_masks(p.assignment, B.n), g.assignment, draw(st.integers(0, X.full_mask))
+
+
+@settings(max_examples=100)
+@given(masked_lift_instances())
+def test_masked_first_lift_matches_the_subspace_search_on_random_instances(instance):
+    """Any subset of the points, open or not, on random preorders."""
+    _assert_masked_search_matches_subspace(*instance)
 
 
 def test_enumerate_maps_counts_and_order():
