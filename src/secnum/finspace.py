@@ -476,16 +476,15 @@ def configuration_space(space: FinSpace, k: int):
     Points are the k-permutations of the points in itertools.permutations
     order, and each row is the AND of one mask per coordinate (see
     _tuple_space).  The point cap counts the n!/(n-k)! configurations, or
-    n**k when k > n.
+    max(n**k, k) when k > n: the space is then empty, but the projections
+    have k entries, and n**k alone bounds nothing for n <= 1.
     Results are memoised and shared, so projections is a read-only mapping.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return space, MappingProxyType({1: identity_map(space)})
-    # for k > n the space is empty, and n**k bounds k there as it always has
-    # (for n <= 1 that is no bound, but each empty level costs nothing)
-    check_product(math.perm(space.n, k) if k <= space.n else space.n ** k)
+    check_product(math.perm(space.n, k) if k <= space.n else max(space.n ** k, k))
     tuples = list(itertools.permutations(range(space.n), k))
     conf = _tuple_space((space,) * k, tuples)
 
@@ -550,10 +549,12 @@ def iter_assignments(
     domains = list(domains)
     assigned = [-1] * source.n
     related = [(reach_rows[x] | co_rows[x]) & mask & ~(1 << x) for x in range(source.n)]
+    # images of the mask's points; itemgetter of a single index returns a bare item
+    pick = operator.itemgetter(*points) if n > 1 else lambda a: (a[points[0]],)
 
     def backtrack(done: int):
         if done == n:
-            yield tuple(assigned) if full else tuple(map(assigned.__getitem__, points))
+            yield tuple(assigned) if full else pick(assigned)
             return
         if order == "lex":
             x = points[done]

@@ -7,10 +7,18 @@ criterion is the definition used here; it is decided by breadth-first search
 over the continuous-map set.
 
 As an independent accelerator and cross-check, spaces are reduced to their
-cores by repeatedly collapsing removable points (points whose deletion is a
-strong deformation retraction).  Homotopy questions are answered on cores and
-witnesses are lifted back, which keeps the searched map spaces small; the
-test suite checks the two procedures against each other.
+cores by repeatedly collapsing removable points (Stong's beat points: points
+whose deletion is a strong deformation retraction; Barmak, LNM 2032).
+Homotopy questions are answered on cores and witnesses are lifted back, which
+keeps the searched map spaces small; the test suite checks the two
+procedures against each other.
+
+A collapse is a decision about points, so core reduction runs on a point mask
+of the ambient space and builds one subspace, the final core; a core's stages
+are the collapsed pairs of points.  cat's good-open test reduces each
+candidate open to its core mask and runs the fence search from that mask
+into the core of the space, so no subspace is built per open, and only whole
+spaces go through the core cache.
 """
 
 from __future__ import annotations
@@ -23,13 +31,15 @@ from .finspace import (
     CMap,
     FinSpace,
     OpenSet,
+    _bits,
     cached_by_space,
     compose,
+    constant_map,
     identity_map,
     iter_assignments,
     subspace_of_mask,
 )
-from .resources import Budget
+from .resources import Budget, SelfCheckFailed
 
 
 @dataclass(frozen=True)
@@ -71,55 +81,59 @@ class Core:
     """A space's core with the deformation retraction data.
 
     retraction o inclusion is the identity of the core; inclusion o retraction
-    is homotopic to the identity of the space, one collapse per stage.
+    is homotopic to the identity of the space, one collapse per stage.  Each
+    stage (x, y) names points of the space: x is removed and sent to y.
     """
 
     space: FinSpace
     retraction: CMap
     inclusion: CMap
-    stages: tuple[tuple[CMap, CMap], ...]  # per collapse: (step retraction, step inclusion)
+    stages: tuple[tuple[int, int], ...]
 
 
-def _find_collapse(space: FinSpace):
-    """First removable pair (x, y): collapsing x onto y is continuous and the
-    two points are reach-comparable, so the collapse is a deformation retract."""
+def _find_collapse(space: FinSpace, mask: int):
+    """First removable pair (x, y) of the subspace on the points of mask, both
+    scanned in ascending order: collapsing x onto y is continuous and the two
+    points are reach-comparable, so the collapse is a deformation retract."""
     rows, co = space.reach_rows, space.co_rows
-    for x in range(space.n):
-        strict_down = rows[x] & ~(1 << x)
-        strict_up = co[x] & ~(1 << x)
-        for y in range(space.n):
-            if y == x:
-                continue
-            if not ((rows[x] >> y) & 1 or (rows[y] >> x) & 1):
-                continue
-            if strict_down & ~rows[y]:
-                continue
-            if strict_up & ~co[y]:
+    for x in _bits(mask):
+        others = mask & ~(1 << x)
+        strict_down = rows[x] & others
+        strict_up = co[x] & others
+        for y in _bits(strict_down | strict_up):
+            if strict_down & ~rows[y] or strict_up & ~co[y]:
                 continue
             return x, y
     return None
 
 
-def _compute_core(space: FinSpace) -> Core:
-    current = space
+def _core_mask(space: FinSpace, mask: int):
+    """Core of the subspace on the points of mask, by collapses on points of
+    the space; no subspace is built.
+
+    Returns (core mask, retraction, stages): retraction[p] is the core point
+    that p retracts to, for every p in mask, and stages lists the collapses
+    (x, y) in order.  These are the collapses of the search on
+    subspace_of_mask(space, mask), renamed to points of the space.
+    """
+    retraction = list(range(space.n))
     stages = []
-    retraction = identity_map(space)
-    inclusion = identity_map(space)
-    while True:
-        pair = _find_collapse(current)
-        if pair is None:
-            break
+    while (pair := _find_collapse(space, mask)) is not None:
         x, y = pair
-        keep = [p for p in range(current.n) if p != x]
-        sub, incl = subspace_of_mask(current, current.full_mask & ~(1 << x))
-        new_index = {p: i for i, p in enumerate(keep)}
-        r_assign = [new_index[y if p == x else p] for p in range(current.n)]
-        r_step = CMap(current, sub, r_assign, name="collapse", validate=False)
-        stages.append((r_step, incl))
-        retraction = compose(r_step, retraction)
-        inclusion = compose(inclusion, incl)
-        current = sub
-    return Core(space=current, retraction=retraction, inclusion=inclusion, stages=tuple(stages))
+        mask &= ~(1 << x)
+        stages.append(pair)
+        retraction = [y if p == x else p for p in retraction]
+    return mask, retraction, tuple(stages)
+
+
+def _compute_core(space: FinSpace) -> Core:
+    cmask, retraction, stages = _core_mask(space, space.full_mask)
+    if not stages:
+        return Core(space, identity_map(space), identity_map(space), ())
+    sub, inclusion = subspace_of_mask(space, cmask)
+    index = {p: i for i, p in enumerate(inclusion.assignment)}
+    r = CMap(space, sub, (index[p] for p in retraction), validate=False)
+    return Core(space=sub, retraction=r, inclusion=inclusion, stages=stages)
 
 
 @cached_by_space(maxsize=8192)
@@ -129,15 +143,14 @@ def core(space: FinSpace) -> Core:
 
 
 def identity_collapse_fence(space: FinSpace) -> list[CMap]:
-    """Fence from the identity of the space to inclusion o retraction."""
-    c = core(space)
+    """Fence from the identity of the space to inclusion o retraction: after
+    each collapse, the self-map sending every point where the collapses so far
+    have taken it."""
     maps = [identity_map(space)]
-    down = identity_map(space)  # space -> current stage space
-    up = identity_map(space)    # current stage space -> space
-    for r_step, i_step in c.stages:
-        down = compose(r_step, down)
-        up = compose(up, i_step)
-        maps.append(compose(up, down))
+    current = list(range(space.n))
+    for x, y in core(space).stages:
+        current = [y if p == x else p for p in current]
+        maps.append(CMap(space, space, current, validate=False))
     return maps
 
 
@@ -157,13 +170,18 @@ def _component_bfs(
     start: tuple[int, ...],
     budget: Budget,
     stop=None,
+    mask: int | None = None,
 ):
-    """BFS over the comparability graph of continuous maps src -> tgt.
+    """BFS over the comparability graph of continuous maps src -> tgt, or from
+    the subspace of src on the points of mask without building it; maps are
+    tuples as iter_assignments yields them.
 
     stop(t) may end the search early; returns (found_tuple_or_None, parents),
     where parents maps each visited tuple to the one it was reached from.
     """
     rows, co = tgt.reach_rows, tgt.co_rows
+    points = list(_bits(src.full_mask if mask is None else mask))
+    domains = [0] * src.n  # entries outside mask are ignored
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     if stop is not None and stop(start):
         return start, parents
@@ -174,8 +192,9 @@ def _component_bfs(
         head += 1
         budget.charge()
         for direction_rows in (rows, co):
-            domains = [direction_rows[y] for y in current]
-            for neighbour in iter_assignments(src, tgt, domains, budget):
+            for x, y in zip(points, current):
+                domains[x] = direction_rows[y]
+            for neighbour in iter_assignments(src, tgt, domains, budget, mask=mask):
                 if neighbour in parents:
                     continue
                 parents[neighbour] = current
@@ -280,12 +299,61 @@ def is_contractible(X: FinSpace) -> bool:
     return X.n > 0 and core(X).space.n == 1
 
 
+def _contraction_point(X: FinSpace, mask: int, budget: Budget) -> int | None:
+    """A point c such that the inclusion of the open on mask is homotopic
+    within X to the constant map at c, or None.
+
+    The open is reduced to its core on points of X, and the fence search runs
+    over maps from that core into the core of X, on a point mask of X."""
+    x_core = core(X)
+    retraction = x_core.retraction.assignment
+    cmask = _core_mask(X, mask)[0]
+    start = tuple(retraction[p] for p in _bits(cmask))
+    found, _ = _component_bfs(X, x_core.space, start, budget,
+                              stop=lambda t: len(set(t)) == 1, mask=cmask)
+    return None if found is None else x_core.inclusion(found[0])
+
+
 @dataclass(frozen=True)
 class CatResult:
+    """LS-category with its cover; points[i] is the point that the inclusion
+    of cover[i] contracts to within the space, so verify() can rebuild each
+    fence."""
+
     value: ExtNat
     cover: tuple[OpenSet, ...]
     degenerate: bool
     uncovered_point: int | None = None
+    points: tuple[int, ...] = ()
+
+    def verify(self, budget: Budget | int | None = None) -> bool:
+        """Re-check a finite value independently of the search: the cover has
+        value elements and exhausts the space, and a fence runs from each
+        element's inclusion to the constant map at its point.  Every nonempty
+        space has a finite category (U_x contracts to x), so an infinite value
+        fails.  Raises SelfCheckFailed."""
+        budget = Budget.ensure(budget)
+        if self.degenerate:
+            if self.cover or self.value != ExtNat(1):
+                raise SelfCheckFailed("degenerate category must be 1 with an empty cover")
+            return True
+        if not self.value.is_finite or not self.cover:
+            raise SelfCheckFailed("a nonempty space has a finite category and a cover")
+        if len(self.cover) != self.value.n or len(self.points) != len(self.cover):
+            raise SelfCheckFailed("one cover element and one point per unit of the value")
+        X = self.cover[0].space
+        union = 0
+        for element, point in zip(self.cover, self.points):
+            if element.space != X:
+                raise SelfCheckFailed("cover elements live on different spaces")
+            union |= element.mask
+            sub, incl = subspace_of_mask(X, element.mask)
+            # Fence re-validates every step when it is constructed
+            if homotopy_fence(incl, constant_map(sub, X, point), budget) is None:
+                raise SelfCheckFailed(f"open {sorted(element.members)} does not contract to {point}")
+        if union != X.full_mask:
+            raise SelfCheckFailed("cover does not exhaust the space")
+        return True
 
 
 def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
@@ -298,14 +366,9 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
     if X.n == 0:
         return CatResult(ExtNat(1), (), degenerate=True)
     budget = Budget.ensure(budget)
-
-    def is_good(mask: int):
-        # the witness is the point the open contracts to within X
-        _, incl = subspace_of_mask(X, mask)
-        return nullhomotopy_target(incl, budget)
-
-    chosen, uncovered = min_good_cover(X, is_good, budget)
+    chosen, uncovered = min_good_cover(X, lambda mask: _contraction_point(X, mask, budget),
+                                       budget)
     if chosen is None:
         return CatResult(INF, (), degenerate=False, uncovered_point=uncovered)
     return CatResult(ExtNat(len(chosen)), tuple(OpenSet(X, mask) for mask, _ in chosen),
-                     degenerate=False)
+                     degenerate=False, points=tuple(point for _, point in chosen))

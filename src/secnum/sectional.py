@@ -12,6 +12,10 @@ the lift route by default; its pullback route, the sectional number of the
 pulled-back projection onto X, is an independent algorithm for the same value
 and is kept as the cross-check.  relative_secat takes the pullback route.
 
+secat's good-open test works the same way on homotopy: the candidate open
+is reduced to its core on a point mask of the target, and the fence search
+and the lift test run on that mask (_homotopy_section_witness).
+
 Every finite answer carries a certificate (the cover and one witness map per
 element) that re-validates independently of the search that produced it.
 The good-open tests return bare assignments; the cover-element subspaces and
@@ -29,6 +33,7 @@ from .finspace import (
     CMap,
     FinSpace,
     OpenSet,
+    _bits,
     compose,
     fiber_masks,
     first_lift,
@@ -36,7 +41,7 @@ from .finspace import (
     pullback,
     subspace_of_mask,
 )
-from .homotopy import _component_bfs, _compress, core, homotopic, is_contractible
+from .homotopy import _component_bfs, _core_mask, core, homotopic, is_contractible
 from .resources import Budget, SelfCheckFailed
 
 MODE_SECTION = "section"
@@ -163,27 +168,33 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> tuple[int, 
     """Assignment of a witness s with compose(f, s) homotopic to the inclusion
     of the open.
 
-    Works in compressed map space: s exists over U exactly when some map in
-    the fence component of the (core-compressed) inclusion lifts strictly
-    through the compressed composite of f with the target's core retraction.
+    Works in compressed map space, on point masks of the target Y of f: s
+    exists over U exactly when some map in the fence component of the
+    inclusion of core(U) into core(Y) lifts strictly through the composite of
+    f with the retraction of Y onto its core.  Then s(u) = lift(r(u)), where
+    r retracts U onto its core.
     """
     Y = f.target
-    sub, incl = subspace_of_mask(Y, mask)
-    sub_core, y_core = core(sub), core(Y)
-    start = _compress(incl, sub_core, y_core)
+    y_core = core(Y)
     retraction = y_core.retraction.assignment
+    cmask, r, _ = _core_mask(Y, mask)
+    points = list(_bits(cmask))
+    start = tuple(retraction[p] for p in points)
     fibers = fiber_masks([retraction[fy] for fy in f.assignment], y_core.space.n)
+    images = [0] * Y.n
     found = {}
 
     def try_lift(t) -> bool:
-        found["lift"] = first_lift(sub_core.space, f.source, fibers, t, budget)
+        for p, b in zip(points, t):
+            images[p] = b
+        found["lift"] = first_lift(Y, f.source, fibers, images, budget, cmask)
         return found["lift"] is not None
 
-    hit, _ = _component_bfs(sub_core.space, y_core.space, start, budget, stop=try_lift)
+    hit, _ = _component_bfs(Y, y_core.space, start, budget, stop=try_lift, mask=cmask)
     if hit is None:
         return None
-    lift = found["lift"]
-    return tuple(lift[u] for u in sub_core.retraction.assignment)
+    lift = dict(zip(points, found["lift"]))
+    return tuple(lift[r[u]] for u in _bits(mask))
 
 
 def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:

@@ -4,8 +4,11 @@ These deliberately avoid every optimisation used by the library: no core
 compression, no maximal-open pruning, no branch-and-bound.  Components of the
 map space come from pairwise comparability over the fully enumerated hom-set,
 and minimum covers come from trying all combinations by ascending size.
-Constructed spaces come from testing every pair of points.  The module also
-holds the random-preorder strategy that the property tests share.
+Constructed spaces come from testing every pair of points.  The subspace
+route of core reduction and of the cat and secat good-open tests (one
+subspace per collapse and per candidate open) is kept as the check of the
+library's point-mask route.  The module also holds the random-preorder
+strategy that the property tests share.
 """
 
 import itertools
@@ -15,12 +18,18 @@ from hypothesis import strategies as st
 from secnum.census import canonical_form
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
+    CMap,
     FinSpace,
     compose,
     enumerate_maps,
+    fiber_masks,
+    first_lift,
+    identity_map,
     make_space,
     subspace_of_mask,
 )
+from secnum.homotopy import _component_bfs
+from secnum.resources import Budget, BudgetExhausted
 
 
 def brute_open_masks(space):
@@ -93,6 +102,89 @@ def brute_nullhomotopic_inclusion(space, mask):
     return any(
         components[(c,) * sub.n] == inc_label for c in range(space.n)
     )
+
+
+def _subspace_find_collapse(space):
+    """First removable pair (x, y) of the whole space, x and then y
+    ascending."""
+    rows, co = space.reach_rows, space.co_rows
+    for x in range(space.n):
+        strict_down = rows[x] & ~(1 << x)
+        strict_up = co[x] & ~(1 << x)
+        for y in range(space.n):
+            if y == x:
+                continue
+            if not ((rows[x] >> y) & 1 or (rows[y] >> x) & 1):
+                continue
+            if strict_down & ~rows[y] or strict_up & ~co[y]:
+                continue
+            return x, y
+    return None
+
+
+def subspace_core(space):
+    """Core reduction with one subspace per collapse.  Returns (core space,
+    retraction, inclusion, fence): fence is the chain of self-maps of the
+    space from the identity to inclusion o retraction, one per collapse."""
+    current = space
+    retraction = inclusion = identity_map(space)
+    fence = [identity_map(space)]
+    while (pair := _subspace_find_collapse(current)) is not None:
+        x, y = pair
+        sub, incl = subspace_of_mask(current, current.full_mask & ~(1 << x))
+        index = {p: i for i, p in enumerate(incl.assignment)}
+        step = CMap(current, sub, [index[y if p == x else p] for p in range(current.n)])
+        retraction = compose(step, retraction)
+        inclusion = compose(inclusion, incl)
+        fence.append(compose(inclusion, retraction))
+        current = sub
+    return current, retraction, inclusion, fence
+
+
+def _subspace_cores(Y, mask):
+    """The subspace U of Y on mask, its inclusion, its core data and that of
+    Y, by subspace_core."""
+    sub, incl = subspace_of_mask(Y, mask)
+    return incl, subspace_core(sub), subspace_core(Y)
+
+
+def subspace_contraction_point(X, mask, budget):
+    """cat's good-open test on the subspace of the open: the point c with the
+    inclusion homotopic to the constant at c, by a fence search from the
+    compressed inclusion between the two cores, or None."""
+    incl, (u_core, _, u_incl, _), (x_core, x_r, x_incl, _) = _subspace_cores(X, mask)
+    start = tuple(x_r(incl(u)) for u in u_incl.assignment)
+    found, _ = _component_bfs(u_core, x_core, start, budget, stop=lambda t: len(set(t)) == 1)
+    return None if found is None else x_incl(found[0])
+
+
+def subspace_homotopy_section_witness(f, mask, budget):
+    """secat's good-open test on the subspace of the open: the assignment of
+    s with compose(f, s) homotopic to the inclusion, or None."""
+    incl, (u_core, u_r, u_incl, _), (y_core, y_r, _, _) = _subspace_cores(f.target, mask)
+    start = tuple(y_r(incl(u)) for u in u_incl.assignment)
+    fibers = fiber_masks([y_r(fy) for fy in f.assignment], y_core.n)
+    found = {}
+
+    def try_lift(t):
+        found["lift"] = first_lift(u_core, f.source, fibers, t, budget)
+        return found["lift"] is not None
+
+    hit, _ = _component_bfs(u_core, y_core, start, budget, stop=try_lift)
+    if hit is None:
+        return None
+    return tuple(found["lift"][u] for u in u_r.assignment)
+
+
+def outcome_and_nodes(test, *args, nodes=100_000):
+    """(result, nodes charged) of test(*args, budget) on a fresh budget of
+    the given size; the result is "exhausted" when the budget runs out."""
+    budget = Budget(nodes)
+    try:
+        result = test(*args, budget)
+    except BudgetExhausted:
+        result = "exhausted"
+    return result, budget.limit - budget.remaining
 
 
 def minimum_cover_size(universe, masks):

@@ -262,3 +262,15 @@ def test_check_large_k_on_a_tiny_target_is_quick(tmp_path, capsys, n):
     report = json.loads(capsys.readouterr().out)
     assert report["quantities"]["k"] == 100
     assert report["conclusions"][0]["status"] == "hypothesis-not-met"
+
+
+def test_check_huge_k_on_a_one_point_target_is_input_error(tmp_path, capsys):
+    space = tmp_path / "D1.finsp"
+    space.write_text("space D 1\n")
+    g = tmp_path / "g1.fmap"
+    g.write_text("space D 1\nmap g D D\nsend 0 0\n")
+    assert main([
+        "check", "--claim", "key-lemma", "--k", "100000",
+        "--x", str(space), "--y", str(space), "--g", str(g),
+    ]) == 4
+    assert "error: construction would have 100000 points" in capsys.readouterr().err

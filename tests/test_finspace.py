@@ -375,15 +375,22 @@ def test_configuration_space_of_more_points_than_the_space_is_capped():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_configuration_space_of_a_tiny_space_is_cheap_for_large_k(n):
-    """For n <= 1 the point cap n**k bounds nothing, so the empty levels
-    above n must cost nothing: F(Y, 100) is empty with levels 1-100, the
-    ones above n empty too, at once."""
+    """For n <= 1 the empty levels above n must cost nothing: F(Y, 100) is
+    empty with levels 1-100, the ones above n empty too, at once."""
     started = time.perf_counter()
     conf, projections = configuration_space(discrete_space(n), 100)
     assert time.perf_counter() - started < 1
     assert conf.n == 0 and sorted(projections) == list(range(1, 101))
     assert projections[1].target.n == n
     assert all(projections[r].target.n == 0 for r in range(2, 101))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_configuration_space_of_a_tiny_space_caps_k(n):
+    """For n <= 1, n**k bounds nothing, but the projections have k entries:
+    the cap counts max(n**k, k) points."""
+    with pytest.raises(LimitExceeded, match="100000 points"):
+        configuration_space(discrete_space(n), 100_000)
 
 
 def test_first_lift_matches_brute_force_oracle():

@@ -1,11 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnum.census import census_spaces, census_up_to
-from secnum.extnat import ExtNat
+from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
+    OpenSet,
+    _bits,
     compose,
     constant_map,
     discrete_space,
@@ -15,27 +19,39 @@ from secnum.finspace import (
     make_map,
     make_space,
     pseudocircle,
+    product,
     sierpinski,
     subspace,
     subspace_of_mask,
 )
 from secnum.homotopy import (
+    CatResult,
     Fence,
     _compute_core,
+    _contraction_point,
+    _core_mask,
     cat,
     core,
     homotopic,
     homotopy_fence,
+    identity_collapse_fence,
     is_contractible,
     nullhomotopy_target,
 )
-from secnum.resources import BudgetExhausted
+from secnum.resources import BudgetExhausted, SelfCheckFailed
+from secnum.sectional import _homotopy_section_witness
 
 from oracles import (
     brute_cat,
     brute_homotopic,
     brute_nullhomotopic_inclusion,
     brute_open_masks,
+    continuous_maps,
+    outcome_and_nodes,
+    preorders,
+    subspace_contraction_point,
+    subspace_core,
+    subspace_homotopy_section_witness,
 )
 
 
@@ -233,3 +249,97 @@ def test_budget_exhaustion_is_loud():
     c = pseudocircle()
     with pytest.raises(BudgetExhausted):
         homotopic(constant_map(c, c, 0), constant_map(c, c, 1), budget=3)
+
+
+def _assert_core_routes_agree(space, mask):
+    """_core_mask on a point mask gives the core points and the retraction of
+    the subspace route, renamed to points of the space."""
+    _, incl = subspace_of_mask(space, mask)
+    _, retraction, inclusion, _ = subspace_core(incl.source)
+    cmask, r, stages = _core_mask(space, mask)
+    assert list(_bits(cmask)) == [incl(i) for i in inclusion.assignment]
+    assert [r[p] for p in _bits(mask)] == [
+        incl(inclusion(j)) for j in retraction.assignment
+    ]
+    assert len(stages) == incl.source.n - inclusion.source.n
+
+
+def _assert_space_core_agrees(space):
+    c, retraction, inclusion, fence = subspace_core(space)
+    data = core(space)
+    assert data.space == c
+    assert data.retraction == retraction and data.inclusion == inclusion
+    assert identity_collapse_fence(space) == fence
+
+
+def _assert_good_open_routes_agree(space, mask, maps):
+    """cat's and secat's good-open tests give the same witness and charge
+    the same nodes on the mask route as on the subspace route."""
+    assert outcome_and_nodes(_contraction_point, space, mask) == outcome_and_nodes(
+        subspace_contraction_point, space, mask)
+    for f in maps:
+        assert outcome_and_nodes(_homotopy_section_witness, f, mask) == outcome_and_nodes(
+            subspace_homotopy_section_witness, f, mask)
+
+
+def _census_maps_into(Y):
+    """Three maps into Y: from a discrete space onto its points, the core
+    inclusion and the projection from Y times the Sierpinski space."""
+    return (
+        CMap(discrete_space(Y.n), Y, range(Y.n)),
+        core(Y).inclusion,
+        product(Y, sierpinski())[1],
+    )
+
+
+def test_mask_routes_match_the_subspace_routes_on_the_census():
+    """Every open of every census space of at most 5 points, T0 or not."""
+    for space in census_up_to(5):
+        if not space.n:
+            continue
+        _assert_space_core_agrees(space)
+        maps = _census_maps_into(space)
+        for mask in brute_open_masks(space):
+            if mask:
+                _assert_core_routes_agree(space, mask)
+                _assert_good_open_routes_agree(space, mask, maps)
+
+
+@st.composite
+def spaces_with_a_map(draw):
+    """A preorder of at most 8 points, T0 or not, and a map into it from a
+    preorder of at most 4 points."""
+    Y = draw(preorders(8))
+    return Y, draw(continuous_maps(draw(preorders(4)), Y))
+
+
+@settings(max_examples=200)
+@given(spaces_with_a_map())
+def test_mask_routes_match_the_subspace_routes_on_random_preorders(instance):
+    space, f = instance
+    _assert_space_core_agrees(space)
+    for mask in brute_open_masks(space):
+        if mask:
+            _assert_core_routes_agree(space, mask)
+            _assert_good_open_routes_agree(space, mask, (f,))
+
+
+def test_cat_certificate_verifies():
+    for space in list(census_up_to(4)) + [pseudocircle(), discrete_space(3)]:
+        result = cat(space)
+        assert len(result.points) == len(result.cover)
+        assert result.verify()
+
+
+def test_cat_certificate_rejects_a_wrong_point_or_cover():
+    d = discrete_space(2)
+    result = cat(d)
+    assert result.points == (0, 1)
+    swapped = CatResult(result.value, result.cover, False, points=(1, 0))
+    short = CatResult(ExtNat(1), result.cover[:1], False, points=(0,))
+    c = pseudocircle()
+    whole = CatResult(ExtNat(1), (OpenSet(c, c.full_mask),), False, points=(0,))
+    infinite = CatResult(INF, (), False, uncovered_point=0)
+    for wrong in (swapped, short, whole, infinite):
+        with pytest.raises(SelfCheckFailed):
+            wrong.verify()
