@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .resources import Budget, check_product
+from .resources import PRODUCT_MAX_POINTS, Budget, check_product
 
 
 class DiscontinuityError(ValueError):
@@ -477,14 +477,19 @@ def configuration_space(space: FinSpace, k: int):
     order, and each row is the AND of one mask per coordinate (see
     _tuple_space).  The point cap counts the n!/(n-k)! configurations, or
     max(n**k, k) when k > n: the space is then empty, but the projections
-    have k entries, and n**k alone bounds nothing for n <= 1.
+    have k entries, and n**k alone bounds nothing for n <= 1.  A k that is
+    past the cap on its own is refused as k points, without computing n**k,
+    whose size grows with k.
     Results are memoised and shared, so projections is a read-only mapping.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return space, MappingProxyType({1: identity_map(space)})
-    check_product(math.perm(space.n, k) if k <= space.n else max(space.n ** k, k))
+    if k <= space.n:
+        check_product(math.perm(space.n, k))
+    else:
+        check_product(k if k > PRODUCT_MAX_POINTS else max(space.n ** k, k))
     tuples = list(itertools.permutations(range(space.n), k))
     conf = _tuple_space((space,) * k, tuples)
 
@@ -529,6 +534,10 @@ def iter_assignments(
     order='mcf' picks the most constrained point first, lowest point on ties
     (existence searches).  value_orders optionally overrides the per-point
     value order (used by seeded random draws); default is ascending.
+
+    The search is one loop over an explicit stack, one level per decided
+    point, so its depth is bounded by the number of points, not by the
+    interpreter's recursion limit.  budget is charged once per value tried.
     """
     if mask is None:
         mask = source.full_mask
@@ -548,58 +557,83 @@ def iter_assignments(
     n = len(points)
     domains = list(domains)
     assigned = [-1] * source.n
-    related = [(reach_rows[x] | co_rows[x]) & mask & ~(1 << x) for x in range(source.n)]
+    related = [0] * source.n
+    for x in points:
+        related[x] = (reach_rows[x] | co_rows[x]) & mask & ~(1 << x)
     # images of the mask's points; itemgetter of a single index returns a bare item
     pick = operator.itemgetter(*points) if n > 1 else lambda a: (a[points[0]],)
-
-    def backtrack(done: int):
-        if done == n:
-            yield tuple(assigned) if full else pick(assigned)
-            return
-        if order == "lex":
-            x = points[done]
+    lex = order == "lex"
+    # per depth: the point decided, its untried values (a mask, or an iterator
+    # under value_orders) and the (point, old domain) pairs its value narrowed
+    decided = [0] * n
+    untried = [0] * n
+    trails = [()] * n
+    depth = 0
+    entering = True
+    while True:
+        if entering:
+            if lex:
+                x = points[depth]
+            else:
+                x, best_size = -1, None
+                for z in points:
+                    if assigned[z] < 0:
+                        size = domains[z].bit_count()
+                        if best_size is None or size < best_size:
+                            x, best_size = z, size
+            decided[depth] = x
+            dom = domains[x]
+            untried[depth] = dom if value_orders is None else iter(
+                [y for y in value_orders[x] if (dom >> y) & 1])
         else:
-            x, best_size = -1, None
-            for z in points:
-                if assigned[z] < 0:
-                    size = domains[z].bit_count()
-                    if best_size is None or size < best_size:
-                        x, best_size = z, size
-        dom = domains[x]
-        if value_orders is None:
-            values = _bits(dom)
-        else:
-            values = [y for y in value_orders[x] if (dom >> y) & 1]
-        for y in values:
-            budget.charge()
-            assigned[x] = y
-            trail = []
-            ok = True
-            m = related[x]
-            while m:
-                b = m & -m
-                x2 = b.bit_length() - 1
-                m ^= b
-                if assigned[x2] >= 0:
-                    continue
-                new = domains[x2]
-                if (reach_rows[x] >> x2) & 1:
-                    new &= treach[y]
-                if (co_rows[x] >> x2) & 1:
-                    new &= tco[y]
-                if new != domains[x2]:
-                    trail.append((x2, domains[x2]))
-                    domains[x2] = new
-                    if new == 0:
-                        ok = False
-                        break
-            if ok:
-                yield from backtrack(done + 1)
-            for x2, old in trail:
+            x = decided[depth]
+            for x2, old in trails[depth]:
                 domains[x2] = old
+        if value_orders is None:
+            rest = untried[depth]
+            b = rest & -rest
+            untried[depth] = rest ^ b
+            y = b.bit_length() - 1
+        else:
+            y = next(untried[depth], -1)
+        if y < 0:
+            # level exhausted: x is free again, and the level above resumes
             assigned[x] = -1
-
-    yield from backtrack(0)
+            if not depth:
+                return
+            depth -= 1
+            entering = False
+            continue
+        budget.charge()
+        assigned[x] = y
+        trails[depth] = trail = []
+        ok = True
+        m = related[x]
+        below, above, ty, cy = reach_rows[x], co_rows[x], treach[y], tco[y]
+        while m:
+            b = m & -m
+            x2 = b.bit_length() - 1
+            m ^= b
+            if assigned[x2] >= 0:
+                continue
+            old = new = domains[x2]
+            if below & b:
+                new &= ty
+            if above & b:
+                new &= cy
+            if new != old:
+                trail.append((x2, old))
+                domains[x2] = new
+                if new == 0:
+                    ok = False
+                    break
+        entering = ok
+        if ok:
+            depth += 1
+            if depth == n:
+                yield tuple(assigned) if full else pick(assigned)
+                depth -= 1
+                entering = False
 
 
 def fiber_masks(assignment, n: int) -> list[int]:

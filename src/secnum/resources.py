@@ -65,6 +65,8 @@ PRODUCT_MAX_POINTS = 4096
 
 def check_product(size: int) -> None:
     if size > PRODUCT_MAX_POINTS:
+        # str() refuses an int of more than 4,300 digits; name a power of 2 instead
+        shown = size if size.bit_length() <= 4096 else f"at least 2**{size.bit_length() - 1}"
         raise LimitExceeded(
-            f"construction would have {size} points; cap is {PRODUCT_MAX_POINTS}"
+            f"construction would have {shown} points; cap is {PRODUCT_MAX_POINTS}"
         )

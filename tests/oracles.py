@@ -7,11 +7,13 @@ and minimum covers come from trying all combinations by ascending size.
 Constructed spaces come from testing every pair of points.  The subspace
 route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
-library's point-mask route.  The module also holds the random-preorder
-strategy that the property tests share.
+library's point-mask route, and the recursive map search as the check of the
+explicit-stack one.  The module also holds the random-preorder strategy that
+the property tests share.
 """
 
 import itertools
+import operator
 
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
     FinSpace,
+    _bits,
     compose,
     enumerate_maps,
     fiber_masks,
@@ -353,6 +356,92 @@ def brute_pullback_rows(p, g):
                 row |= 1 << k
         rows.append(row)
     return pairs, rows
+
+
+def recursive_iter_assignments(
+    source,
+    target,
+    domains,
+    budget,
+    order="lex",
+    value_orders=None,
+    mask=None,
+):
+    """The recursive form of finspace.iter_assignments (one nested generator
+    per decided point), kept as the check of the library's explicit-stack
+    search: same arguments, same stream, same nodes charged in the same
+    order.  Its depth is bounded by the interpreter's recursion limit, so it
+    serves small spaces only."""
+    if mask is None:
+        mask = source.full_mask
+    if not mask:
+        budget.charge()
+        yield ()
+        return
+    if target.n == 0:
+        return
+    reach_rows = source.reach_rows
+    co_rows = source.co_rows
+    treach = target.reach_rows
+    tco = target.co_rows
+    # the whole space (every fence search) yields its assignment as is
+    full = mask == source.full_mask
+    points = range(source.n) if full else list(_bits(mask))
+    n = len(points)
+    domains = list(domains)
+    assigned = [-1] * source.n
+    related = [(reach_rows[x] | co_rows[x]) & mask & ~(1 << x) for x in range(source.n)]
+    # images of the mask's points; itemgetter of a single index returns a bare item
+    pick = operator.itemgetter(*points) if n > 1 else lambda a: (a[points[0]],)
+
+    def backtrack(done: int):
+        if done == n:
+            yield tuple(assigned) if full else pick(assigned)
+            return
+        if order == "lex":
+            x = points[done]
+        else:
+            x, best_size = -1, None
+            for z in points:
+                if assigned[z] < 0:
+                    size = domains[z].bit_count()
+                    if best_size is None or size < best_size:
+                        x, best_size = z, size
+        dom = domains[x]
+        if value_orders is None:
+            values = _bits(dom)
+        else:
+            values = [y for y in value_orders[x] if (dom >> y) & 1]
+        for y in values:
+            budget.charge()
+            assigned[x] = y
+            trail = []
+            ok = True
+            m = related[x]
+            while m:
+                b = m & -m
+                x2 = b.bit_length() - 1
+                m ^= b
+                if assigned[x2] >= 0:
+                    continue
+                new = domains[x2]
+                if (reach_rows[x] >> x2) & 1:
+                    new &= treach[y]
+                if (co_rows[x] >> x2) & 1:
+                    new &= tco[y]
+                if new != domains[x2]:
+                    trail.append((x2, domains[x2]))
+                    domains[x2] = new
+                    if new == 0:
+                        ok = False
+                        break
+            if ok:
+                yield from backtrack(done + 1)
+            for x2, old in trail:
+                domains[x2] = old
+            assigned[x] = -1
+
+    yield from backtrack(0)
 
 
 @st.composite

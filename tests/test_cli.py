@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import secnum
 from secnum.cli import main
 
 SIERPINSKI = "space S 2\nreach 1 0\n"
@@ -45,6 +50,14 @@ def test_compute_fpp_out_of_budget_prints_no_verdict(files, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert '"holds"' not in captured.out
     assert captured.err.startswith("inconclusive: ")
+
+
+def test_compute_fpp_deeper_than_the_recursion_limit(tmp_path, capsys):
+    space = tmp_path / "D1500.finsp"
+    space.write_text("space D 1500\n")
+    code, data = run_json(capsys, ["compute", "--input", str(space), "--invariant", "fpp"])
+    assert code == 0
+    assert data["holds"] is False and len(data["witness"]) == 1500
 
 
 def test_compute_cat(files, capsys):
@@ -237,11 +250,13 @@ def test_check_k_above_the_cap_is_input_error(files, tmp_path, capsys):
     three.write_text("space D 3\n")
     g = tmp_path / "g3.fmap"
     g.write_text("space D 3\nmap g D D\nsend 0 0\nsend 1 1\nsend 2 2\n")
-    assert main([
-        "check", "--claim", "key-lemma", "--k", "100",
-        "--x", str(three), "--y", str(three), "--g", str(g),
-    ]) == 4
-    assert "error: construction would have" in capsys.readouterr().err
+    # 3**10000 has more digits than str() converts; the cap refuses k first
+    for k in ("100", "10000"):
+        assert main([
+            "check", "--claim", "key-lemma", "--k", k,
+            "--x", str(three), "--y", str(three), "--g", str(g),
+        ]) == 4
+        assert "error: construction would have" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -274,3 +289,15 @@ def test_check_huge_k_on_a_one_point_target_is_input_error(tmp_path, capsys):
         "--x", str(space), "--y", str(space), "--g", str(g),
     ]) == 4
     assert "error: construction would have 100000 points" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_command_line():
+    """`python -m secnum` works without an installed `secnum` script."""
+    src = str(Path(secnum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "secnum", "census", "--max-points", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "# total: 4"

@@ -114,6 +114,22 @@ def test_budget_truncation_is_inconclusive():
         has_fpp(d, budget=2)
 
 
+@pytest.mark.parametrize("n", [1500, 4096])
+def test_fpp_search_deeper_than_the_recursion_limit(n):
+    """The map search keeps its own stack, so a search over more points than
+    the interpreter's recursion limit answers: a discrete space of at least
+    two points has a fixed-point-free self-map (re-validated by has_cp)."""
+    assert not has_fpp(discrete_space(n)).holds
+
+
+def test_cp_search_deeper_than_the_recursion_limit():
+    """A 1,500-point chain has no CP for a constant g: another constant
+    avoids it, and the search decides all 1,500 points to find one."""
+    chain = make_space(1500, [(x, x + 1) for x in range(1499)])
+    verdict = has_cp(chain, chain, constant_map(chain, chain, 0))
+    assert not verdict.holds and 0 not in verdict.witness.assignment
+
+
 def test_check_remark_instances():
     s = sierpinski()
     d2 = discrete_space(2)

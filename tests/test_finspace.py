@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     brute_pullback_rows,
     continuous_maps,
     preorders,
+    recursive_iter_assignments,
 )
 
 
@@ -393,6 +395,17 @@ def test_configuration_space_of_a_tiny_space_caps_k(n):
         configuration_space(discrete_space(n), 100_000)
 
 
+def test_configuration_space_past_the_cap_never_prints_n_to_the_k():
+    """A k past the cap is refused before n**k is computed, and an n**k of
+    thousands of digits (F(D3000, 3001)) is named as a power of 2."""
+    with pytest.raises(LimitExceeded, match="would have 10000 points"):
+        configuration_space(discrete_space(3), 10_000)
+    with pytest.raises(LimitExceeded, match="would have 1000000000 points"):
+        configuration_space(discrete_space(3), 10**9)
+    with pytest.raises(LimitExceeded, match=r"at least 2\*\*34663 points"):
+        configuration_space(discrete_space(3000), 3001)
+
+
 def test_first_lift_matches_brute_force_oracle():
     """For every p: E -> B and g: X -> B on census spaces of at most 3 points
     (B at most 2), first_lift finds a map exactly when a strict lift of g
@@ -452,6 +465,82 @@ def masked_lift_instances(draw):
 def test_masked_first_lift_matches_the_subspace_search_on_random_instances(instance):
     """Any subset of the points, open or not, on random preorders."""
     _assert_masked_search_matches_subspace(*instance)
+
+
+def _charged_stream(search, source, target, domains, nodes, **kwargs):
+    """What search yields under Budget(nodes), the nodes it charged and
+    whether it ran out; the items yielded before running out are kept."""
+    budget = Budget(nodes)
+    items = []
+    try:
+        for item in search(source, target, domains, budget, **kwargs):
+            items.append(item)
+    except BudgetExhausted:
+        return items, nodes - budget.remaining, True
+    return items, nodes - budget.remaining, False
+
+
+def _assert_stack_search_matches_recursive(source, target, domains, small_budgets, **kwargs):
+    """The explicit-stack search and the recursive one yield the same stream
+    and charge the same nodes, in full (up to 20,000 nodes) and under each of
+    small_budgets, where both run out after the same yield."""
+    for nodes in (20_000, *small_budgets):
+        assert (_charged_stream(iter_assignments, source, target, domains, nodes, **kwargs)
+                == _charged_stream(recursive_iter_assignments, source, target, domains,
+                                   nodes, **kwargs))
+
+
+def test_stack_search_matches_the_recursive_one_on_census_pairs():
+    """Every pair of spaces of at most 4 points (the empty one included, as
+    source and as target): lex and mcf, ascending and seeded value orders,
+    with full domains and with the masks of a seeded draw."""
+    rng = random.Random(20240801)
+    spaces = census_up_to(4, include_empty=True)
+    for source in spaces:
+        for target in spaces:
+            full = [target.full_mask] * source.n
+            drawn = [rng.randrange(target.full_mask + 1) for _ in range(source.n)]
+            orders = [rng.sample(range(target.n), target.n) for _ in range(source.n)]
+            mask = rng.randrange(source.full_mask + 1)
+            for order in ("lex", "mcf"):
+                for domains, value_orders, on in ((full, None, None), (drawn, orders, mask)):
+                    _assert_stack_search_matches_recursive(
+                        source, target, domains, (1, 2, 3, 5), order=order,
+                        value_orders=value_orders, mask=on)
+
+
+@st.composite
+def search_instances(draw):
+    """A source preorder of at most 8 points (non-T0 ones included), a target
+    of at most 4 points or the empty one, random domains, a random mask (or
+    none), an order and seeded value orders (or none)."""
+    source = draw(preorders(8))
+    target = draw(st.one_of(st.just(empty_space()), preorders(4)))
+    value = st.integers(0, target.full_mask)
+    domains = draw(st.lists(st.one_of(st.just(target.full_mask), value),
+                            min_size=source.n, max_size=source.n))
+    kwargs = {
+        "order": draw(st.sampled_from(["lex", "mcf"])),
+        "mask": draw(st.one_of(st.none(), st.just(0), st.integers(0, source.full_mask))),
+    }
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = random.Random(seed)
+        kwargs["value_orders"] = [rng.sample(range(target.n), target.n) for _ in range(source.n)]
+    return source, target, domains, draw(st.lists(st.integers(1, 40), max_size=3)), kwargs
+
+
+@settings(max_examples=300)
+@given(search_instances())
+def test_stack_search_matches_the_recursive_one_on_random_instances(instance):
+    source, target, domains, small_budgets, kwargs = instance
+    _assert_stack_search_matches_recursive(source, target, domains, small_budgets, **kwargs)
+
+
+def test_map_search_is_not_bounded_by_the_recursion_limit():
+    """One level per decided point lives on the search's own stack."""
+    search = iter_assignments(discrete_space(1200), discrete_space(1), [1] * 1200, Budget())
+    assert next(search) == (0,) * 1200
 
 
 def test_enumerate_maps_counts_and_order():
