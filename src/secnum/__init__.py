@@ -44,6 +44,7 @@ from .finspace import (
     OpenSet,
     compose,
     configuration_space,
+    connected_components,
     constant_map,
     discrete_space,
     empty_space,

@@ -9,19 +9,33 @@ opens below an accepted one are never visited, and is_good sees a bare point
 mask of the space.
 The cover search itself is exact branch-and-bound with a greedy upper bound
 and lexicographic tie-breaking, so results are deterministic.
+
+A disconnected space is covered one connected component at a time; each
+component is open and closed.  For LS-category a good open lies inside one
+component (a fence moves each point only to points it is comparable with),
+so the component covers are concatenated and cat adds the per-component
+values.  For the sectional numbers the property holds on an open exactly
+when it holds on its trace on every component (the traces are open and
+closed in it, so witnesses glue), so element j of the cover is the union of
+element j of every component's cover and the value is the maximum of the
+per-component values.
 """
 
 from __future__ import annotations
 
-from .finspace import FinSpace, _bits
+from itertools import zip_longest
+
+from .finspace import FinSpace, _bits, connected_components
 from .resources import Budget
 
 
-def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget):
-    """Maximal nonempty opens satisfying a shrink-closed property.
+def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget,
+                            top: int | None = None, descend: bool = True):
+    """Maximal nonempty opens inside the open top (the whole space by
+    default) satisfying a shrink-closed property.
 
     is_good(mask) returns a witness (any non-None value) or None.  Opens are
-    scanned from the full open down, one size level at a time and by
+    scanned from top down, one size level at a time and by
     ascending mask within a level, charging budget one node per visited open.
     An open inside an accepted one is skipped, which is sound exactly because
     the property is monotone under shrinking.  A bad open hands the next
@@ -31,11 +45,14 @@ def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget):
     is bad, so every maximal good open is visited and nothing else is
     accepted.  Dropping whole classes, not single points, keeps this exact on
     preorders that are not T0.  Returns [(mask, witness), ...] in scan
-    order, that is by (-size, mask).
+    order, that is by (-size, mask).  With descend=False only top itself is
+    tested.
     """
     rows, co = space.reach_rows, space.co_rows
+    if top is None:
+        top = space.full_mask
     accepted: list[tuple[int, object]] = []
-    levels = {space.n: {space.full_mask}} if space.n else {}  # size -> opens
+    levels = {top.bit_count(): {top}} if top else {}  # size -> opens
     while levels:
         for mask in sorted(levels.pop(max(levels))):
             budget.charge()
@@ -45,7 +62,7 @@ def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget):
             if witness is not None:
                 accepted.append((mask, witness))
                 continue
-            rest = mask
+            rest = mask if descend else 0
             while rest:
                 x = (rest & -rest).bit_length() - 1
                 cls = rows[x] & co[x]
@@ -129,18 +146,55 @@ def exact_min_cover(universe: int, masks: list[int], budget: Budget):
     return tuple(best)
 
 
-def min_good_cover(space: FinSpace, is_good, budget: Budget):
+def min_good_cover(space: FinSpace, is_good, budget: Budget, glue: bool = True):
     """Minimum cover of the space by opens with a shrink-closed property.
 
-    Returns ([(mask, witness), ...], None), the chosen maximal good opens with
-    their is_good witnesses, or (None, point) naming the lowest point that
-    lies in no good open.
+    Returns ([(mask, witness), ...], None), good opens with their is_good
+    witnesses, or (None, point) naming the lowest point that lies in no good
+    open.  Each connected component is scanned and covered on its own.  With
+    glue=False every good open lies inside one component, and the component
+    covers are concatenated.  With glue=True (the default) an open is good
+    exactly when its trace on every component is, and each is_good witness
+    lists one value per point of its open in ascending order; then the whole
+    space is tested first, and otherwise element j of the cover is the union
+    of element j of each component's cover, its witness the union of theirs.
     """
-    good = find_maximal_good_opens(space, is_good, budget)
-    union = 0
-    for mask, _ in good:
-        union |= mask
-    if union != space.full_mask:
-        return None, next(_bits(space.full_mask & ~union))
-    chosen = exact_min_cover(space.full_mask, [mask for mask, _ in good], budget)
-    return [good[i] for i in chosen], None
+    parts = connected_components(space)
+    if glue and len(parts) > 1:
+        whole = find_maximal_good_opens(space, is_good, budget, descend=False)
+        if whole:
+            return whole, None
+    goods = []
+    uncovered = None
+    for part in parts:
+        if uncovered is not None and part & -part > 1 << uncovered:
+            break  # this and every later component start past that point
+        good = find_maximal_good_opens(space, is_good, budget, part)
+        missed = part
+        for mask, _ in good:
+            missed &= ~mask
+        if missed:
+            low = next(_bits(missed))
+            uncovered = low if uncovered is None else min(uncovered, low)
+        goods.append(good)
+    if uncovered is not None:
+        return None, uncovered
+    covers = [
+        [good[i] for i in exact_min_cover(part, [mask for mask, _ in good], budget)]
+        for part, good in zip(parts, goods)
+    ]
+    if glue and len(covers) > 1:
+        return [_glue(pieces) for pieces in zip_longest(*covers)], None
+    return [element for cover in covers for element in cover], None
+
+
+def _glue(pieces):
+    """One open and witness from pieces on distinct components; a piece is
+    None where that component's cover has fewer elements."""
+    mask = 0
+    values = {}
+    for piece in pieces:
+        if piece is not None:
+            mask |= piece[0]
+            values.update(zip(_bits(piece[0]), piece[1]))
+    return mask, tuple(values[x] for x in _bits(mask))

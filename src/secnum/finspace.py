@@ -321,19 +321,29 @@ def is_hausdorff(space: FinSpace) -> bool:
     return all(row == 1 << x for x, row in enumerate(space.reach_rows))
 
 
+def connected_components(space: FinSpace) -> list[int]:
+    """Masks of the components of the comparability graph, ordered by their
+    lowest point.  For finite spaces these are the connected (and path)
+    components; each one is open and closed."""
+    rows, co = space.reach_rows, space.co_rows
+    parts = []
+    rest = space.full_mask
+    while rest:
+        part = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            for x in _bits(frontier):
+                grown |= rows[x] | co[x]
+            frontier = grown & ~part
+            part |= frontier
+        parts.append(part)
+        rest &= ~part
+    return parts
+
+
 def is_connected(space: FinSpace) -> bool:
-    """Nonempty with a connected comparability graph; for finite spaces this
-    coincides with path-connectedness."""
-    if space.n == 0:
-        return False
-    seen = 1
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        neighbours = (space.reach_rows[x] | space.co_rows[x]) & ~seen
-        seen |= neighbours
-        frontier.extend(_bits(neighbours))
-    return seen == space.full_mask
+    """Nonempty with exactly one component."""
+    return len(connected_components(space)) == 1
 
 
 def minimal_open(space: FinSpace, x: int) -> OpenSet:

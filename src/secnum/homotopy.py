@@ -360,14 +360,17 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
     """Least size of an open cover by sets nullhomotopic within the space.
 
     The candidates are the maximal such opens (the property shrinks), and the
-    minimum is exact set cover.  The empty space takes the degenerate value 1
-    by the empty-cover convention.
+    minimum is exact set cover.  Such an open lies inside one connected
+    component, since a fence moves each point only to points it is comparable
+    with, so each component is covered on its own and cat of a disjoint union
+    is the sum of the values of its components.  The empty space takes the
+    degenerate value 1 by the empty-cover convention.
     """
     if X.n == 0:
         return CatResult(ExtNat(1), (), degenerate=True)
     budget = Budget.ensure(budget)
     chosen, uncovered = min_good_cover(X, lambda mask: _contraction_point(X, mask, budget),
-                                       budget)
+                                       budget, glue=False)
     if chosen is None:
         return CatResult(INF, (), degenerate=False, uncovered_point=uncovered)
     return CatResult(ExtNat(len(chosen)), tuple(OpenSet(X, mask) for mask, _ in chosen),

@@ -16,6 +16,13 @@ secat's good-open test works the same way on homotopy: the candidate open
 is reduced to its core on a point mask of the target, and the fence search
 and the lift test run on that mask (_homotopy_section_witness).
 
+On a disconnected base each value is the maximum of its values on the
+connected components: a component is open and closed, so local sections,
+lifts and fences found on the pieces of an open glue into one on the open.
+cover.min_good_cover tests the whole base first and otherwise covers each
+component on its own, and element j of the cover is the union of element j
+of the components' covers.
+
 Every finite answer carries a certificate (the cover and one witness map per
 element) that re-validates independently of the search that produced it.
 The good-open tests return bare assignments; the cover-element subspaces and

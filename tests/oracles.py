@@ -2,14 +2,16 @@
 
 These deliberately avoid every optimisation used by the library: no core
 compression, no maximal-open pruning, no branch-and-bound.  Components of the
-map space come from pairwise comparability over the fully enumerated hom-set,
-and minimum covers come from trying all combinations by ascending size.
+map space come from comparability over the fully enumerated hom-set, and
+minimum covers come from trying all combinations by ascending size.
 Constructed spaces come from testing every pair of points.  The subspace
 route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
-library's point-mask route, and the recursive map search as the check of the
-explicit-stack one.  The module also holds the random-preorder strategy that
-the property tests share.
+library's point-mask route, the recursive map search as the check of the
+explicit-stack one, and the cover pipeline on the whole space as the check of
+the one that covers each connected component on its own.  The module also
+holds the random-preorder and disjoint-union strategies that the property
+tests share.
 """
 
 import itertools
@@ -17,7 +19,8 @@ import operator
 
 from hypothesis import strategies as st
 
-from secnum.census import canonical_form
+from secnum.census import canonical_form, census_up_to
+from secnum.cover import exact_min_cover, find_maximal_good_opens
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
@@ -64,31 +67,27 @@ def all_maps(source, target):
     return list(enumerate_maps(source, target, budget=10_000_000))
 
 
-def comparable(space, a, b):
-    rows = space.reach_rows
-    if all((rows[x] >> y) & 1 for x, y in zip(a, b)):
-        return True
-    return all((rows[y] >> x) & 1 for x, y in zip(a, b))
-
-
 def hom_components(source, target):
-    """Map assignment -> component id, via direct pairwise comparability."""
+    """Map assignment -> component id: the components of the comparability
+    graph on the fully enumerated hom-set, labelled in enumeration order.
+    Every edge joins a map to one pointwise below it, so it is found from its
+    upper end by listing each assignment pointwise below that map and keeping
+    the continuous ones."""
     maps = [m.assignment for m in all_maps(source, target)]
-    component = {m: None for m in maps}
-    label = 0
-    for start in maps:
-        if component[start] is not None:
-            continue
-        stack = [start]
-        component[start] = label
-        while stack:
-            current = stack.pop()
-            for other in maps:
-                if component[other] is None and comparable(target, current, other):
-                    component[other] = label
-                    stack.append(other)
-        label += 1
-    return component
+    parent = {m: m for m in maps}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = m = parent[parent[m]]
+        return m
+
+    below = [list(_bits(row)) for row in target.reach_rows]
+    for m in maps:
+        for other in itertools.product(*(below[y] for y in m)):
+            if other in parent:
+                parent[find(other)] = find(m)
+    labels = {}
+    return {m: labels.setdefault(find(m), len(labels)) for m in maps}
 
 
 def brute_homotopic(f, g):
@@ -265,6 +264,20 @@ def brute_relative_sec_lift(p, g):
                 break
     size = minimum_cover_size(X.full_mask, good)
     return INF if size is None else ExtNat(size)
+
+
+def whole_space_min_good_cover(space, is_good, budget):
+    """The cover pipeline without the split into components: one scan of the
+    whole space and one exact cover of all its points.  Returns what
+    cover.min_good_cover does."""
+    good = find_maximal_good_opens(space, is_good, budget)
+    union = 0
+    for mask, _ in good:
+        union |= mask
+    if union != space.full_mask:
+        return None, next(_bits(space.full_mask & ~union))
+    chosen = exact_min_cover(space.full_mask, [mask for mask, _ in good], budget)
+    return [good[i] for i in chosen], None
 
 
 def brute_has_fixed_point_free_map(space):
@@ -457,3 +470,47 @@ def preorders(draw, max_points):
 def continuous_maps(draw, source, target):
     """A continuous map source -> target drawn from all of them."""
     return draw(st.sampled_from(all_maps(source, target)))
+
+
+def disjoint_union(*spaces):
+    """The spaces side by side, the points of each after those of the ones
+    before it."""
+    rows, offset = [], 0
+    for space in spaces:
+        rows.extend(row << offset for row in space.reach_rows)
+        offset += space.n
+    return FinSpace(rows)
+
+
+def disjoint_union_map(*maps):
+    """The maps side by side, between the disjoint unions of their sources
+    and of their targets."""
+    assignment, offset = [], 0
+    for f in maps:
+        assignment.extend(y + offset for y in f.assignment)
+        offset += f.target.n
+    return CMap(disjoint_union(*(f.source for f in maps)),
+                disjoint_union(*(f.target for f in maps)), assignment)
+
+
+def relabel(space, order):
+    """The same space with its points listed in the given order: point i of
+    the result is point order[i] of space."""
+    position = {x: i for i, x in enumerate(order)}
+    return FinSpace([
+        sum(1 << position[y] for y in _bits(space.reach_rows[x])) for x in order
+    ])
+
+
+@st.composite
+def preorder_families(draw, max_total, max_points=3):
+    """Two or three spaces drawn from the census of preorders of at most
+    max_points points, with at most max_total points in all.  Drawing from
+    the census, not from random relations, makes spaces with several
+    maximal points or a circle as likely as the others."""
+    count = draw(st.integers(2, 3))
+    parts = []
+    for i in range(count):
+        room = max_total - sum(part.n for part in parts) - (count - 1 - i)
+        parts.append(draw(st.sampled_from(census_up_to(min(max_points, room)))))
+    return parts

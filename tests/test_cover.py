@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secnum.cover import find_maximal_good_opens
-from secnum.finspace import discrete_space, make_space, pseudocircle
-from secnum.homotopy import cat
+from secnum.census import census_up_to
+from secnum.cover import find_maximal_good_opens, min_good_cover
+from secnum.extnat import ExtNat
+from secnum.finspace import (
+    CMap,
+    discrete_space,
+    empty_space,
+    identity_map,
+    make_space,
+    pseudocircle,
+    subspace_of_mask,
+)
+from secnum.homotopy import _contraction_point, cat
 from secnum.resources import Budget, BudgetExhausted
-from secnum.sectional import relative_sec, sec, secat
+from secnum.sectional import _homotopy_section_witness, _lift_test, relative_sec, sec, secat
 
 from oracles import (
     brute_cat,
@@ -20,7 +30,12 @@ from oracles import (
     brute_relative_sec_lift,
     brute_sec,
     continuous_maps,
+    disjoint_union,
+    disjoint_union_map,
+    preorder_families,
     preorders,
+    relabel,
+    whole_space_min_good_cover,
 )
 
 
@@ -136,3 +151,168 @@ def test_relative_sec_matches_the_oracle(problem):
 @given(preorders(4))
 def test_cat_matches_the_oracle(space):
     assert cat(space).value == brute_cat(space)
+
+
+# ---------------------------------------------------------------------------
+# disjoint unions: the pipeline covers each connected component on its own
+
+
+@st.composite
+def unions(draw, max_total=5):
+    """Disjoint unions of 2 or 3 preorders of at most 4 points, with at most
+    max_total points in all, and their points shuffled so that components
+    interleave; a part of 4 points can be a circle, whose cat and some of
+    whose sectional numbers are 2."""
+    space = disjoint_union(*draw(preorder_families(max_total, 4)))
+    return relabel(space, draw(st.permutations(range(space.n))))
+
+
+def small_spaces_or_unions():
+    return st.one_of(preorders(3), unions())
+
+
+def _assert_split_matches_whole_space(space, is_good, glue=True):
+    """Same value and same uncovered point as one scan of the whole space."""
+    split, split_point = min_good_cover(space, is_good, Budget(), glue=glue)
+    whole, whole_point = whole_space_min_good_cover(space, is_good, Budget())
+    assert split_point == whole_point
+    assert (split is None) == (whole is None)
+    if split is not None:
+        assert len(split) == len(whole)
+
+
+def minimal_open_cover(target):
+    """The map onto target from the disjoint union of the minimal opens U_y
+    of its maximal points y: every open inside one U_y has a strict section,
+    the whole target often has none, so sec and secat often exceed 1."""
+    rows, co = target.reach_rows, target.co_rows
+    pieces = [subspace_of_mask(target, rows[y]) for y in range(target.n) if co[y] & ~rows[y] == 0]
+    return CMap(disjoint_union(*(sub for sub, _ in pieces)), target,
+                [x for _, incl in pieces for x in incl.assignment])
+
+
+@st.composite
+def maps_onto(draw, target):
+    """A continuous map into target: from a small preorder or disjoint union,
+    or the minimal-open cover of target."""
+    return draw(st.one_of(
+        st.just(minimal_open_cover(target)),
+        small_spaces_or_unions().flatmap(lambda source: continuous_maps(source, target)),
+    ))
+
+
+def maps_into_unions():
+    """f: A -> Y with Y a disjoint union of 2 or 3 small preorders."""
+    return unions().flatmap(maps_onto)
+
+
+@settings(max_examples=100)
+@given(maps_into_unions())
+def test_sec_and_secat_on_disjoint_unions_match_the_oracle(f):
+    Y = f.target
+    tests = (
+        (sec, "section", _lift_test(f, identity_map(Y), Budget())),
+        (secat, "homotopy", lambda mask: _homotopy_section_witness(f, mask, Budget())),
+    )
+    for invariant, mode, is_good in tests:
+        result = invariant(f)
+        assert result.value == brute_sec(f, mode)
+        if result.certificate is not None:
+            assert result.certificate.verify()
+        _assert_split_matches_whole_space(Y, is_good)
+
+
+@st.composite
+def lift_problems_over_unions(draw):
+    """(p, g) with p: E -> B and g: X -> B, X a disjoint union of small
+    preorders and B a small preorder or such a union."""
+    B, X = draw(small_spaces_or_unions()), draw(unions())
+    return draw(maps_onto(B)), draw(continuous_maps(X, B))
+
+
+@settings(max_examples=100)
+@given(lift_problems_over_unions())
+def test_relative_sec_on_disjoint_unions_matches_the_oracle(problem):
+    p, g = problem
+    expected = brute_relative_sec_lift(p, g)
+    for route in ("lift", "pullback"):
+        result = relative_sec(p, g, route=route)
+        assert result.value == expected
+        if result.certificate is not None:
+            assert result.certificate.verify()
+    _assert_split_matches_whole_space(g.source, _lift_test(p, g, Budget()))
+
+
+@settings(max_examples=100)
+@given(unions())
+def test_cat_on_disjoint_unions_matches_the_oracle(space):
+    result = cat(space)
+    assert result.value == brute_cat(space)
+    assert result.verify()
+    _assert_split_matches_whole_space(
+        space, lambda mask: _contraction_point(space, mask, Budget()), glue=False)
+
+
+@settings(max_examples=100)
+@given(preorder_families(12, 4))
+def test_cat_adds_over_components(parts):
+    result = cat(disjoint_union(*parts))
+    assert result.verify()
+    assert result.value == ExtNat(sum(cat(part).value.n for part in parts))
+
+
+@st.composite
+def map_families(draw):
+    """Two or three maps into spaces of the census of at most 4 points."""
+    count = draw(st.integers(2, 3))
+    return [draw(maps_onto(draw(st.sampled_from(census_up_to(4))))) for _ in range(count)]
+
+
+@settings(max_examples=100)
+@given(map_families())
+def test_sec_and_secat_of_a_disjoint_union_of_maps_take_the_maximum(maps):
+    union = disjoint_union_map(*maps)
+    for invariant in (sec, secat):
+        result = invariant(union)
+        assert result.value == max(invariant(f).value for f in maps)
+        if result.certificate is not None:
+            assert result.certificate.verify()
+
+
+def test_glued_cover_elements_on_interleaved_components():
+    """Two copies of V (a point below two others) with their points
+    interleaved.  sec of the minimal-open cover is 2, each cover element is
+    glued from one open of each copy, and its witness lists the values in
+    ascending point order across both copies."""
+    V = make_space(3, [(1, 0), (2, 0)])
+    Y = relabel(disjoint_union(V, V), [0, 3, 1, 4, 2, 5])
+    result = sec(minimal_open_cover(Y))
+    assert result.value == ExtNat(2)
+    assert all(element.mask & 0b010101 and element.mask & 0b101010
+               for element in result.certificate.cover)
+    assert result.certificate.verify()
+
+
+def test_cat_of_three_and_four_pseudocircles_within_a_small_budget():
+    """One scan of the whole space visits products of the circles' opens:
+    3,815,442 nodes for three circles, and more than 10**7 for four."""
+    C = pseudocircle()
+    for copies in (3, 4):
+        result = cat(disjoint_union(*[C] * copies), Budget(10**4))
+        assert result.value == ExtNat(2 * copies)
+        assert result.verify()
+
+
+def test_secat_of_the_discrete_cover_of_three_pseudocircles():
+    """The identity assignment from 12 discrete points onto three disjoint
+    pseudocircles: secat is cat of one circle, 2, within 10**3 nodes where
+    one scan of the whole target took 281,550."""
+    Y = disjoint_union(*[pseudocircle()] * 3)
+    result = secat(CMap(discrete_space(12), Y, range(12)), Budget(10**3))
+    assert result.value == ExtNat(2)
+    assert result.certificate.verify()
+
+
+def test_min_good_cover_of_the_empty_space():
+    assert min_good_cover(empty_space(), lambda mask: (), Budget()) == ([], None)
+    assert min_good_cover(empty_space(), lambda mask: 0, Budget(), glue=False) == ([], None)

@@ -13,6 +13,7 @@ from secnum.finspace import (
     FinSpace,
     compose,
     configuration_space,
+    connected_components,
     constant_map,
     discrete_space,
     empty_space,
@@ -596,6 +597,34 @@ def test_is_connected():
     assert not is_connected(discrete_space(2))
     assert not is_connected(empty_space())
     assert is_connected(make_space(1, []))
+
+
+def test_connected_components_on_the_census():
+    """On every space of at most 4 points (and the empty one) the masks
+    partition the points, are ordered by their lowest point, are closed both
+    upwards and downwards, and are as many as the components of the
+    comparability graph."""
+    import networkx as nx
+
+    for space in census_up_to(4, include_empty=True):
+        parts = connected_components(space)
+        union = 0
+        for part in parts:
+            assert part and union & part == 0
+            union |= part
+            for x in range(space.n):
+                if (part >> x) & 1:
+                    assert space.reach_rows[x] & ~part == 0
+                    assert space.co_rows[x] & ~part == 0
+        assert union == space.full_mask
+        lowest = [(part & -part).bit_length() for part in parts]
+        assert lowest == sorted(lowest)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(space.n))
+        graph.add_edges_from((x, y) for x in range(space.n) for y in range(space.n)
+                             if space.reach(x, y))
+        assert len(parts) == nx.number_connected_components(graph)
+        assert is_connected(space) == (len(parts) == 1)
 
 
 def test_space_equality_and_pickle():
