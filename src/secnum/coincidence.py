@@ -139,25 +139,32 @@ def _describe(X: FinSpace, Y: FinSpace, g: CMap) -> str:
 
 
 def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget):
-    _, projections = configuration_space(Y, k)
-    return relative_sec(projections[1], g, budget=budget)
+    _, pi = configuration_space(Y, k)
+    return relative_sec(pi, g, budget=budget)
+
+
+def _pi21_report(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None):
+    """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g), then
+    CP, recorded in a report; returns (report, relsec value, CP holds)."""
+    budget = Budget.ensure(budget)
+    report = TheoremReport(instance=_describe(X, Y, g))
+    sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
+    cp_holds = has_cp(X, Y, g, budget).holds
+    report.quantities.update({
+        "cp_holds": cp_holds,
+        "sec_relative_pi21": sec_value,
+        "hausdorff": is_hausdorff(Y),
+        "target_points": Y.n,
+    })
+    return report, sec_value, cp_holds
 
 
 def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
                  budget: Budget | int | None = None) -> TheoremReport:
     """Hypothesis-free equivalence: the relative sectional number of the
     two-point configuration projection is 1 exactly when CP fails."""
-    budget = Budget.ensure(budget)
-    report = TheoremReport(instance=_describe(X, Y, g))
-    sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
-    cp = has_cp(X, Y, g, budget)
-    report.quantities.update({
-        "cp_holds": cp.holds,
-        "sec_relative_pi21": sec_value,
-        "hausdorff": is_hausdorff(Y),
-        "target_points": Y.n,
-    })
-    consistent = (sec_value == ExtNat(1)) == (not cp.holds)
+    report, sec_value, cp_holds = _pi21_report(X, Y, g, budget)
+    consistent = (sec_value == ExtNat(1)) == (not cp_holds)
     report.add(CLAIM_REMARK, VERIFIED if consistent else VIOLATED)
     return report
 
@@ -194,19 +201,9 @@ def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
 
     Non-Hausdorff or singleton targets run the same computation in exploratory
     mode and record whether the biconditional happened to hold."""
-    budget = Budget.ensure(budget)
-    report = TheoremReport(instance=_describe(X, Y, g))
-    hausdorff = is_hausdorff(Y)
-    sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
-    cp = has_cp(X, Y, g, budget)
-    report.quantities.update({
-        "cp_holds": cp.holds,
-        "sec_relative_pi21": sec_value,
-        "hausdorff": hausdorff,
-        "target_points": Y.n,
-    })
-    biconditional = cp.holds == (sec_value == ExtNat(2))
-    if hausdorff and Y.n >= 2:
+    report, sec_value, cp_holds = _pi21_report(X, Y, g, budget)
+    biconditional = cp_holds == (sec_value == ExtNat(2))
+    if report.quantities["hausdorff"] and Y.n >= 2:
         report.add(CLAIM_MAIN, VERIFIED if biconditional else VIOLATED)
     else:
         report.add(CLAIM_MAIN, HYPOTHESIS_NOT_MET, biconditional_holds=biconditional)

@@ -15,9 +15,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from types import MappingProxyType
 
-from .resources import PRODUCT_MAX_POINTS, Budget, check_product
+from .resources import Budget, check_product
 
 
 class DiscontinuityError(ValueError):
@@ -478,44 +477,28 @@ def pullback(p: CMap, g: CMap):
 
 @cached_by_space(maxsize=64)
 def configuration_space(space: FinSpace, k: int):
-    """Ordered configuration space of k pairwise-distinct points.
+    """Ordered configuration space F(Y, k) of k pairwise-distinct points.
 
-    Returns (conf, projections) where projections[r] forgets the last k - r
-    coordinates, for 1 <= r <= k.  For r = 1 the target is the space itself;
-    for k = 1 the space itself is returned with the identity projection.
+    Returns (conf, pi) where pi: F(Y, k) -> Y is the first-coordinate
+    projection pi_{k,1}; for k = 1 it is the space itself with the identity.
     Points are the k-permutations of the points in itertools.permutations
     order, and each row is the AND of one mask per coordinate (see
-    _tuple_space).  The point cap counts the n!/(n-k)! configurations, or
-    max(n**k, k) when k > n: the space is then empty, but the projections
-    have k entries, and n**k alone bounds nothing for n <= 1.  A k that is
-    past the cap on its own is refused as k points, without computing n**k,
-    whose size grows with k.
-    Results are memoised and shared, so projections is a read-only mapping.
+    _tuple_space).  The point cap counts the n!/(n-k)! configurations.  For
+    k > n the space is empty, and it is returned before anything of size k
+    is made, so any such k costs O(1).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return space, MappingProxyType({1: identity_map(space)})
-    if k <= space.n:
-        check_product(math.perm(space.n, k))
-    else:
-        check_product(k if k > PRODUCT_MAX_POINTS else max(space.n ** k, k))
+        return space, identity_map(space)
+    name = f"proj_{k}_1"
+    if k > space.n:
+        empty = FinSpace((), validate=False)
+        return empty, CMap(empty, space, (), name=name, validate=False)
+    check_product(math.perm(space.n, k))
     tuples = list(itertools.permutations(range(space.n), k))
     conf = _tuple_space((space,) * k, tuples)
-
-    projections: dict[int, CMap] = {k: identity_map(conf)}
-    projections[1] = CMap(
-        conf, space, (t[0] for t in tuples), name=f"proj_{k}_1", validate=False
-    )
-    for r in range(2, k):
-        # the memoised lower level lists its points in permutations(range(n), r)
-        # order; a level above n is empty, as conf then is, and is not built
-        lower = configuration_space(space, r)[0] if r <= space.n else conf
-        index_of = {t: i for i, t in enumerate(itertools.permutations(range(space.n), r))}
-        projections[r] = CMap(
-            conf, lower, (index_of[t[:r]] for t in tuples), name=f"proj_{k}_{r}", validate=False,
-        )
-    return conf, MappingProxyType(projections)
+    return conf, CMap(conf, space, (t[0] for t in tuples), name=name, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -204,21 +204,33 @@ def _component_bfs(
     return None, parents
 
 
+def _core_chain(f: CMap, g: CMap, src_core: Core, tgt_core: Core, budget: Budget):
+    """Chain of core maps from the compressed f to the compressed g, each
+    comparable with the next, or None when no fence joins them."""
+    cf, cg = _compress(f, src_core, tgt_core), _compress(g, src_core, tgt_core)
+    if cf == cg:
+        return [cf]
+    found, parents = _component_bfs(
+        src_core.space, tgt_core.space, cf, budget, stop=lambda t: t == cg
+    )
+    if found is None:
+        return None
+    chain = []
+    while found is not None:
+        chain.append(found)
+        found = parents[found]
+    chain.reverse()
+    return chain
+
+
 def homotopic(f: CMap, g: CMap, budget: Budget | int | None = None) -> bool:
     """True exactly when a fence connects f to g."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy needs maps with common source and target")
     if f.assignment == g.assignment:
         return True
-    budget = Budget.ensure(budget)
-    src_core, tgt_core = core(f.source), core(f.target)
-    cf, cg = _compress(f, src_core, tgt_core), _compress(g, src_core, tgt_core)
-    if cf == cg:
-        return True
-    found, _ = _component_bfs(
-        src_core.space, tgt_core.space, cf, budget, stop=lambda t: t == cg
-    )
-    return found is not None
+    chain = _core_chain(f, g, core(f.source), core(f.target), Budget.ensure(budget))
+    return chain is not None
 
 
 def homotopy_fence(f: CMap, g: CMap, budget: Budget | int | None = None) -> Fence | None:
@@ -227,24 +239,11 @@ def homotopy_fence(f: CMap, g: CMap, budget: Budget | int | None = None) -> Fenc
         raise ValueError("homotopy needs maps with common source and target")
     if f.assignment == g.assignment:
         return Fence((f,))
-    budget = Budget.ensure(budget)
     A, B = f.source, f.target
     src_core, tgt_core = core(A), core(B)
-    cf, cg = _compress(f, src_core, tgt_core), _compress(g, src_core, tgt_core)
-    if cf == cg:
-        core_chain = [cf]
-    else:
-        found, parents = _component_bfs(
-            src_core.space, tgt_core.space, cf, budget, stop=lambda t: t == cg
-        )
-        if found is None:
-            return None
-        core_chain = []
-        node = found
-        while node is not None:
-            core_chain.append(node)
-            node = parents[node]
-        core_chain.reverse()
+    core_chain = _core_chain(f, g, src_core, tgt_core, Budget.ensure(budget))
+    if core_chain is None:
+        return None
 
     maps: list[CMap] = []
 

@@ -100,7 +100,10 @@ class CoverCertificate:
             raise SelfCheckFailed("one witness per cover element is required")
         for element, witness in zip(self.cover, self.witnesses):
             # re-validate continuity independently of the search
-            CMap(witness.source, witness.target, witness.assignment, validate=True)
+            try:
+                CMap(witness.source, witness.target, witness.assignment, validate=True)
+            except ValueError as exc:  # DiscontinuityError or an out-of-range image
+                raise SelfCheckFailed(f"witness is not a continuous map: {exc}") from exc
             sub, incl = subspace_of_mask(self.base, element.mask)
             if witness.source != sub:
                 raise SelfCheckFailed("witness domain is not the cover element subspace")

@@ -19,6 +19,7 @@ therefore written to a separate sidecar file, never into the report itself.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import time
@@ -300,12 +301,12 @@ def _eval_sierpinski_boundary(payload, budget):
     (S,) = payload
     one = identity_map(S)
     b = Budget(budget)
-    _, projections = configuration_space(S, 2)
+    _, pi = configuration_space(S, 2)
     ok = (
         has_cp(S, S, one, b).holds
         and has_fpp(S, b).holds
-        and not relative_sec(projections[1], one, route="pullback", budget=b).value.is_finite
-        and not relative_sec(projections[1], one, route="lift", budget=b).value.is_finite
+        and not relative_sec(pi, one, route="pullback", budget=b).value.is_finite
+        and not relative_sec(pi, one, route="lift", budget=b).value.is_finite
     )
     return VERIFIED if ok else VIOLATED
 
@@ -803,26 +804,17 @@ def _all_maps(X: FinSpace, Y: FinSpace):
     return list(enumerate_maps(X, Y, budget=DEFAULT_NODE_BUDGET))
 
 
-def _census_triples(cfg: SuiteConfig):
-    xs = census_up_to(cfg.census_max_points, include_empty=True)
-    ys = census_up_to(cfg.census_max_points, include_empty=True)
-    triples = []
-    for X in xs:
-        for Y in ys:
-            for g in _all_maps(X, Y):
-                triples.append((X, Y, g))
-    return triples
+def _triples(pairs):
+    """(X, Y, g) for every map g of every (X, Y) pair, in the pairs' order."""
+    return [(X, Y, g) for X, Y in pairs for g in _all_maps(X, Y)]
 
 
-def _hausdorff_triples(cfg: SuiteConfig, max_target: int, min_target: int):
-    xs = census_up_to(cfg.census_max_points, include_empty=True)
-    triples = []
+def _hausdorff_pairs(xs, min_target: int, max_target: int):
+    """(X, Y) for every discrete Y of min_target..max_target points, Y outer."""
     for size in range(min_target, max_target + 1):
         Y = make_space(size, [])
         for X in xs:
-            for g in _all_maps(X, Y):
-                triples.append((X, Y, g))
-    return triples
+            yield X, Y
 
 
 def _build_tasks(cfg: SuiteConfig):
@@ -833,8 +825,8 @@ def _build_tasks(cfg: SuiteConfig):
     def add(claim_id, payload):
         tasks.append((claim_id, payload, budget))
 
-    census_triples = _census_triples(cfg)
-    for X, Y, g in census_triples:
+    census = census_up_to(cfg.census_max_points, include_empty=True)
+    for X, Y, g in _triples(itertools.product(census, census)):
         add("remark_sec1_iff_not_cp", (X, Y, g))
         add("cp_implies_fpp", (X, Y, g))
         add("cp_target_restriction", (X, Y, g))
@@ -842,10 +834,10 @@ def _build_tasks(cfg: SuiteConfig):
             add("main_theorem", (X, Y, g))
             for k in cfg.k_values:
                 add("key_lemma_k", (X, Y, g, k))
-    for X, Y, g in _hausdorff_triples(cfg, cfg.hausdorff_target_max, 2):
+    for X, Y, g in _triples(_hausdorff_pairs(census, 2, cfg.hausdorff_target_max)):
         add("main_theorem", (X, Y, g))
     for k in cfg.k_values:
-        for X, Y, g in _hausdorff_triples(cfg, cfg.key_lemma_target_max, k):
+        for X, Y, g in _triples(_hausdorff_pairs(census, k, cfg.key_lemma_target_max)):
             add("key_lemma_k", (X, Y, g, k))
 
     add("sierpinski_boundary", (sierpinski(),))
@@ -857,8 +849,7 @@ def _build_tasks(cfg: SuiteConfig):
         add("contractible_core_vs_fence", (X,))
         add("cat_core_invariance", (X,))
         add("cat1_iff_contractible", (X,))
-    small = census_up_to(cfg.census_max_points, include_empty=True)
-    for X in small:
+    for X in census:
         add("finspace_invariants", (X,))
         add("config_matches_offdiagonal_subspace", (X,))
     for A in census_up_to(min(cfg.census_max_points, 3)):

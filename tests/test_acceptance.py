@@ -159,8 +159,7 @@ def test_criterion_4_sierpinski_boundary_case():
     one = identity_map(S)
     cp = has_cp(S, S, one)
     fpp = has_fpp(S)
-    _, projections = configuration_space(S, 2)
-    pi = projections[1]
+    _, pi = configuration_space(S, 2)
     by_pullback = relative_sec(pi, one, route="pullback").value
     by_lift = relative_sec(pi, one, route="lift").value
     elapsed = time.monotonic() - started

@@ -252,30 +252,28 @@ def test_configuration_space_examples():
     f_one, _ = configuration_space(one, 2)
     assert f_one.n == 0
 
-    f_d2, projs = configuration_space(discrete_space(2), 2)
+    f_d2, pi = configuration_space(discrete_space(2), 2)
     assert f_d2.n == 2 and is_hausdorff(f_d2)
-    assert sorted(projs[1].assignment) == [0, 1]  # bijection onto the base
+    assert sorted(pi.assignment) == [0, 1]  # bijection onto the base
 
-    f_s, projs_s = configuration_space(sierpinski(), 2)
+    f_s, pi_s = configuration_space(sierpinski(), 2)
     assert f_s.reach_rows == (0b01, 0b10)
-    assert projs_s[1].target == sierpinski()
+    assert pi_s.target == sierpinski()
 
-    same, projs1 = configuration_space(sierpinski(), 1)
-    assert same == sierpinski() and projs1[1].is_identity()
+    same, pi1 = configuration_space(sierpinski(), 1)
+    assert same == sierpinski() and pi1.is_identity()
 
 
 def test_configuration_space_cache_keeps_labels():
     plain = sierpinski()
     labelled = FinSpace(plain.reach_rows, labels=["a", "b"])
-    conf, projs = configuration_space(plain, 2)
-    conf_l, projs_l = configuration_space(labelled, 2)
+    conf, pi = configuration_space(plain, 2)
+    conf_l, pi_l = configuration_space(labelled, 2)
     assert conf == conf_l
-    assert conf.labels is None and projs[1].target.name == "S"
+    assert conf.labels is None and pi.target.name == "S"
     assert conf_l.labels == ("(a,b)", "(b,a)")
-    assert projs_l[1].target.labels == ("a", "b") and projs_l[1].target.name is None
+    assert pi_l.target.labels == ("a", "b") and pi_l.target.name is None
     assert configuration_space(labelled, 2)[0] is conf_l
-    with pytest.raises(TypeError):
-        projs_l[1] = projs[1]
 
 
 def test_configuration_space_matches_offdiagonal_subspace():
@@ -287,36 +285,11 @@ def test_configuration_space_matches_offdiagonal_subspace():
         assert conf == sub
 
 
-def test_configuration_projections_compose():
-    d = discrete_space(3)
-    conf, projs = configuration_space(d, 3)
-    assert conf.n == 6
-    # forgetting to r=2 then projecting again agrees with direct r=1
-    two = projs[2]
-    conf2, projs2 = configuration_space(d, 2)
-    assert two.target == conf2
-    assert compose(projs2[1], two).assignment == projs[1].assignment
-
-
-def test_configuration_space_reuses_the_memoised_lower_level():
-    labelled = FinSpace(discrete_space(3).reach_rows, labels=["a", "b", "c"])
-    conf3, projs3 = configuration_space(labelled, 3)
-    conf2, projs2 = configuration_space(labelled, 2)
-    assert projs3[2].target is conf2
-    assert compose(projs2[1], projs3[2]).assignment == projs3[1].assignment
-    assert [conf2.label(i) for i in projs3[2].assignment] == [
-        label[: label.rindex(",")] + ")" for label in conf3.labels
-    ]
-
-
 def _assert_configuration_space_matches_oracle(space, k):
-    conf, projs = configuration_space(space, k)
+    conf, pi = configuration_space(space, k)
     tuples, rows = brute_configuration_rows(space, k)
     assert conf.reach_rows == tuple(rows)
-    assert projs[1].assignment == tuple(t[0] for t in tuples)
-    for r in range(2, k):
-        lower, _ = brute_configuration_rows(space, r)
-        assert [lower[i] for i in projs[r].assignment] == [t[:r] for t in tuples]
+    assert pi.assignment == tuple(t[0] for t in tuples)
 
 
 def test_configuration_space_matches_brute_force_oracle_on_census():
@@ -366,45 +339,33 @@ def test_constructions_cap_the_points_they_build():
         pullback(constant_map(d65, point, 0), constant_map(d65, point, 0))
 
 
-def test_configuration_space_of_more_points_than_the_space_is_capped():
-    """F(Y, k) is empty for k > n, but it builds every level below it, so a
-    large k must fail at once instead of building k - 1 empty levels."""
-    conf, projections = configuration_space(discrete_space(3), 4)
-    assert conf.n == 0 and sorted(projections) == [1, 2, 3, 4]
-    assert projections[3].target.n == 6
-    with pytest.raises(LimitExceeded, match=f"{3 ** 100} points"):
-        configuration_space(discrete_space(3), 100)
-
-
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 3])
 def test_configuration_space_of_a_tiny_space_is_cheap_for_large_k(n):
-    """For n <= 1 the empty levels above n must cost nothing: F(Y, 100) is
-    empty with levels 1-100, the ones above n empty too, at once."""
+    """F(Y, k) is empty for k > n, with an empty pi_{k,1} into Y, and nothing
+    of size k is built, so even k = 10**9 answers at once."""
     started = time.perf_counter()
-    conf, projections = configuration_space(discrete_space(n), 100)
+    for k in (n + 1, 100, 100_000, 10**9):
+        conf, pi = configuration_space(discrete_space(n), k)
+        assert conf.n == 0 and pi.assignment == () and pi.target.n == n
     assert time.perf_counter() - started < 1
-    assert conf.n == 0 and sorted(projections) == list(range(1, 101))
-    assert projections[1].target.n == n
-    assert all(projections[r].target.n == 0 for r in range(2, 101))
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_configuration_space_of_a_tiny_space_caps_k(n):
-    """For n <= 1, n**k bounds nothing, but the projections have k entries:
-    the cap counts max(n**k, k) points."""
-    with pytest.raises(LimitExceeded, match="100000 points"):
-        configuration_space(discrete_space(n), 100_000)
+    """For n <= 1 the cap counts the n!/(n-k)! configurations, not n**k or
+    k: k = 100000 is not refused, and the cap still refuses a space whose
+    configurations are too many."""
+    conf, pi = configuration_space(discrete_space(n), 100_000)
+    assert conf.n == 0 and pi.assignment == ()
+    with pytest.raises(LimitExceeded, match="57120 points"):
+        configuration_space(discrete_space(17), 4)
 
 
 def test_configuration_space_past_the_cap_never_prints_n_to_the_k():
-    """A k past the cap is refused before n**k is computed, and an n**k of
-    thousands of digits (F(D3000, 3001)) is named as a power of 2."""
-    with pytest.raises(LimitExceeded, match="would have 10000 points"):
-        configuration_space(discrete_space(3), 10_000)
-    with pytest.raises(LimitExceeded, match="would have 1000000000 points"):
-        configuration_space(discrete_space(3), 10**9)
-    with pytest.raises(LimitExceeded, match=r"at least 2\*\*34663 points"):
-        configuration_space(discrete_space(3000), 3001)
+    """A permutation count of thousands of digits (F(D3000, 2999), 3000!
+    points) is named as a power of 2."""
+    with pytest.raises(LimitExceeded, match=r"at least 2\*\*30331 points"):
+        configuration_space(discrete_space(3000), 2999)
 
 
 def test_first_lift_matches_brute_force_oracle():

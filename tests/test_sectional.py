@@ -37,8 +37,7 @@ from oracles import brute_relative_sec_lift, brute_sec
 
 
 def _pi21(space):
-    conf, projections = configuration_space(space, 2)
-    return projections[1]
+    return configuration_space(space, 2)[1]
 
 
 def _subdivision(space):
@@ -157,6 +156,22 @@ def test_tampered_certificate_fails():
         context=cert.context,
     )
     with pytest.raises(SelfCheckFailed):
+        swapped.verify()
+
+
+def test_discontinuous_witness_fails_the_self_check():
+    """A witness that is no continuous map is a failed self-check, not a
+    DiscontinuityError escaping verify."""
+    s = sierpinski()
+    cert = sec(identity_map(s)).certificate
+    swapped = CoverCertificate(
+        mode=cert.mode,
+        base=cert.base,
+        cover=cert.cover,
+        witnesses=(CMap(s, s, (1, 0), validate=False),),
+        context=cert.context,
+    )
+    with pytest.raises(SelfCheckFailed, match="not a continuous map"):
         swapped.verify()
 
 
