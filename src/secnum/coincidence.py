@@ -19,6 +19,7 @@ or a report; callers decide how to show that the question stayed open.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .extnat import ExtNat
@@ -100,9 +101,12 @@ def has_fpp(X: FinSpace, budget: Budget | int | None = None) -> CoincidenceVerdi
 
 @dataclass
 class TheoremReport:
-    """Machine-checkable outcome of one theorem instance."""
+    """Machine-checkable outcome of one theorem instance.
 
-    instance: str
+    subject is the instance checked, (X, Y, g) or (X, Y, g, k); instance, its
+    text form, is formatted the first time it is read."""
+
+    subject: tuple
     quantities: dict = field(default_factory=dict)
     conclusions: list = field(default_factory=list)
 
@@ -110,6 +114,14 @@ class TheoremReport:
         entry = {"claim": claim, "status": status}
         entry.update(extra)
         self.conclusions.append(entry)
+
+    @functools.cached_property
+    def instance(self) -> str:
+        X, Y, g, *k = self.subject
+        return (
+            f"X(n={X.n}, reach={list(X.reach_rows)}) Y(n={Y.n}, reach={list(Y.reach_rows)}) "
+            f"g={list(g.assignment)}" + "".join(f" k={value}" for value in k)
+        )
 
     @property
     def violated(self) -> bool:
@@ -131,13 +143,6 @@ class TheoremReport:
         }
 
 
-def _describe(X: FinSpace, Y: FinSpace, g: CMap) -> str:
-    return (
-        f"X(n={X.n}, reach={list(X.reach_rows)}) Y(n={Y.n}, reach={list(Y.reach_rows)}) "
-        f"g={list(g.assignment)}"
-    )
-
-
 def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget):
     _, pi = configuration_space(Y, k)
     return relative_sec(pi, g, budget=budget)
@@ -147,7 +152,7 @@ def _pi21_report(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None)
     """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g), then
     CP, recorded in a report; returns (report, relsec value, CP holds)."""
     budget = Budget.ensure(budget)
-    report = TheoremReport(instance=_describe(X, Y, g))
+    report = TheoremReport((X, Y, g))
     sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
     cp_holds = has_cp(X, Y, g, budget).holds
     report.quantities.update({
@@ -176,7 +181,7 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     budget = Budget.ensure(budget)
-    report = TheoremReport(instance=_describe(X, Y, g) + f" k={k}")
+    report = TheoremReport((X, Y, g, k))
     hausdorff = is_hausdorff(Y)
     sec_value = _relative_sec_of_projection(Y, g, k, budget).value
     report.quantities.update({
@@ -218,7 +223,7 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
     coincidence-free map, so CP must fail too; the checker rebuilds that
     composite and re-validates it, reproducing the contrapositive construction."""
     budget = Budget.ensure(budget)
-    report = TheoremReport(instance=_describe(X, Y, g))
+    report = TheoremReport((X, Y, g))
     cp = has_cp(X, Y, g, budget)
     fpp = has_fpp(Y, budget)
     report.quantities.update({"cp_holds": cp.holds, "fpp_holds": fpp.holds})

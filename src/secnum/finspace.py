@@ -258,7 +258,10 @@ def _rebuild_map(source, target, assignment, name):
 
 def make_space(n: int, reach_pairs, labels=None, name=None) -> FinSpace:
     """Space on points 0..n-1 whose reach is the reflexive-transitive closure
-    of the generator pairs (i, j), each meaning reach(i, j)."""
+    of the generator pairs (i, j), each meaning reach(i, j).
+
+    FinSpace is immutable, so equal generator rows, labels and name give one
+    shared object, held in a bounded cache; a hit skips the closure."""
     if n < 0:
         raise ValueError("point count must be >= 0")
     rows = [1 << i for i in range(n)]
@@ -266,7 +269,12 @@ def make_space(n: int, reach_pairs, labels=None, name=None) -> FinSpace:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"reach pair ({i},{j}) is out of range for {n} points")
         rows[i] |= 1 << j
-    _transitive_closure(rows, n)
+    return _closed_space(tuple(rows), None if labels is None else tuple(labels), name)
+
+
+@functools.lru_cache(maxsize=1024)
+def _closed_space(generator_rows: tuple[int, ...], labels, name) -> FinSpace:
+    rows = _transitive_closure(list(generator_rows), len(generator_rows))
     return FinSpace(rows, labels=labels, name=name, validate=False)
 
 
@@ -504,7 +512,6 @@ def configuration_space(space: FinSpace, k: int):
 # ---------------------------------------------------------------------------
 # enumeration of continuous maps
 
-
 def iter_assignments(
     source: FinSpace,
     target: FinSpace,
@@ -556,6 +563,17 @@ def iter_assignments(
     # images of the mask's points; itemgetter of a single index returns a bare item
     pick = operator.itemgetter(*points) if n > 1 else lambda a: (a[points[0]],)
     lex = order == "lex"
+    # most constrained first: the free points are kept in buckets by domain
+    # size, with a mask that has a bit for every size whose bucket may be
+    # nonempty (an emptied one is cleared when the choice meets it), so the
+    # choice is two lowest-bit steps, not a scan of the free points per level
+    if not lex:
+        sized = [0] * (target.n + 1)
+        sizes = 0
+        for x in points:
+            size = domains[x].bit_count()
+            sized[size] |= 1 << x
+            sizes |= 1 << size
     # per depth: the point decided, its untried values (a mask, or an iterator
     # under value_orders) and the (point, old domain) pairs its value narrowed
     decided = [0] * n
@@ -568,12 +586,16 @@ def iter_assignments(
             if lex:
                 x = points[depth]
             else:
-                x, best_size = -1, None
-                for z in points:
-                    if assigned[z] < 0:
-                        size = domains[z].bit_count()
-                        if best_size is None or size < best_size:
-                            x, best_size = z, size
+                while True:
+                    low = sizes & -sizes
+                    size = low.bit_length() - 1
+                    free = sized[size]
+                    if free:
+                        break
+                    sizes ^= low
+                b = free & -free
+                x = b.bit_length() - 1
+                sized[size] = free ^ b
             decided[depth] = x
             dom = domains[x]
             untried[depth] = dom if value_orders is None else iter(
@@ -581,6 +603,12 @@ def iter_assignments(
         else:
             x = decided[depth]
             for x2, old in trails[depth]:
+                if not lex:
+                    b = 1 << x2
+                    sized[domains[x2].bit_count()] ^= b
+                    size = old.bit_count()
+                    sized[size] |= b
+                    sizes |= 1 << size
                 domains[x2] = old
         if value_orders is None:
             rest = untried[depth]
@@ -592,6 +620,10 @@ def iter_assignments(
         if y < 0:
             # level exhausted: x is free again, and the level above resumes
             assigned[x] = -1
+            if not lex:
+                size = domains[x].bit_count()
+                sized[size] |= 1 << x
+                sizes |= 1 << size
             if not depth:
                 return
             depth -= 1
@@ -617,6 +649,11 @@ def iter_assignments(
             if new != old:
                 trail.append((x2, old))
                 domains[x2] = new
+                if not lex:
+                    sized[old.bit_count()] ^= b
+                    size = new.bit_count()
+                    sized[size] |= b
+                    sizes |= 1 << size
                 if new == 0:
                     ok = False
                     break

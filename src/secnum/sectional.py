@@ -25,13 +25,16 @@ of the components' covers.
 
 Every finite answer carries a certificate (the cover and one witness map per
 element) that re-validates independently of the search that produced it.
-The good-open tests return bare assignments; the cover-element subspaces and
-witness maps are built only for the elements the certificate keeps, and
-CoverCertificate.verify rebuilds each subspace itself.
+The good-open tests return bare assignments, and a result keeps the chosen
+(mask, assignment) pairs as they are: the cover's open sets, the
+cover-element subspaces and the witness maps are built the first time
+CoverResult.certificate is read, so a caller that reads only the value
+builds none of them.  CoverCertificate.verify rebuilds each subspace itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cover import min_good_cover
@@ -143,18 +146,63 @@ class CoverCertificate:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CoverResult:
     """Value of a covering invariant plus its audit trail.
 
     uncovered_point witnesses an Infinite answer: that point of the base lies
     in no qualifying open.  degenerate marks the empty-base convention (the
-    empty family covers the empty base; reported as 1)."""
+    empty family covers the empty base; reported as 1).  A finite result
+    keeps its mode, base and context, and its cover as chosen, the
+    (mask, witness assignment) pairs, each assignment listing the images of
+    the open's points in ascending order in the source of context[0].
+    certificate builds the CoverCertificate from them the first time it is
+    read, and then drops chosen, which the certificate holds; it is None for
+    an Infinite value, which keeps none of them.  Equality, hashing and repr
+    go through the certificate, as for a result that stored one."""
 
     value: ExtNat
-    certificate: CoverCertificate | None
     uncovered_point: int | None = None
     degenerate: bool = False
+    mode: str | None = None
+    base: FinSpace | None = None
+    context: tuple[CMap, ...] = ()
+    chosen: tuple[tuple[int, tuple[int, ...]], ...] = ()
+
+    @functools.cached_property
+    def certificate(self) -> CoverCertificate | None:
+        if not self.value.is_finite:
+            return None
+        base, chosen = self.base, self.chosen
+        total = self.context[0].source
+        # the subspace on every point of the base is the base itself
+        certificate = CoverCertificate(
+            self.mode,
+            base,
+            tuple(OpenSet(base, mask) for mask, _ in chosen),
+            tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
+                       total, witness, validate=False)
+                  for mask, witness in chosen),
+            self.context,
+            self.degenerate,
+        )
+        object.__setattr__(self, "chosen", ())
+        return certificate
+
+    def _key(self):
+        return self.value, self.certificate, self.uncovered_point, self.degenerate
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"CoverResult(value={self.value!r}, certificate={self.certificate!r}, "
+                f"uncovered_point={self.uncovered_point!r}, degenerate={self.degenerate!r})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -209,26 +257,16 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> tuple[int, 
 
 def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
     """Cover result from is_good witnesses, which are assignments on the
-    open's points into the source of context[0]; the subspace and the witness
-    map are built only for the cover elements the certificate keeps."""
+    open's points into the source of context[0]; the result keeps them as
+    they are, and builds the certificate only when it is read."""
+    context = tuple(context)
     if base.n == 0:
-        certificate = CoverCertificate(mode, base, (), (), tuple(context), degenerate=True)
-        return CoverResult(ExtNat(1), certificate, degenerate=True)
+        return CoverResult(ExtNat(1), degenerate=True, mode=mode, base=base, context=context)
     chosen, uncovered = min_good_cover(base, is_good, budget)
     if chosen is None:
-        return CoverResult(INF, None, uncovered_point=uncovered)
-    total = context[0].source
-    # the subspace on every point of the base is the base itself
-    certificate = CoverCertificate(
-        mode,
-        base,
-        tuple(OpenSet(base, mask) for mask, _ in chosen),
-        tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
-                   total, witness, validate=False)
-              for mask, witness in chosen),
-        tuple(context),
-    )
-    return CoverResult(ExtNat(len(chosen)), certificate)
+        return CoverResult(INF, uncovered_point=uncovered)
+    return CoverResult(ExtNat(len(chosen)), mode=mode, base=base, context=context,
+                       chosen=tuple(chosen))
 
 
 def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:

@@ -9,7 +9,9 @@ route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
 library's point-mask route, the recursive map search as the check of the
 explicit-stack one, and the cover pipeline on the whole space as the check of
-the one that covers each connected component on its own.  The module also
+the one that covers each connected component on its own.  The certificate
+built eagerly, as soon as the cover is chosen, is kept as the check of the
+one that CoverResult builds on first read.  The module also
 holds the random-preorder and disjoint-union strategies that the property
 tests share.
 """
@@ -20,11 +22,12 @@ import operator
 from hypothesis import strategies as st
 
 from secnum.census import canonical_form, census_up_to
-from secnum.cover import exact_min_cover, find_maximal_good_opens
+from secnum.cover import exact_min_cover, find_maximal_good_opens, min_good_cover
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
     FinSpace,
+    OpenSet,
     _bits,
     compose,
     enumerate_maps,
@@ -36,6 +39,7 @@ from secnum.finspace import (
 )
 from secnum.homotopy import _component_bfs
 from secnum.resources import Budget, BudgetExhausted
+from secnum.sectional import CoverCertificate
 
 
 def brute_open_masks(space):
@@ -280,6 +284,27 @@ def whole_space_min_good_cover(space, is_good, budget):
     return [good[i] for i in chosen], None
 
 
+def eager_cover_certificate(base, mode, is_good, context, budget):
+    """The certificate of a covering invariant built as soon as its cover is
+    chosen: each element's open set, subspace and witness map.  None for an
+    infinite value."""
+    if base.n == 0:
+        return CoverCertificate(mode, base, (), (), tuple(context), degenerate=True)
+    chosen, _ = min_good_cover(base, is_good, budget)
+    if chosen is None:
+        return None
+    total = context[0].source
+    return CoverCertificate(
+        mode,
+        base,
+        tuple(OpenSet(base, mask) for mask, _ in chosen),
+        tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
+                   total, witness, validate=False)
+              for mask, witness in chosen),
+        tuple(context),
+    )
+
+
 def brute_has_fixed_point_free_map(space):
     return any(
         all(m(x) != x for x in range(space.n)) for m in all_maps(space, space)
@@ -458,10 +483,10 @@ def recursive_iter_assignments(
 
 
 @st.composite
-def preorders(draw, max_points):
-    """Reflexive-transitive closures of random relations on 1..max_points
-    points."""
-    n = draw(st.integers(1, max_points))
+def preorders(draw, max_points, min_points=1):
+    """Reflexive-transitive closures of random relations on
+    min_points..max_points points."""
+    n = draw(st.integers(min_points, max_points))
     point = st.integers(0, n - 1)
     return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
 

@@ -114,7 +114,7 @@ def test_budget_truncation_is_inconclusive():
         has_fpp(d, budget=2)
 
 
-@pytest.mark.parametrize("n", [1500, 4096])
+@pytest.mark.parametrize("n", [1500, 2048, 4096])
 def test_fpp_search_deeper_than_the_recursion_limit(n):
     """The map search keeps its own stack, so a search over more points than
     the interpreter's recursion limit answers: a discrete space of at least
@@ -223,3 +223,17 @@ def test_inconclusive_on_tiny_budget():
     s = sierpinski()
     with pytest.raises(BudgetExhausted):
         check_remark(s, s, identity_map(s), budget=2)
+
+
+def test_report_instance_text_is_formatted_on_first_read():
+    """Each checker stores its instance and formats the text, unchanged, only
+    when something reads it."""
+    s, d = sierpinski(), discrete_space(3)
+    g = constant_map(s, d, 1)
+    text = "X(n=2, reach=[1, 3]) Y(n=3, reach=[1, 2, 4]) g=[1, 1]"
+    reports = [check(s, d, g) for check in
+               (check_remark, check_main_theorem, check_cp_implies_fpp)]
+    reports.append(check_key_lemma(s, d, g, k=3))
+    for report in reports:
+        assert "instance" not in vars(report)
+    assert [report.to_json_dict()["instance"] for report in reports] == [text] * 3 + [text + " k=3"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from secnum.finspace import (
     CMap,
     DiscontinuityError,
     FinSpace,
+    _closed_space,
     compose,
     configuration_space,
     connected_components,
@@ -46,6 +48,41 @@ from oracles import (
     preorders,
     recursive_iter_assignments,
 )
+
+
+def test_make_space_returns_one_object_per_structure():
+    """Equal generator rows, labels and name give the identical space; the
+    rows are compared, so the order and repetition of the pairs do not
+    matter."""
+    a = make_space(3, [(2, 1), (1, 0)], labels=["a", "b", "c"], name="chain")
+    assert a is make_space(3, [(1, 0), (2, 1), (1, 0)], labels=("a", "b", "c"), name="chain")
+    assert sierpinski() is sierpinski()
+    assert discrete_space(4) is discrete_space(4)
+
+
+def test_make_space_keeps_labels_and_names_apart():
+    plain = make_space(2, [(1, 0)])
+    labelled = make_space(2, [(1, 0)], labels=["x", "y"])
+    named = make_space(2, [(1, 0)], name="S")
+    assert len({id(plain), id(labelled), id(named)}) == 3
+    assert (plain.labels, labelled.labels, named.labels) == (None, ("x", "y"), None)
+    assert (plain.name, labelled.name, named.name) == (None, None, "S")
+
+
+def test_interned_spaces_keep_structural_equality_and_hash():
+    """Different generators with one closure give distinct objects that are
+    equal and hash alike, as does a space built from its rows directly."""
+    closed = make_space(3, [(2, 1), (1, 0), (2, 0)])
+    generated = make_space(3, [(2, 1), (1, 0)])
+    direct = FinSpace(generated.reach_rows)
+    assert closed is not generated
+    assert closed == generated == direct
+    assert hash(closed) == hash(generated) == hash(direct)
+    assert make_space(3, []) != generated
+
+
+def test_make_space_cache_is_bounded():
+    assert _closed_space.cache_info().maxsize is not None
 
 
 def test_make_space_closure():
@@ -497,6 +534,68 @@ def search_instances(draw):
 def test_stack_search_matches_the_recursive_one_on_random_instances(instance):
     source, target, domains, small_budgets, kwargs = instance
     _assert_stack_search_matches_recursive(source, target, domains, small_budgets, **kwargs)
+
+
+@st.composite
+def larger_mcf_instances(draw):
+    """Most-constrained-first searches on 9 to 16 points, more levels than
+    search_instances draws: a source preorder, a target of at most 4 points,
+    random domains (empty ones included) and seeded value orders or none."""
+    source = draw(preorders(16, min_points=9))
+    target = draw(preorders(4))
+    value = st.integers(0, target.full_mask)
+    domains = draw(st.lists(st.one_of(st.just(target.full_mask), value),
+                            min_size=source.n, max_size=source.n))
+    kwargs = {"order": "mcf"}
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        kwargs["value_orders"] = [rng.sample(range(target.n), target.n) for _ in range(source.n)]
+    return source, target, domains, draw(st.lists(st.integers(1, 40), max_size=3)), kwargs
+
+
+@settings(max_examples=200)
+@given(larger_mcf_instances())
+def test_bucket_choice_matches_the_recursive_search(instance):
+    """The size buckets choose what the recursive search's scan chooses, the
+    lowest point among the smallest domains: same stream, same nodes."""
+    source, target, domains, small_budgets, kwargs = instance
+    _assert_stack_search_matches_recursive(source, target, domains, small_budgets, **kwargs)
+
+
+def _lines_run(search):
+    """Lines of iter_assignments that run while search yields its first
+    item: a count of the work done, which no timing noise moves."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is iter_assignments.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        next(search)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_most_constrained_first_costs_no_scan_per_level(n):
+    """Choosing the most constrained point takes a bounded number of steps
+    per level, so the search for a fixed-point-free self-map of a discrete
+    space runs at most twice the lines of the lex one; a scan of every free
+    point per level ran some n times as many."""
+    space = discrete_space(n)
+    domains = [space.full_mask & ~(1 << x) for x in range(n)]
+    lex = _lines_run(iter_assignments(space, space, domains, Budget(), order="lex"))
+    mcf = _lines_run(iter_assignments(space, space, domains, Budget(), order="mcf"))
+    assert mcf < 2 * lex
 
 
 def test_map_search_is_not_bounded_by_the_recursion_limit():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnum.census import InstanceGenerator, census_up_to
 from secnum.cover import find_maximal_good_opens
@@ -12,6 +14,7 @@ from secnum.finspace import (
     constant_map,
     discrete_space,
     empty_space,
+    enumerate_maps,
     identity_map,
     make_map,
     make_space,
@@ -24,7 +27,11 @@ from secnum.finspace import (
 from secnum.homotopy import cat, homotopic, is_contractible
 from secnum.resources import Budget, SelfCheckFailed
 from secnum.sectional import (
+    MODE_HOMOTOPY,
+    MODE_LIFT,
+    MODE_SECTION,
     CoverCertificate,
+    _homotopy_section_witness,
     _lift_test,
     relative_sec,
     relative_secat,
@@ -33,7 +40,13 @@ from secnum.sectional import (
     secat,
 )
 
-from oracles import brute_relative_sec_lift, brute_sec
+from oracles import (
+    brute_relative_sec_lift,
+    brute_sec,
+    continuous_maps,
+    eager_cover_certificate,
+    preorders,
+)
 
 
 def _pi21(space):
@@ -143,6 +156,70 @@ def test_certificates_verify_and_serialize():
     assert blob["mode"] == "section"
     assert blob["cover"] == [3]
     assert all(check["holds"] for check in blob["checks"])
+
+
+def _assert_lazy_certificate_is_the_eager_one(result, eager):
+    """The certificate a result builds on first read equals, in value and in
+    JSON, the one built as soon as the cover was chosen, and verifies; the
+    result then holds the cover only in its certificate, and an infinite
+    result holds no cover data at all."""
+    assert "certificate" not in vars(result)  # nothing read it yet
+    lazy = result.certificate
+    if eager is None:
+        assert lazy is None and not result.value.is_finite
+        assert (result.mode, result.base, result.context, result.chosen) == (None, None, (), ())
+        return
+    assert result.chosen == ()  # the certificate holds the cover now
+    assert lazy == eager
+    assert lazy.to_json_dict() == eager.to_json_dict()
+    assert result.to_json_dict()["certificate"] == eager.to_json_dict()
+    assert lazy.verify()
+    assert result.certificate is lazy  # built once, then cached
+
+
+def _check_section_modes(f):
+    b = Budget()
+    _assert_lazy_certificate_is_the_eager_one(
+        sec(f), eager_cover_certificate(
+            f.target, MODE_SECTION, _lift_test(f, identity_map(f.target), b), (f,), b))
+    _assert_lazy_certificate_is_the_eager_one(
+        secat(f), eager_cover_certificate(
+            f.target, MODE_HOMOTOPY, lambda mask: _homotopy_section_witness(f, mask, b), (f,), b))
+
+
+def _check_lift_mode(p, g):
+    b = Budget()
+    _assert_lazy_certificate_is_the_eager_one(
+        relative_sec(p, g), eager_cover_certificate(g.source, MODE_LIFT, _lift_test(p, g, b), (p, g), b))
+
+
+def test_lazy_certificates_match_the_eager_ones_on_the_census():
+    """Every map between spaces of at most 3 points (the empty one included)
+    in the section and homotopy-section modes, and every lift of a map into
+    such a space through its two-point configuration projection."""
+    spaces = census_up_to(3, include_empty=True)
+    for source in spaces:
+        for target in spaces:
+            for f in enumerate_maps(source, target):
+                _check_section_modes(f)
+                if target.n:
+                    _check_lift_mode(_pi21(target), f)
+
+
+@st.composite
+def cover_instances(draw):
+    """Maps f: E -> B and g: X -> B between random preorders of at most 4
+    points."""
+    E, B, X = draw(preorders(4)), draw(preorders(4)), draw(preorders(4))
+    return draw(continuous_maps(E, B)), draw(continuous_maps(X, B))
+
+
+@settings(max_examples=100)
+@given(cover_instances())
+def test_lazy_certificates_match_the_eager_ones_on_random_preorders(instance):
+    p, g = instance
+    _check_section_modes(p)
+    _check_lift_mode(p, g)
 
 
 def test_tampered_certificate_fails():

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from secnum.finspace import sierpinski
+from secnum import sectional
+from secnum.coincidence import TheoremReport, check_remark
+from secnum.finspace import constant_map, identity_map, sierpinski
 from secnum.suite import (
     CLAIMS_BY_ID,
     HNM,
@@ -97,6 +99,32 @@ def test_tiny_suite_runs_clean():
     body = report.to_json_dict()
     assert body["schema"] == "secnum.suite-report/1"
     assert {c["id"] for c in body["claims"]} == set(CLAIMS_BY_ID)
+
+
+def test_default_suite_builds_no_certificate_and_formats_no_instance(monkeypatch):
+    """The claims read only values and statuses, so the default run builds
+    no cover certificate and formats no instance text; reading either one
+    afterwards is counted, so the counters see what a reader builds."""
+    built, formatted = [], []
+    certificate = sectional.CoverCertificate
+    instance = TheoremReport.instance.func
+
+    def counted_certificate(*args, **kwargs):
+        built.append(args)
+        return certificate(*args, **kwargs)
+
+    def counted_instance(report):
+        formatted.append(report)
+        return instance(report)
+
+    monkeypatch.setattr(sectional, "CoverCertificate", counted_certificate)
+    monkeypatch.setattr(TheoremReport, "instance", property(counted_instance))
+    assert run_suite(SuiteConfig()).exit_code == 0
+    assert built == [] and formatted == []
+    s = sierpinski()
+    assert sectional.sec(identity_map(s)).certificate.verify()
+    assert check_remark(s, s, constant_map(s, s, 0)).to_json_dict()["instance"]
+    assert len(built) == 1 and len(formatted) == 1
 
 
 def test_suite_determinism_across_runs_and_parallelism():
