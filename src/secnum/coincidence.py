@@ -10,9 +10,10 @@ The checkers compare these searches against the covering invariants: a global
 coincidence-free map is exactly a global lift through the two-point
 configuration projection, which ties CP to the relative sectional number.
 Each checker emits a TheoremReport whose conclusions carry a stable claim id
-and one of the statuses verified / hypothesis-not-met / VIOLATED.  VIOLATED
-is reserved for instances where every stated hypothesis holds and the
-conclusion still fails, which signals a bug.  A search that runs out of nodes
+and one of the statuses verified / hypothesis-not-met / violated, spelled as
+the suite report spells them (the suite takes the three constants from here).
+violated is reserved for instances where every stated hypothesis holds and
+the conclusion still fails, which signals a bug.  A search that runs out of nodes
 proves nothing, so it raises BudgetExhausted instead of returning a verdict
 or a report; callers decide how to show that the question stayed open.
 """
@@ -42,7 +43,7 @@ CLAIM_CP_FPP = "cp_implies_fpp"
 
 VERIFIED = "verified"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
-VIOLATED = "VIOLATED"
+VIOLATED = "violated"
 
 REPORT_SCHEMA = "secnum.theorem-report/1"
 

@@ -32,20 +32,12 @@ class DiscontinuityError(ValueError):
 
 
 def _transitive_closure(rows: list[int], n: int) -> list[int]:
-    changed = True
-    while changed:
-        changed = False
+    """Warshall's order: for each k, every row that reaches k takes row k."""
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
         for i in range(n):
-            row = rows[i]
-            acc = row
-            m = row
-            while m:
-                b = m & -m
-                acc |= rows[b.bit_length() - 1]
-                m ^= b
-            if acc != row:
-                rows[i] = acc
-                changed = True
+            if rows[i] & bit:
+                rows[i] |= row_k
     return rows
 
 

@@ -272,6 +272,10 @@ def homotopy_fence(f: CMap, g: CMap, budget: Budget | int | None = None) -> Fenc
     return Fence(tuple(maps))
 
 
+def _is_constant(t: tuple[int, ...]) -> bool:
+    return len(set(t)) == 1
+
+
 def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | None:
     """A point c with f homotopic to the constant at c, or None."""
     budget = Budget.ensure(budget)
@@ -279,18 +283,8 @@ def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | No
         return 0 if f.target.n else None
     src_core, tgt_core = core(f.source), core(f.target)
     cf = _compress(f, src_core, tgt_core)
-    hit = {}
-
-    def is_constant(t):
-        if len(set(t)) == 1:
-            hit["point"] = t[0]
-            return True
-        return False
-
-    found, _ = _component_bfs(src_core.space, tgt_core.space, cf, budget, stop=is_constant)
-    if found is None:
-        return None
-    return tgt_core.inclusion(hit["point"])
+    found, _ = _component_bfs(src_core.space, tgt_core.space, cf, budget, stop=_is_constant)
+    return None if found is None else tgt_core.inclusion(found[0])
 
 
 def is_contractible(X: FinSpace) -> bool:
@@ -308,8 +302,7 @@ def _contraction_point(X: FinSpace, mask: int, budget: Budget) -> int | None:
     retraction = x_core.retraction.assignment
     cmask = _core_mask(X, mask)[0]
     start = tuple(retraction[p] for p in _bits(cmask))
-    found, _ = _component_bfs(X, x_core.space, start, budget,
-                              stop=lambda t: len(set(t)) == 1, mask=cmask)
+    found, _ = _component_bfs(X, x_core.space, start, budget, stop=_is_constant, mask=cmask)
     return None if found is None else x_core.inclusion(found[0])
 
 

@@ -36,7 +36,7 @@ from .census import (
     census_spaces,
     census_up_to,
 )
-from .coincidence import has_cp, has_fpp
+from .coincidence import HYPOTHESIS_NOT_MET as HNM, VERIFIED, VIOLATED, has_cp, has_fpp
 from .extnat import ExtNat
 from .finspace import (
     CMap,
@@ -85,9 +85,6 @@ from .sectional import (
 SUITE_REPORT_SCHEMA = "secnum.suite-report/1"
 SUITE_CONFIG_SCHEMA = "secnum.suite-config/1"
 
-VERIFIED = "verified"
-HNM = "hypothesis-not-met"
-VIOLATED = "violated"
 FALSIFIED = "falsified"
 INCONCLUSIVE = "inconclusive"
 
@@ -187,7 +184,7 @@ class Claim:
     statement: str
     hypotheses: str
     kind: str  # "theorem" | "exploratory"
-    evaluate: Callable[[tuple, int], str | dict]  # (payload, budget limit) -> status or outcome
+    evaluate: Callable[[tuple, Budget], str | dict]  # (payload, budget) -> status or outcome
 
 
 _registered: list[Claim] = []
@@ -230,14 +227,9 @@ def _payload_json(payload) -> list:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: each is registered as one claim and returns a status; the
-# witness of a violated outcome is its instance (see _eval_task)
-
-_STATUS_OF_REPORT = {
-    coin.VERIFIED: VERIFIED,
-    coin.HYPOTHESIS_NOT_MET: HNM,
-    coin.VIOLATED: VIOLATED,
-}
+# evaluators: each is registered as one claim, takes (payload, budget) with a
+# fresh Budget per instance and returns a status; the witness of a violated
+# outcome is its instance (see _eval_task)
 
 
 @_register(
@@ -246,7 +238,7 @@ _STATUS_OF_REPORT = {
     "equals 1 exactly when a coincidence-free map exists",
 )
 def _eval_remark(payload, budget):
-    return _STATUS_OF_REPORT[coin.check_remark(*payload, budget=Budget(budget)).status]
+    return coin.check_remark(*payload, budget=budget).status
 
 
 @_register(
@@ -257,19 +249,16 @@ def _eval_remark(payload, budget):
 )
 def _eval_main_theorem(payload, budget):
     X, Y, g = payload
-    report = coin.check_main_theorem(X, Y, g, budget=Budget(budget))
-    out = {"status": _STATUS_OF_REPORT[report.status]}
+    report = coin.check_main_theorem(X, Y, g, budget=budget)
     q = report.quantities
     if (
-        report.status == coin.HYPOTHESIS_NOT_MET
-        and not q.get("hausdorff")
-        and q.get("target_points", 0) >= 2
-        and q.get("cp_holds")
-        and q.get("sec_relative_pi21") == ExtNat(2)
+        report.status == HNM and not q["hausdorff"] and Y.n >= 2
+        and q["cp_holds"] and q["sec_relative_pi21"] == ExtNat(2)
     ):
+        # CP with relsec 2 on a non-Hausdorff target: the census summary's hit
         hit = {"X": _space_json(X), "Y": _space_json(Y), "g": list(g.assignment)}
-        out["extras"] = {"open_question_hit": hit}
-    return out
+        return {"status": HNM, "open_question_hit": hit}
+    return report.status
 
 
 @_register(
@@ -279,7 +268,7 @@ def _eval_main_theorem(payload, budget):
     hypotheses="target Hausdorff with at least k points; other instances explored",
 )
 def _eval_key_lemma(payload, budget):
-    return _STATUS_OF_REPORT[coin.check_key_lemma(*payload, budget=Budget(budget)).status]
+    return coin.check_key_lemma(*payload, budget=budget).status
 
 
 @_register(
@@ -288,7 +277,7 @@ def _eval_key_lemma(payload, budget):
     "the fixed-point-free witness with g is a coincidence-free witness",
 )
 def _eval_cp_implies_fpp(payload, budget):
-    return _STATUS_OF_REPORT[coin.check_cp_implies_fpp(*payload, budget=Budget(budget)).status]
+    return coin.check_cp_implies_fpp(*payload, budget=budget).status
 
 
 @_register(
@@ -300,13 +289,12 @@ def _eval_cp_implies_fpp(payload, budget):
 def _eval_sierpinski_boundary(payload, budget):
     (S,) = payload
     one = identity_map(S)
-    b = Budget(budget)
     _, pi = configuration_space(S, 2)
     ok = (
-        has_cp(S, S, one, b).holds
-        and has_fpp(S, b).holds
-        and not relative_sec(pi, one, route="pullback", budget=b).value.is_finite
-        and not relative_sec(pi, one, route="lift", budget=b).value.is_finite
+        has_cp(S, S, one, budget).holds
+        and has_fpp(S, budget).holds
+        and not relative_sec(pi, one, route="pullback", budget=budget).value.is_finite
+        and not relative_sec(pi, one, route="lift", budget=budget).value.is_finite
     )
     return VERIFIED if ok else VIOLATED
 
@@ -317,8 +305,7 @@ def _eval_sierpinski_boundary(payload, budget):
 )
 def _eval_fpp_iff_cp_identity(payload, budget):
     (X,) = payload
-    b = Budget(budget)
-    ok = has_fpp(X, b).holds == has_cp(X, X, identity_map(X), b).holds
+    ok = has_fpp(X, budget).holds == has_cp(X, X, identity_map(X), budget).holds
     return VERIFIED if ok else VIOLATED
 
 
@@ -330,7 +317,6 @@ def _eval_fpp_iff_cp_identity(payload, budget):
 )
 def _eval_cp_target_restriction(payload, budget):
     X, Y, g = payload
-    b = Budget(budget)
     image = g.image_mask()
     hull = 0
     for y in range(Y.n):
@@ -341,8 +327,8 @@ def _eval_cp_target_restriction(payload, budget):
     sub, incl = subspace_of_mask(Y, hull)
     index_of = {p: i for i, p in enumerate(incl.assignment)}
     g_in = CMap(X, sub, [index_of[g(x)] for x in range(X.n)], validate=False)
-    cp_in = has_cp(X, sub, g_in, b)
-    cp_out = has_cp(X, Y, g, b)
+    cp_in = has_cp(X, sub, g_in, budget)
+    cp_out = has_cp(X, Y, g, budget)
     if not cp_in.holds or cp_out.holds:
         return HNM
     return VERIFIED if cp_out.witness.image_mask() & ~hull else VIOLATED
@@ -355,7 +341,7 @@ def _eval_cp_target_restriction(payload, budget):
 )
 def _eval_contractible_core_vs_fence(payload, budget):
     (X,) = payload
-    ok = is_contractible(X) == (nullhomotopy_target(identity_map(X), Budget(budget)) is not None)
+    ok = is_contractible(X) == (nullhomotopy_target(identity_map(X), budget) is not None)
     return VERIFIED if ok else VIOLATED
 
 
@@ -365,8 +351,7 @@ def _eval_contractible_core_vs_fence(payload, budget):
 )
 def _eval_cat_core_invariance(payload, budget):
     (X,) = payload
-    b = Budget(budget)
-    return VERIFIED if cat(X, b).value == cat(core(X).space, b).value else VIOLATED
+    return VERIFIED if cat(X, budget).value == cat(core(X).space, budget).value else VIOLATED
 
 
 @_register(
@@ -378,7 +363,7 @@ def _eval_cat1_iff_contractible(payload, budget):
     (X,) = payload
     if X.n == 0:
         return HNM
-    ok = (cat(X, Budget(budget)).value == ExtNat(1)) == is_contractible(X)
+    ok = (cat(X, budget).value == ExtNat(1)) == is_contractible(X)
     return VERIFIED if ok else VIOLATED
 
 
@@ -389,20 +374,19 @@ def _eval_cat1_iff_contractible(payload, budget):
 )
 def _eval_homotopic_matches_direct(payload, budget):
     A, B = payload
-    b = Budget(budget)
-    maps = list(enumerate_maps(A, B, budget=b))
+    maps = list(enumerate_maps(A, B, budget=budget))
     component_of: dict[tuple, int] = {}
     for m in maps:
         if m.assignment in component_of:
             continue
         label = len(component_of)
-        _, parents = _component_bfs(A, B, m.assignment, b)
+        _, parents = _component_bfs(A, B, m.assignment, budget)
         for t in parents:
             component_of[t] = label
     for f in maps:
         for g in maps:
             expected = component_of[f.assignment] == component_of[g.assignment]
-            if homotopic(f, g, b) != expected:
+            if homotopic(f, g, budget) != expected:
                 return VIOLATED
     return VERIFIED
 
@@ -413,10 +397,9 @@ def _eval_homotopic_matches_direct(payload, budget):
 )
 def _eval_fences_revalidate(payload, budget):
     f, g = payload
-    b = Budget(budget)
-    if not homotopic(f, g, b):
+    if not homotopic(f, g, budget):
         return HNM
-    fence = homotopy_fence(f, g, b)
+    fence = homotopy_fence(f, g, budget)
     if fence is None:
         return VIOLATED
     Fence(tuple(fence.steps))  # revalidates comparability
@@ -433,8 +416,7 @@ def _eval_fences_revalidate(payload, budget):
 )
 def _eval_finspace_invariants(payload, budget):
     (X,) = payload
-    b = Budget(budget)
-    masks = set(iter_open_masks(X, b))
+    masks = set(iter_open_masks(X, budget))
     for x in range(X.n):
         u = minimal_open(X, x)
         if u.mask not in masks or not (u.mask >> x) & 1:
@@ -449,7 +431,7 @@ def _eval_finspace_invariants(payload, budget):
     singleton_open = all((1 << x) in masks for x in range(X.n))
     if is_hausdorff(X) != singleton_open:
         return VIOLATED
-    self_maps = list(enumerate_maps(X, X, budget=b))
+    self_maps = list(enumerate_maps(X, X, budget=budget))
     for f in self_maps:
         for g in self_maps:
             composed = compose(f, g)
@@ -506,20 +488,20 @@ def _eval_census_counts(payload, budget):
 )
 def _eval_pullback_secat_strict_drop(payload, budget):
     (max_points,) = payload
-    b = Budget(budget)
     for Y in census_up_to(max_points):
         if Y.n < 2:
             continue
         pt = make_space(1, [])
         for y0 in range(Y.n):
             p = constant_map(pt, Y, y0)
-            upstairs = secat(p, b).value
+            upstairs = secat(p, budget).value
             for y1 in range(Y.n):
                 g = constant_map(pt, Y, y1)
                 _, to_base, _ = pullback(p, g)
-                downstairs = secat(to_base, b).value
+                downstairs = secat(to_base, budget).value
                 if downstairs < upstairs:
-                    return VERIFIED if sec(to_base, b).value <= sec(p, b).value else VIOLATED
+                    ok = sec(to_base, budget).value <= sec(p, budget).value
+                    return VERIFIED if ok else VIOLATED
     return VIOLATED  # no strict drop in the census
 
 
@@ -530,10 +512,9 @@ def _eval_pullback_secat_strict_drop(payload, budget):
 )
 def _eval_composition_chain(payload, budget):
     p1, p2, g = payload
-    b = Budget(budget)
-    outer = relative_sec(p2, g, budget=b).value
-    composite = relative_sec(compose(p2, p1), g, budget=b).value
-    inner = sec(p1, b).value
+    outer = relative_sec(p2, g, budget=budget).value
+    composite = relative_sec(compose(p2, p1), g, budget=budget).value
+    inner = sec(p1, budget).value
     return VERIFIED if outer <= composite and composite <= outer * inner else VIOLATED
 
 
@@ -549,8 +530,7 @@ def _eval_product_equality(payload, budget, invariant):
     Z, f = payload
     if Z.n == 0:
         return HNM
-    b = Budget(budget)
-    ok = invariant(_with_identity_factor(Z, f), b).value == invariant(f, b).value
+    ok = invariant(_with_identity_factor(Z, f), budget).value == invariant(f, budget).value
     return VERIFIED if ok else VIOLATED
 
 
@@ -568,9 +548,8 @@ _register(
 
 def _eval_square_rule(payload, budget, invariant):
     phi, f, f_prime, psi = payload
-    b = Budget(budget)
-    lhs = invariant(f, b).value * invariant(psi, b).value
-    return VERIFIED if lhs >= invariant(f_prime, b).value else VIOLATED
+    lhs = invariant(f, budget).value * invariant(psi, budget).value
+    return VERIFIED if lhs >= invariant(f_prime, budget).value else VIOLATED
 
 
 _register(
@@ -593,9 +572,9 @@ _register(
 )
 def _eval_triangle_monotone(payload, budget):
     f, h = payload
-    b = Budget(budget)
     f_prime = compose(f, h)
-    ok = sec(f_prime, b).value >= sec(f, b).value and secat(f_prime, b).value >= secat(f, b).value
+    ok = (sec(f_prime, budget).value >= sec(f, budget).value
+          and secat(f_prime, budget).value >= secat(f, budget).value)
     return VERIFIED if ok else VIOLATED
 
 
@@ -605,8 +584,7 @@ def _eval_triangle_monotone(payload, budget):
 )
 def _eval_triangle_secat_homotopy(payload, budget):
     f, h, f_prime = payload
-    b = Budget(budget)
-    return VERIFIED if secat(f_prime, b).value >= secat(f, b).value else VIOLATED
+    return VERIFIED if secat(f_prime, budget).value >= secat(f, budget).value else VIOLATED
 
 
 @_register(
@@ -615,8 +593,7 @@ def _eval_triangle_secat_homotopy(payload, budget):
 )
 def _eval_secat_le_sec(payload, budget):
     (f,) = payload
-    b = Budget(budget)
-    return VERIFIED if secat(f, b).value <= sec(f, b).value else VIOLATED
+    return VERIFIED if secat(f, budget).value <= sec(f, budget).value else VIOLATED
 
 
 @_register(
@@ -631,8 +608,7 @@ def _eval_secat_le_cat_target(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
         return HNM
-    b = Budget(budget)
-    return VERIFIED if secat(f, b).value <= cat(f.target, b).value else VIOLATED
+    return VERIFIED if secat(f, budget).value <= cat(f.target, budget).value else VIOLATED
 
 
 @_register(
@@ -645,10 +621,9 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
         return HNM
-    b = Budget(budget)
-    if nullhomotopy_target(f, b) is None:
+    if nullhomotopy_target(f, budget) is None:
         return HNM
-    return VERIFIED if secat(f, b).value == cat(f.target, b).value else VIOLATED
+    return VERIFIED if secat(f, budget).value == cat(f.target, budget).value else VIOLATED
 
 
 @_register(
@@ -657,8 +632,7 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
 )
 def _eval_relative_sec_le_sec(payload, budget):
     p, g = payload
-    b = Budget(budget)
-    return VERIFIED if relative_sec(p, g, budget=b).value <= sec(p, b).value else VIOLATED
+    return VERIFIED if relative_sec(p, g, budget=budget).value <= sec(p, budget).value else VIOLATED
 
 
 @_register(
@@ -667,9 +641,8 @@ def _eval_relative_sec_le_sec(payload, budget):
 )
 def _eval_relative_times_sec_ge_sec(payload, budget):
     p, g = payload
-    b = Budget(budget)
-    lhs = relative_sec(p, g, budget=b).value * sec(g, b).value
-    return VERIFIED if lhs >= sec(p, b).value else VIOLATED
+    lhs = relative_sec(p, g, budget=budget).value * sec(g, budget).value
+    return VERIFIED if lhs >= sec(p, budget).value else VIOLATED
 
 
 @_register(
@@ -688,8 +661,7 @@ def _eval_relative_secat_le_cat_base(payload, budget):
     P, to_base, _ = pullback(p, g)
     if P.n == 0:
         return HNM
-    b = Budget(budget)
-    return VERIFIED if secat(to_base, b).value <= cat(X, b).value else VIOLATED
+    return VERIFIED if secat(to_base, budget).value <= cat(X, budget).value else VIOLATED
 
 
 @_register(
@@ -704,11 +676,10 @@ def _eval_relative_secat_le_cat_base(payload, budget):
 )
 def _eval_relative_secat_homotopy_invariance(payload, budget):
     p, g, g_prime = payload
-    b = Budget(budget)
-    if not homotopic(g, g_prime, b):
+    if not homotopic(g, g_prime, budget):
         return HNM
-    lhs = relative_secat(p, g, budget=b).value
-    rhs = relative_secat(p, g_prime, budget=b).value
+    lhs = relative_secat(p, g, budget=budget).value
+    rhs = relative_secat(p, g_prime, budget=budget).value
     if lhs == rhs:
         return VERIFIED
     # the one witness richer than the instance: both values, so that a
@@ -726,8 +697,7 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
 )
 def _eval_retraction_relative_sec(payload, budget):
     r, p = payload
-    b = Budget(budget)
-    return VERIFIED if relative_sec(p, r, budget=b).value == sec(p, b).value else VIOLATED
+    return VERIFIED if relative_sec(p, r, budget=budget).value == sec(p, budget).value else VIOLATED
 
 
 @_register(
@@ -738,7 +708,7 @@ def _eval_retraction_relative_sec(payload, budget):
 def _eval_route_equivalence(payload, budget):
     p, g = payload
     try:
-        relative_sec(p, g, route="both", budget=Budget(budget))
+        relative_sec(p, g, route="both", budget=budget)
     except SelfCheckFailed:
         return VIOLATED
     return VERIFIED
@@ -748,9 +718,8 @@ def _eval_tc_bounds(payload, budget, contractible):
     f, g = payload
     if is_contractible(f.source) != contractible:
         return HNM
-    b = Budget(budget)
-    bounds = relative_tc_bounds(f, g, budget=b)
-    reference = relative_sec(f, g, route="pullback", budget=b).value
+    bounds = relative_tc_bounds(f, g, budget=budget)
+    reference = relative_sec(f, g, route="pullback", budget=budget).value
     ok = (
         bounds.exact == contractible
         and bounds.lower == reference
@@ -779,14 +748,15 @@ _WITNESSED = (VIOLATED, FALSIFIED, INCONCLUSIVE)
 
 
 def _eval_task(task):
-    """The one place that makes an evaluator's result an outcome dict.
+    """The one place that runs an evaluator and makes its result an outcome dict.
 
-    A search that ran out of nodes makes the instance inconclusive, and every
-    violated, falsified or inconclusive outcome without a witness of its own
-    has its instance as witness."""
-    claim_id, payload, budget_limit = task
+    The task's node limit becomes a fresh Budget shared by every search of the
+    instance.  A search that ran out of nodes makes the instance inconclusive,
+    and every violated, falsified or inconclusive outcome without a witness of
+    its own has its instance as witness."""
+    claim_id, payload, limit = task
     try:
-        out = CLAIMS_BY_ID[claim_id].evaluate(payload, budget_limit)
+        out = CLAIMS_BY_ID[claim_id].evaluate(payload, Budget(limit))
     except BudgetExhausted:
         out = INCONCLUSIVE
     if isinstance(out, str):
@@ -997,14 +967,13 @@ class SuiteReport:
             handle.write(sidecar + "\n")
 
 
-def _census_summary(cfg: SuiteConfig, extras: dict) -> dict:
+def _census_summary(cfg: SuiteConfig, hits: list[dict]) -> dict:
     spaces_by_size = {}
     fpp_by_size = {}
     for n in range(1, cfg.census_max_points + 1):
         spaces = census_spaces(n)
         spaces_by_size[str(n)] = len(spaces)
         fpp_by_size[str(n)] = sum(1 for X in spaces if has_fpp(X, DEFAULT_NODE_BUDGET).holds)
-    hits = extras.get("open_question_hit", [])
     return {
         "spaces_by_size": spaces_by_size,
         "fpp_by_size": fpp_by_size,
@@ -1029,7 +998,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     pool = multiprocessing.Pool(cfg.parallelism) if cfg.parallelism > 1 else None
     timings: dict[str, float] = {}
-    extras_agg: dict[str, list] = {}
+    hits: list[dict] = []
     claims = []
     total_started = time.perf_counter()
     try:
@@ -1049,8 +1018,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 tallies[status] += 1
                 if status in _WITNESSED and len(witnesses) < _MAX_WITNESSES:
                     witnesses.append({"status": status, "instance": outcome["witness"]})
-                for key, value in outcome.get("extras", {}).items():
-                    extras_agg.setdefault(key, []).append(value)
+                if "open_question_hit" in outcome:
+                    hits.append(outcome["open_question_hit"])
             claims.append({
                 "id": claim.id,
                 "statement": claim.statement,
@@ -1069,7 +1038,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport(
         config=cfg,
         claims=claims,
-        census_summary=_census_summary(cfg, extras_agg),
+        census_summary=_census_summary(cfg, hits),
         timings=timings,
     )
     if cfg.out:

@@ -4,7 +4,8 @@ These deliberately avoid every optimisation used by the library: no core
 compression, no maximal-open pruning, no branch-and-bound.  Components of the
 map space come from comparability over the fully enumerated hom-set, and
 minimum covers come from trying all combinations by ascending size.
-Constructed spaces come from testing every pair of points.  The subspace
+Constructed spaces come from testing every pair of points, and the closure
+of generator pairs from a graph search from every point.  The subspace
 route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
 library's point-mask route, the recursive map search as the check of the
@@ -363,6 +364,24 @@ def brute_lift_exists(source, target, fibers, images):
         all((fibers[images[x]] >> k(x)) & 1 for x in range(source.n))
         for k in all_maps(source, target)
     )
+
+
+def brute_closure_rows(n, pairs):
+    """Reach rows of the reflexive-transitive closure of the pairs (i, j),
+    each meaning reach(i, j), by a graph search from every point."""
+    successors = [[] for _ in range(n)]
+    for i, j in pairs:
+        successors[i].append(j)
+    rows = []
+    for x in range(n):
+        seen, stack = {x}, [x]
+        while stack:
+            for y in successors[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        rows.append(sum(1 << y for y in seen))
+    return tuple(rows)
 
 
 def brute_configuration_rows(space, k):

@@ -1,0 +1,39 @@
+"""The names and call shapes the benchmark reaches into secnum by.
+
+bench/tracer.py wraps secnum's entry points by module attribute and
+bench/child.py wraps suite._eval_task; a refactor that binds a function
+under another name, or calls a phase twice, silently hides it from the
+traced counts.  This runs the benchmark's own tracer around its smoke
+suite config and checks that every span it declares is reached.
+"""
+
+from pathlib import Path
+
+from secnum import homotopy, run_suite
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# the claims whose evaluators call one coincidence.check_* checker each
+CHECKED_CLAIMS = ("remark_sec1_iff_not_cp", "main_theorem", "key_lemma_k", "cp_implies_fpp")
+
+
+def test_traced_smoke_suite_reaches_every_span_and_checker(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import child
+    import tracer as tracing
+
+    cfg = child.suite_config({"smoke": True, "seed": 7, "parallelism": 1})
+    homotopy.core.cache_clear()  # a warm cache would skip the core-miss span
+    t = tracing.Tracer()
+    t.install()
+    try:
+        report = run_suite(cfg)
+    finally:
+        t.uninstall()
+    assert report.exit_code == 0
+    assert [name for name in tracing.SPANS if t.counts[name + ".calls"] == 0] == []
+    assert len(t.spans_named("suite.build_tasks")) == 1
+    assert len(t.spans_named("suite.census_summary")) == 1
+    checked = sum(report.claim(claim_id)["instances"] for claim_id in CHECKED_CLAIMS)
+    assert checked > 0
+    assert t.counts["coincidence.check.calls"] == checked

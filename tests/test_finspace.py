@@ -40,6 +40,7 @@ from secnum.finspace import (
 from secnum.resources import Budget, BudgetExhausted, LimitExceeded
 
 from oracles import (
+    brute_closure_rows,
     brute_configuration_rows,
     brute_lift_exists,
     brute_open_masks,
@@ -94,6 +95,28 @@ def test_make_space_closure():
     assert s.reach_rows == (0b01, 0b11)
     chain = make_space(3, [(2, 1), (1, 0)])
     assert chain.reach(2, 0)  # transitive closure
+
+
+@st.composite
+def generator_pairs(draw, max_points):
+    n = draw(st.integers(1, max_points))
+    point = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(point, point), max_size=3 * n))
+
+
+@settings(max_examples=300)
+@given(generator_pairs(12))
+def test_make_space_rows_match_brute_force_closure(generators):
+    n, pairs = generators
+    assert make_space(n, pairs).reach_rows == brute_closure_rows(n, pairs)
+
+
+def test_make_space_closes_long_chains():
+    # each generator pair reaches one step, so every row needs the whole chain
+    n = 500
+    for pairs in ([(x, x + 1) for x in range(n - 1)], [(x + 1, x) for x in range(n - 1)]):
+        assert make_space(n, pairs).reach_rows == brute_closure_rows(n, pairs)
+    assert make_space(0, []).reach_rows == ()
 
 
 def test_make_space_rejects_bad_indices():
