@@ -3,7 +3,7 @@
 Subcommands: compute, relative, check, census, suite.  Exit codes: 0 success,
 2 violation found, 3 inconclusive (budget exhausted on a gated question),
 4 input error.  The SECNUM_BUDGET environment variable overrides the default
-search-node budget.
+search-node budget; a value that is not a positive integer is an input error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import coincidence as coin
 from .census import census_spaces
 from .fileio import Document, ParseError, format_space, load_document
 from .homotopy import cat
-from .resources import BudgetExhausted, LimitExceeded
+from .resources import BudgetExhausted, LimitExceeded, default_node_budget
 from .sectional import relative_sec, relative_secat, relative_tc_bounds, sec, secat
 from .suite import SuiteConfig, run_suite
 
@@ -215,10 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_budget_env() -> None:
+    """Read SECNUM_BUDGET once up front, so a bad value is an input error."""
+    try:
+        default_node_budget()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_budget_env()
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

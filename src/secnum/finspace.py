@@ -62,7 +62,9 @@ class FinSpace:
     def __init__(self, reach_rows, labels=None, name=None, validate=True):
         rows = tuple(reach_rows)
         n = len(rows)
+        labels = tuple(labels) if labels is not None else None
         if validate:
+            _check_label_count(labels, n)
             full = (1 << n) - 1
             for x, row in enumerate(rows):
                 if row & ~full:
@@ -82,7 +84,7 @@ class FinSpace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "reach_rows", rows)
         object.__setattr__(self, "co_rows", tuple(co))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "_hash", hash((n, rows)))
@@ -256,12 +258,19 @@ def make_space(n: int, reach_pairs, labels=None, name=None) -> FinSpace:
     shared object, held in a bounded cache; a hit skips the closure."""
     if n < 0:
         raise ValueError("point count must be >= 0")
+    labels = None if labels is None else tuple(labels)
+    _check_label_count(labels, n)
     rows = [1 << i for i in range(n)]
     for i, j in reach_pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"reach pair ({i},{j}) is out of range for {n} points")
         rows[i] |= 1 << j
-    return _closed_space(tuple(rows), None if labels is None else tuple(labels), name)
+    return _closed_space(tuple(rows), labels, name)
+
+
+def _check_label_count(labels, n: int) -> None:
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} points")
 
 
 @functools.lru_cache(maxsize=1024)

@@ -24,7 +24,6 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Callable
 
 from . import coincidence as coin
@@ -184,7 +183,7 @@ class Claim:
     statement: str
     hypotheses: str
     kind: str  # "theorem" | "exploratory"
-    evaluate: Callable[[tuple, Budget], str | dict]  # (payload, budget) -> status or outcome
+    evaluate: Callable[[tuple, Budget], bool | str | dict]  # (payload, budget) -> conclusion
 
 
 _registered: list[Claim] = []
@@ -228,8 +227,8 @@ def _payload_json(payload) -> list:
 
 # ---------------------------------------------------------------------------
 # evaluators: each is registered as one claim, takes (payload, budget) with a
-# fresh Budget per instance and returns a status; the witness of a violated
-# outcome is its instance (see _eval_task)
+# fresh Budget per instance and returns its conclusion (True, False or HNM, or
+# an outcome dict whose "status" is one); _eval_task turns it into a status
 
 
 @_register(
@@ -251,13 +250,10 @@ def _eval_main_theorem(payload, budget):
     X, Y, g = payload
     report = coin.check_main_theorem(X, Y, g, budget=budget)
     q = report.quantities
-    if (
-        report.status == HNM and not q["hausdorff"] and Y.n >= 2
-        and q["cp_holds"] and q["sec_relative_pi21"] == ExtNat(2)
-    ):
+    if not q["hausdorff"] and q["cp_holds"] and q["sec_relative_pi21"] == ExtNat(2):
         # CP with relsec 2 on a non-Hausdorff target: the census summary's hit
         hit = {"X": _space_json(X), "Y": _space_json(Y), "g": list(g.assignment)}
-        return {"status": HNM, "open_question_hit": hit}
+        return {"status": report.status, "open_question_hit": hit}
     return report.status
 
 
@@ -290,13 +286,12 @@ def _eval_sierpinski_boundary(payload, budget):
     (S,) = payload
     one = identity_map(S)
     _, pi = configuration_space(S, 2)
-    ok = (
+    return (
         has_cp(S, S, one, budget).holds
         and has_fpp(S, budget).holds
         and not relative_sec(pi, one, route="pullback", budget=budget).value.is_finite
         and not relative_sec(pi, one, route="lift", budget=budget).value.is_finite
     )
-    return VERIFIED if ok else VIOLATED
 
 
 @_register(
@@ -305,8 +300,7 @@ def _eval_sierpinski_boundary(payload, budget):
 )
 def _eval_fpp_iff_cp_identity(payload, budget):
     (X,) = payload
-    ok = has_fpp(X, budget).holds == has_cp(X, X, identity_map(X), budget).holds
-    return VERIFIED if ok else VIOLATED
+    return has_fpp(X, budget).holds == has_cp(X, X, identity_map(X), budget).holds
 
 
 @_register(
@@ -331,7 +325,7 @@ def _eval_cp_target_restriction(payload, budget):
     cp_out = has_cp(X, Y, g, budget)
     if not cp_in.holds or cp_out.holds:
         return HNM
-    return VERIFIED if cp_out.witness.image_mask() & ~hull else VIOLATED
+    return (cp_out.witness.image_mask() & ~hull) != 0
 
 
 @_register(
@@ -341,8 +335,7 @@ def _eval_cp_target_restriction(payload, budget):
 )
 def _eval_contractible_core_vs_fence(payload, budget):
     (X,) = payload
-    ok = is_contractible(X) == (nullhomotopy_target(identity_map(X), budget) is not None)
-    return VERIFIED if ok else VIOLATED
+    return is_contractible(X) == (nullhomotopy_target(identity_map(X), budget) is not None)
 
 
 @_register(
@@ -351,7 +344,7 @@ def _eval_contractible_core_vs_fence(payload, budget):
 )
 def _eval_cat_core_invariance(payload, budget):
     (X,) = payload
-    return VERIFIED if cat(X, budget).value == cat(core(X).space, budget).value else VIOLATED
+    return cat(X, budget).value == cat(core(X).space, budget).value
 
 
 @_register(
@@ -363,8 +356,7 @@ def _eval_cat1_iff_contractible(payload, budget):
     (X,) = payload
     if X.n == 0:
         return HNM
-    ok = (cat(X, budget).value == ExtNat(1)) == is_contractible(X)
-    return VERIFIED if ok else VIOLATED
+    return (cat(X, budget).value == ExtNat(1)) == is_contractible(X)
 
 
 @_register(
@@ -387,8 +379,8 @@ def _eval_homotopic_matches_direct(payload, budget):
         for g in maps:
             expected = component_of[f.assignment] == component_of[g.assignment]
             if homotopic(f, g, budget) != expected:
-                return VIOLATED
-    return VERIFIED
+                return False
+    return True
 
 
 @_register(
@@ -401,11 +393,11 @@ def _eval_fences_revalidate(payload, budget):
         return HNM
     fence = homotopy_fence(f, g, budget)
     if fence is None:
-        return VIOLATED
+        return False
     Fence(tuple(fence.steps))  # revalidates comparability
     for step in fence.steps:
         CMap(step.source, step.target, step.assignment, validate=True)
-    return VERIFIED if fence.steps[0] == f and fence.steps[-1] == g else VIOLATED
+    return fence.steps[0] == f and fence.steps[-1] == g
 
 
 @_register(
@@ -420,23 +412,23 @@ def _eval_finspace_invariants(payload, budget):
     for x in range(X.n):
         u = minimal_open(X, x)
         if u.mask not in masks or not (u.mask >> x) & 1:
-            return VIOLATED
+            return False
         for m in masks:
             if (m >> x) & 1 and u.mask & ~m:
-                return VIOLATED
+                return False
     for m1 in masks:
         for m2 in masks:
             if (m1 | m2) not in masks or (m1 & m2) not in masks:
-                return VIOLATED
+                return False
     singleton_open = all((1 << x) in masks for x in range(X.n))
     if is_hausdorff(X) != singleton_open:
-        return VIOLATED
+        return False
     self_maps = list(enumerate_maps(X, X, budget=budget))
     for f in self_maps:
         for g in self_maps:
             composed = compose(f, g)
             CMap(X, X, composed.assignment, validate=True)
-    return VERIFIED
+    return True
 
 
 @_register(
@@ -450,7 +442,7 @@ def _eval_config_matches_offdiagonal(payload, budget):
     square, _, _ = product(X, X)
     off = [i for i in range(square.n) if i // X.n != i % X.n]
     sub, _ = subspace(square, off)
-    return VERIFIED if conf == sub else VIOLATED
+    return conf == sub
 
 
 @_register(
@@ -461,7 +453,7 @@ def _eval_config_matches_offdiagonal(payload, budget):
 def _eval_pullback_identity_iso(payload, budget):
     (p,) = payload
     P, _, _ = pullback(p, identity_map(p.target))
-    return VERIFIED if canonical_form(P) == canonical_form(p.source) else VIOLATED
+    return canonical_form(P) == canonical_form(p.source)
 
 
 @_register(
@@ -473,12 +465,12 @@ def _eval_census_counts(payload, budget):
     n, posets_only, expected = payload
     spaces = census_spaces(n, posets_only)
     if len(spaces) != expected:
-        return VIOLATED
+        return False
     keys = set()
     for X in spaces:
         FinSpace(X.reach_rows, validate=True)
         keys.add(canonical_form(X))
-    return VERIFIED if len(keys) == len(spaces) else VIOLATED
+    return len(keys) == len(spaces)
 
 
 @_register(
@@ -500,9 +492,8 @@ def _eval_pullback_secat_strict_drop(payload, budget):
                 _, to_base, _ = pullback(p, g)
                 downstairs = secat(to_base, budget).value
                 if downstairs < upstairs:
-                    ok = sec(to_base, budget).value <= sec(p, budget).value
-                    return VERIFIED if ok else VIOLATED
-    return VIOLATED  # no strict drop in the census
+                    return sec(to_base, budget).value <= sec(p, budget).value
+    return False  # no strict drop in the census
 
 
 @_register(
@@ -515,7 +506,7 @@ def _eval_composition_chain(payload, budget):
     outer = relative_sec(p2, g, budget=budget).value
     composite = relative_sec(compose(p2, p1), g, budget=budget).value
     inner = sec(p1, budget).value
-    return VERIFIED if outer <= composite and composite <= outer * inner else VIOLATED
+    return outer <= composite and composite <= outer * inner
 
 
 def _with_identity_factor(Z: FinSpace, f: CMap) -> CMap:
@@ -530,40 +521,39 @@ def _eval_product_equality(payload, budget, invariant):
     Z, f = payload
     if Z.n == 0:
         return HNM
-    ok = invariant(_with_identity_factor(Z, f), budget).value == invariant(f, budget).value
-    return VERIFIED if ok else VIOLATED
+    return invariant(_with_identity_factor(Z, f), budget).value == invariant(f, budget).value
 
 
 _register(
     "product_sec_equality",
     "crossing with an identity preserves the sectional number",
     hypotheses="identity factor space nonempty",
-)(partial(_eval_product_equality, invariant=sec))
+)(lambda payload, budget: _eval_product_equality(payload, budget, sec))
 _register(
     "product_secat_equality",
     "crossing with an identity preserves the sectional category",
     hypotheses="identity factor space nonempty",
-)(partial(_eval_product_equality, invariant=secat))
+)(lambda payload, budget: _eval_product_equality(payload, budget, secat))
 
 
 def _eval_square_rule(payload, budget, invariant):
     phi, f, f_prime, psi = payload
     lhs = invariant(f, budget).value * invariant(psi, budget).value
-    return VERIFIED if lhs >= invariant(f_prime, budget).value else VIOLATED
+    return lhs >= invariant(f_prime, budget).value
 
 
 _register(
     "square_rule_sec",
     "in a strictly commuting square, sec(left) * sec(bottom) >= sec(right)",
-)(partial(_eval_square_rule, invariant=sec))
+)(lambda payload, budget: _eval_square_rule(payload, budget, sec))
 _register(
     "square_rule_secat",
     "in a strictly commuting square, secat(left) * secat(bottom) >= secat(right)",
-)(partial(_eval_square_rule, invariant=secat))
+)(lambda payload, budget: _eval_square_rule(payload, budget, secat))
 _register(
     "square_rule_secat_homotopy",
     "in a homotopy-commuting square, secat(left) * secat(bottom) >= secat(right)",
-)(partial(_eval_square_rule, invariant=secat))
+)(lambda payload, budget: _eval_square_rule(payload, budget, secat))
 
 
 @_register(
@@ -573,9 +563,8 @@ _register(
 def _eval_triangle_monotone(payload, budget):
     f, h = payload
     f_prime = compose(f, h)
-    ok = (sec(f_prime, budget).value >= sec(f, budget).value
-          and secat(f_prime, budget).value >= secat(f, budget).value)
-    return VERIFIED if ok else VIOLATED
+    return (sec(f_prime, budget).value >= sec(f, budget).value
+            and secat(f_prime, budget).value >= secat(f, budget).value)
 
 
 @_register(
@@ -584,7 +573,7 @@ def _eval_triangle_monotone(payload, budget):
 )
 def _eval_triangle_secat_homotopy(payload, budget):
     f, h, f_prime = payload
-    return VERIFIED if secat(f_prime, budget).value >= secat(f, budget).value else VIOLATED
+    return secat(f_prime, budget).value >= secat(f, budget).value
 
 
 @_register(
@@ -593,7 +582,7 @@ def _eval_triangle_secat_homotopy(payload, budget):
 )
 def _eval_secat_le_sec(payload, budget):
     (f,) = payload
-    return VERIFIED if secat(f, budget).value <= sec(f, budget).value else VIOLATED
+    return secat(f, budget).value <= sec(f, budget).value
 
 
 @_register(
@@ -608,7 +597,7 @@ def _eval_secat_le_cat_target(payload, budget):
     (f,) = payload
     if f.source.n == 0 or not is_connected(f.target):
         return HNM
-    return VERIFIED if secat(f, budget).value <= cat(f.target, budget).value else VIOLATED
+    return secat(f, budget).value <= cat(f.target, budget).value
 
 
 @_register(
@@ -623,7 +612,7 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
         return HNM
     if nullhomotopy_target(f, budget) is None:
         return HNM
-    return VERIFIED if secat(f, budget).value == cat(f.target, budget).value else VIOLATED
+    return secat(f, budget).value == cat(f.target, budget).value
 
 
 @_register(
@@ -632,7 +621,7 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
 )
 def _eval_relative_sec_le_sec(payload, budget):
     p, g = payload
-    return VERIFIED if relative_sec(p, g, budget=budget).value <= sec(p, budget).value else VIOLATED
+    return relative_sec(p, g, budget=budget).value <= sec(p, budget).value
 
 
 @_register(
@@ -642,7 +631,7 @@ def _eval_relative_sec_le_sec(payload, budget):
 def _eval_relative_times_sec_ge_sec(payload, budget):
     p, g = payload
     lhs = relative_sec(p, g, budget=budget).value * sec(g, budget).value
-    return VERIFIED if lhs >= sec(p, budget).value else VIOLATED
+    return lhs >= sec(p, budget).value
 
 
 @_register(
@@ -661,7 +650,7 @@ def _eval_relative_secat_le_cat_base(payload, budget):
     P, to_base, _ = pullback(p, g)
     if P.n == 0:
         return HNM
-    return VERIFIED if secat(to_base, budget).value <= cat(X, budget).value else VIOLATED
+    return secat(to_base, budget).value <= cat(X, budget).value
 
 
 @_register(
@@ -681,10 +670,10 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
     lhs = relative_secat(p, g, budget=budget).value
     rhs = relative_secat(p, g_prime, budget=budget).value
     if lhs == rhs:
-        return VERIFIED
+        return True
     # the one witness richer than the instance: both values, so that a
     # reader can re-validate the counterexample from the report alone
-    return {"status": FALSIFIED, "witness": {
+    return {"status": False, "witness": {
         "p": _map_json(p), "g": _map_json(g), "g_prime": list(g_prime.assignment),
         "secat_g": lhs.to_json(), "secat_g_prime": rhs.to_json(),
     }}
@@ -697,7 +686,7 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
 )
 def _eval_retraction_relative_sec(payload, budget):
     r, p = payload
-    return VERIFIED if relative_sec(p, r, budget=budget).value == sec(p, budget).value else VIOLATED
+    return relative_sec(p, r, budget=budget).value == sec(p, budget).value
 
 
 @_register(
@@ -710,8 +699,8 @@ def _eval_route_equivalence(payload, budget):
     try:
         relative_sec(p, g, route="both", budget=budget)
     except SelfCheckFailed:
-        return VIOLATED
-    return VERIFIED
+        return False
+    return True
 
 
 def _eval_tc_bounds(payload, budget, contractible):
@@ -720,12 +709,11 @@ def _eval_tc_bounds(payload, budget, contractible):
         return HNM
     bounds = relative_tc_bounds(f, g, budget=budget)
     reference = relative_sec(f, g, route="pullback", budget=budget).value
-    ok = (
+    return (
         bounds.exact == contractible
         and bounds.lower == reference
         and bounds.upper == (reference if contractible else None)
     )
-    return VERIFIED if ok else VIOLATED
 
 
 _register(
@@ -733,12 +721,12 @@ _register(
     "with a contractible domain the relative complexity interval is exact and "
     "equals the relative sectional number",
     hypotheses="domain of the work map contractible",
-)(partial(_eval_tc_bounds, contractible=True))
+)(lambda payload, budget: _eval_tc_bounds(payload, budget, True))
 _register(
     "tc_bounds_noncontractible",
     "with a non-contractible domain the reported lower bound equals the "
     "relative sectional number and the upper bound is unknown",
-)(partial(_eval_tc_bounds, contractible=False))
+)(lambda payload, budget: _eval_tc_bounds(payload, budget, False))
 
 
 REGISTRY: tuple[Claim, ...] = tuple(_registered)
@@ -748,19 +736,31 @@ _WITNESSED = (VIOLATED, FALSIFIED, INCONCLUSIVE)
 
 
 def _eval_task(task):
-    """The one place that runs an evaluator and makes its result an outcome dict.
+    """The one place that runs an evaluator and writes a status.
 
     The task's node limit becomes a fresh Budget shared by every search of the
-    instance.  A search that ran out of nodes makes the instance inconclusive,
-    and every violated, falsified or inconclusive outcome without a witness of
-    its own has its instance as witness."""
+    instance.  The conclusion True (or a checker's verified) is verified;
+    False (or a checker's violated) is violated for a theorem and falsified for
+    an exploratory claim; HNM stays; anything else raises TypeError.  A search
+    that ran out of nodes makes the instance inconclusive, and every violated,
+    falsified or inconclusive outcome without a witness of its own has its
+    instance as witness."""
     claim_id, payload, limit = task
+    claim = CLAIMS_BY_ID[claim_id]
     try:
-        out = CLAIMS_BY_ID[claim_id].evaluate(payload, Budget(limit))
+        out = claim.evaluate(payload, Budget(limit))
     except BudgetExhausted:
-        out = INCONCLUSIVE
-    if isinstance(out, str):
-        out = {"status": out}
+        out = {"status": INCONCLUSIVE}
+    else:
+        out = out if isinstance(out, dict) else {"status": out}
+        status = out["status"]
+        # identity, not equality: the ints 1 and 0 compare equal to True and False
+        if status is True or status == VERIFIED:
+            out["status"] = VERIFIED
+        elif status is False or status == VIOLATED:
+            out["status"] = VIOLATED if claim.kind == "theorem" else FALSIFIED
+        elif status != HNM:
+            raise TypeError(f"{claim_id}: evaluator concluded {status!r}")
     if out["status"] in _WITNESSED and "witness" not in out:
         out["witness"] = _payload_json(payload)
     return out
@@ -770,13 +770,10 @@ def _eval_task(task):
 # instance builders
 
 
-def _all_maps(X: FinSpace, Y: FinSpace):
-    return list(enumerate_maps(X, Y, budget=DEFAULT_NODE_BUDGET))
-
-
 def _triples(pairs):
     """(X, Y, g) for every map g of every (X, Y) pair, in the pairs' order."""
-    return [(X, Y, g) for X, Y in pairs for g in _all_maps(X, Y)]
+    return [(X, Y, g) for X, Y in pairs
+            for g in enumerate_maps(X, Y, budget=DEFAULT_NODE_BUDGET)]
 
 
 def _hausdorff_pairs(xs, min_target: int, max_target: int):

@@ -4,12 +4,15 @@ bench/tracer.py wraps secnum's entry points by module attribute and
 bench/child.py wraps suite._eval_task; a refactor that binds a function
 under another name, or calls a phase twice, silently hides it from the
 traced counts.  This runs the benchmark's own tracer around its smoke
-suite config and checks that every span it declares is reached.
+suite config and checks that every span it declares is reached, and that
+it sees every call a profiler sees.
 """
 
+import sys
+from collections import Counter
 from pathlib import Path
 
-from secnum import homotopy, run_suite
+from secnum import homotopy, run_suite, sectional
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,3 +40,30 @@ def test_traced_smoke_suite_reaches_every_span_and_checker(monkeypatch):
     checked = sum(report.claim(claim_id)["instances"] for claim_id in CHECKED_CLAIMS)
     assert checked > 0
     assert t.counts["coincidence.check.calls"] == checked
+
+
+def test_traced_sec_and_secat_calls_match_a_profiler_count(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import child
+    import tracer as tracing
+
+    cfg = child.suite_config({"smoke": True, "seed": 7, "parallelism": 1})
+    # the code objects of the originals, read before the tracer wraps them
+    names = {sectional.sec.__code__: "sectional.sec", sectional.secat.__code__: "sectional.secat"}
+    profiled = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            profiled[names[frame.f_code]] += 1
+
+    t = tracing.Tracer()
+    t.install()
+    sys.setprofile(profile)
+    try:
+        run_suite(cfg)
+    finally:
+        sys.setprofile(None)
+        t.uninstall()
+    for name in names.values():
+        assert profiled[name] > 0
+        assert t.counts[name + ".calls"] == profiled[name], name

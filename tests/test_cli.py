@@ -208,6 +208,21 @@ def test_suite_budget_env_override(tmp_path, monkeypatch):
     assert main(["suite", "--config", str(config_path), "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["compute", "--input", "S.finsp", "--invariant", "fpp"],
+    ["suite", "--seed", "1"],
+])
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_budget_env_is_input_error(command, value, files, capsys, monkeypatch):
+    monkeypatch.setenv("SECNUM_BUDGET", value)
+    argv = [files.get(arg, arg) for arg in command]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SECNUM_BUDGET ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_suite_bad_config_is_input_error(tmp_path):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"max_points": 50}))

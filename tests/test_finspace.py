@@ -126,6 +126,16 @@ def test_make_space_rejects_bad_indices():
         make_space(-1, [])
 
 
+def test_label_count_must_match_the_points():
+    with pytest.raises(ValueError, match="1 labels for 3 points"):
+        make_space(3, [], labels=["a"])
+    with pytest.raises(ValueError, match="3 labels for 2 points"):
+        FinSpace((0b01, 0b10), labels=["a", "b", "c"], validate=True)
+    space = make_space(2, [], labels=["a", "b"])
+    square, _, _ = product(space, space)
+    assert [square.label(p) for p in range(square.n)] == ["(a,a)", "(a,b)", "(b,a)", "(b,b)"]
+
+
 def test_preorder_validation():
     with pytest.raises(ValueError):
         FinSpace((0b10, 0b10))  # not reflexive at 0

@@ -1,19 +1,22 @@
+import ast
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from secnum import sectional
+from secnum import sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
 from secnum.finspace import constant_map, identity_map, sierpinski
 from secnum.suite import (
     CLAIMS_BY_ID,
+    FALSIFIED,
     HNM,
     INCONCLUSIVE,
     REGISTRY,
     VERIFIED,
     VIOLATED,
+    Claim,
     SuiteConfig,
     _build_tasks,
     _eval_task,
@@ -68,6 +71,44 @@ def test_violated_outcome_records_its_instance_as_witness():
     # the census has 3 preorders on 2 points, so claiming 4 is violated
     out = _eval_task(("census_counts", (2, False, 4), 10**6))
     assert out == {"status": VIOLATED, "witness": [2, False, 4]}
+
+
+def _concluding(monkeypatch, kind, conclusion):
+    claim = Claim("concludes", "a stub claim", "none", kind, lambda payload, budget: conclusion)
+    monkeypatch.setitem(CLAIMS_BY_ID, claim.id, claim)
+    return _eval_task((claim.id, (2, False, 4), 10))
+
+
+@pytest.mark.parametrize("kind, status", [("theorem", VIOLATED), ("exploratory", FALSIFIED)])
+def test_the_claim_kind_alone_decides_violated_or_falsified(monkeypatch, kind, status):
+    assert _concluding(monkeypatch, kind, False) == {"status": status, "witness": [2, False, 4]}
+    assert _concluding(monkeypatch, kind, {"status": False}) == {
+        "status": status, "witness": [2, False, 4]}
+    assert _concluding(monkeypatch, kind, True) == {"status": VERIFIED}
+    assert _concluding(monkeypatch, kind, HNM) == {"status": HNM}
+
+
+@pytest.mark.parametrize("conclusion", [2, 1, 0, None, FALSIFIED, INCONCLUSIVE, {"status": 1}])
+def test_a_conclusion_that_is_not_one_raises(monkeypatch, conclusion):
+    with pytest.raises(TypeError):
+        _concluding(monkeypatch, "theorem", conclusion)
+
+
+def test_no_evaluator_spells_a_status():
+    # by name (VIOLATED, coin.VIOLATED) or by value ("violated")
+    spellings = {"VERIFIED", "VIOLATED", "FALSIFIED", VERIFIED, VIOLATED, FALSIFIED}
+    tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+    spelled = {
+        (node.name, word)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_eval_")
+        and node.name != "_eval_task"
+        for part in ast.walk(node)
+        for word in (getattr(part, "id", None), getattr(part, "attr", None),
+                     getattr(part, "value", None))
+        if isinstance(word, str) and word in spellings
+    }
+    assert spelled == set()
 
 
 def test_every_unsettled_outcome_is_witnessed_by_its_instance():
