@@ -123,8 +123,10 @@ def census_spaces(n: int, posets_only: bool = False) -> tuple[FinSpace, ...]:
         raise LimitExceeded(f"census capped at {CENSUS_HARD_MAX} points, asked for {n}")
     if n == 0:
         return (make_space(0, [], name="empty"),)
-    # sizes are built bottom-up here rather than through census_spaces(n - 1),
-    # so that one call is one census computation
+    # sizes are built bottom-up in this loop, not by calling census_spaces(n - 1):
+    # bench/tracer.py::suite_phases adds up the time of every census_spaces span,
+    # so nested calls would count the smaller censuses twice, and the traced
+    # census_spaces call counts would change with them
     keys = {0}
     for m in range(n):
         bases = [_space_from_relation_key(key, m) for key in keys]

@@ -128,6 +128,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.max_points < 1:
+        raise InputError("--max-points must be >= 1")
     total = 0
     for n in range(1, args.max_points + 1):
         spaces = census_spaces(n, posets_only=args.posets_only)
@@ -229,10 +231,7 @@ def main(argv=None) -> int:
     try:
         _check_budget_env()
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except LimitExceeded as exc:
+    except (InputError, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except BudgetExhausted as exc:

@@ -10,7 +10,9 @@ Grammar (UTF-8, one directive per line, '#' starts a comment):
 
 A document may contain any number of space and map blocks.  Duplicate space or
 map names are rejected, as are dangling indices, incomplete or duplicated
-assignments, and discontinuous maps.
+assignments, and discontinuous maps.  A name is one token; a label is the rest
+of its line, read without surrounding whitespace.  The writers raise
+ValueError for a name or label that would not read back unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def parse_document(text: str, into: Document | None = None) -> Document:
     doc = into if into is not None else Document()
     pending = None  # ("space", name, n, pairs, labels, line) | ("map", name, src, tgt, sends, line)
 
-    def finish(at_line: int):
+    def finish():
         nonlocal pending
         if pending is None:
             return
@@ -89,7 +91,7 @@ def parse_document(text: str, into: Document | None = None) -> Document:
         parts = line.split()
         directive = parts[0]
         if directive == "space":
-            finish(line_no)
+            finish()
             if len(parts) != 3:
                 raise ParseError(line_no, "expected: space <name> <n>")
             name = parts[1]
@@ -129,7 +131,7 @@ def parse_document(text: str, into: Document | None = None) -> Document:
                 raise ParseError(line_no, f"label index {i} out of range for {n} points")
             pending[4][i] = line.split(None, 2)[2]
         elif directive == "map":
-            finish(line_no)
+            finish()
             if len(parts) != 4:
                 raise ParseError(line_no, "expected: map <name> <src> <tgt>")
             name, src, tgt = parts[1], parts[2], parts[3]
@@ -149,7 +151,7 @@ def parse_document(text: str, into: Document | None = None) -> Document:
             pending[4].append((i, j, line_no))
         else:
             raise ParseError(line_no, f"unknown directive {directive!r}")
-    finish(-1)
+    finish()
     return doc
 
 
@@ -159,8 +161,26 @@ def load_document(path: str, into: Document | None = None) -> Document:
     return parse_document(text, into=into)
 
 
+def _writable_name(name: str) -> str:
+    """name, if parse_document reads it back unchanged: one token, no '#'."""
+    if not isinstance(name, str) or "#" in name or name.split() != [name]:
+        raise ValueError(f"name {name!r} is not one token without '#'")
+    return name
+
+
+def _writable_label(text: str) -> str:
+    """text, if parse_document reads it back unchanged: one nonempty line
+    without '#' or surrounding whitespace."""
+    if (not isinstance(text, str) or "#" in text or text.strip() != text
+            or text.splitlines() != [text]):
+        raise ValueError(f"label {text!r} is not one line without '#' or surrounding whitespace")
+    return text
+
+
 def format_space(name: str, space: FinSpace) -> str:
-    lines = [f"space {name} {space.n}"]
+    """The space as a document; raises ValueError for a name or label that
+    would not read back unchanged."""
+    lines = [f"space {_writable_name(name)} {space.n}"]
     for x in range(space.n):
         row = space.reach_rows[x]
         for y in range(space.n):
@@ -169,12 +189,15 @@ def format_space(name: str, space: FinSpace) -> str:
     if space.labels is not None:
         for x, text in enumerate(space.labels):
             if text is not None:
-                lines.append(f"label {x} {text}")
+                lines.append(f"label {x} {_writable_label(text)}")
     return "\n".join(lines) + "\n"
 
 
 def format_map(name: str, cmap: CMap, src_name: str, tgt_name: str) -> str:
-    lines = [f"map {name} {src_name} {tgt_name}"]
+    """The map as a document; raises ValueError for a name that would not
+    read back unchanged."""
+    names = " ".join(_writable_name(text) for text in (name, src_name, tgt_name))
+    lines = [f"map {names}"]
     for i, j in enumerate(cmap.assignment):
         lines.append(f"send {i} {j}")
     return "\n".join(lines) + "\n"

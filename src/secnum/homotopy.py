@@ -15,10 +15,11 @@ procedures against each other.
 
 A collapse is a decision about points, so core reduction runs on a point mask
 of the ambient space and builds one subspace, the final core; a core's stages
-are the collapsed pairs of points.  cat's good-open test reduces each
-candidate open to its core mask and runs the fence search from that mask
-into the core of the space, so no subspace is built per open, and only whole
-spaces go through the core cache.
+are the collapsed pairs of points.  One search decides whether a map is
+nullhomotopic, for nullhomotopy_target and for cat's good-open test (the
+inclusion of an open): it reduces the map's domain to its core mask and runs
+the fence search from that mask into the core of the target, so no subspace
+is built per open, and only whole targets go through the core cache.
 """
 
 from __future__ import annotations
@@ -272,8 +273,19 @@ def homotopy_fence(f: CMap, g: CMap, budget: Budget | int | None = None) -> Fenc
     return Fence(tuple(maps))
 
 
-def _is_constant(t: tuple[int, ...]) -> bool:
-    return len(set(t)) == 1
+def _constant_in_component(source: FinSpace, mask: int, images, target: FinSpace,
+                           budget: Budget) -> int | None:
+    """A point c of target such that the map sending each point p of mask to
+    images[p] is homotopic to the constant at c, or None.  The fence search
+    runs from the core mask of the domain, its images retracted onto the core
+    of target, until it meets a constant map."""
+    t_core = core(target)
+    retraction = t_core.retraction.assignment
+    cmask = _core_mask(source, mask)[0]
+    start = tuple(retraction[images[p]] for p in _bits(cmask))
+    found, _ = _component_bfs(source, t_core.space, start, budget, mask=cmask,
+                              stop=lambda t: len(set(t)) == 1)
+    return None if found is None else t_core.inclusion(found[0])
 
 
 def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | None:
@@ -281,10 +293,7 @@ def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | No
     budget = Budget.ensure(budget)
     if f.source.n == 0:
         return 0 if f.target.n else None
-    src_core, tgt_core = core(f.source), core(f.target)
-    cf = _compress(f, src_core, tgt_core)
-    found, _ = _component_bfs(src_core.space, tgt_core.space, cf, budget, stop=_is_constant)
-    return None if found is None else tgt_core.inclusion(found[0])
+    return _constant_in_component(f.source, f.source.full_mask, f.assignment, f.target, budget)
 
 
 def is_contractible(X: FinSpace) -> bool:
@@ -294,16 +303,8 @@ def is_contractible(X: FinSpace) -> bool:
 
 def _contraction_point(X: FinSpace, mask: int, budget: Budget) -> int | None:
     """A point c such that the inclusion of the open on mask is homotopic
-    within X to the constant map at c, or None.
-
-    The open is reduced to its core on points of X, and the fence search runs
-    over maps from that core into the core of X, on a point mask of X."""
-    x_core = core(X)
-    retraction = x_core.retraction.assignment
-    cmask = _core_mask(X, mask)[0]
-    start = tuple(retraction[p] for p in _bits(cmask))
-    found, _ = _component_bfs(X, x_core.space, start, budget, stop=_is_constant, mask=cmask)
-    return None if found is None else x_core.inclusion(found[0])
+    within X to the constant map at c, or None."""
+    return _constant_in_component(X, mask, range(X.n), X, budget)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,8 @@ class CoverCertificate:
     mode 'section' or 'homotopy-section': context is (f,), witnesses are maps
     from the cover-element subspace into the source of f.  mode 'lift':
     context is (p, g), witnesses map cover-element subspaces of the base of g
-    into the source of p.
+    into the source of p.  A section of f is a lift of the identity of the
+    base, so 'section' and 'lift' are checked by one strict-lift equation.
     """
 
     mode: str
@@ -110,24 +111,18 @@ class CoverCertificate:
             sub, incl = subspace_of_mask(self.base, element.mask)
             if witness.source != sub:
                 raise SelfCheckFailed("witness domain is not the cover element subspace")
-            if self.mode in (MODE_SECTION, MODE_HOMOTOPY):
-                (f,) = self.context
-                if witness.target != f.source:
-                    raise SelfCheckFailed("witness target is not the section source")
-                composite = compose(f, witness)
-                if self.mode == MODE_SECTION:
-                    if composite.assignment != incl.assignment:
-                        raise SelfCheckFailed("witness is not a strict local section")
-                elif not homotopic(composite, incl, budget):
+            p = self.context[0]
+            if witness.target != p.source:
+                raise SelfCheckFailed("witness maps into the wrong space")
+            composite = compose(p, witness)
+            if self.mode == MODE_HOMOTOPY:
+                if not homotopic(composite, incl, budget):
                     raise SelfCheckFailed("witness is not a homotopy local section")
             else:
-                p, g = self.context
-                if witness.target != p.source:
-                    raise SelfCheckFailed("witness target is not the lift source")
-                got = compose(p, witness).assignment
-                expected = tuple(g(u) for u in incl.assignment)
-                if got != expected:
-                    raise SelfCheckFailed("witness is not a lift of g through p")
+                # a section is a strict lift of the identity of the base
+                g = self.context[1].assignment if self.mode == MODE_LIFT else range(self.base.n)
+                if composite.assignment != tuple(g[u] for u in incl.assignment):
+                    raise SelfCheckFailed("witness is not a strict lift through the map")
         return True
 
     def to_json_dict(self) -> dict:
@@ -283,6 +278,12 @@ def secat(f: CMap, budget: Budget | int | None = None) -> CoverResult:
                          lambda mask: _homotopy_section_witness(f, mask, budget), (f,), budget)
 
 
+def _check_shared_target(p: CMap, g: CMap) -> None:
+    """The precondition of every relative invariant of p along g."""
+    if p.target != g.target:
+        raise ValueError("relative invariants need p and g to share their target")
+
+
 def relative_sec(p: CMap, g: CMap, route: str = "lift",
                  budget: Budget | int | None = None) -> CoverResult:
     """Sectional number of p relative to g: the least size of an open cover
@@ -293,15 +294,13 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
     an independent algorithm for the same value.  route='both' computes both,
     insists they match, and returns the lift-route result.
     """
-    if p.target != g.target:
-        raise ValueError("relative invariants need p and g to share their target")
+    _check_shared_target(p, g)
     budget = Budget.ensure(budget)
     if route not in ("pullback", "lift", "both"):
         raise ValueError(f"unknown route {route!r}")
     result_pb = result_lift = None
     if route in ("pullback", "both"):
-        _, to_base, _ = pullback(p, g)
-        result_pb = sec(to_base, budget)
+        result_pb = sec(pullback(p, g)[1], budget)
     if route in ("lift", "both"):
         result_lift = _cover_result(g.source, MODE_LIFT, _lift_test(p, g, budget), (p, g), budget)
     if route == "pullback":
@@ -315,11 +314,8 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
 
 def relative_secat(p: CMap, g: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Sectional category of the canonical pullback of p along g."""
-    if p.target != g.target:
-        raise ValueError("relative invariants need p and g to share their target")
-    budget = Budget.ensure(budget)
-    _, to_base, _ = pullback(p, g)
-    return secat(to_base, budget)
+    _check_shared_target(p, g)
+    return secat(pullback(p, g)[1], budget)
 
 
 @dataclass(frozen=True)
@@ -346,8 +342,6 @@ class TcBounds:
 
 
 def relative_tc_bounds(f: CMap, g: CMap, budget: Budget | int | None = None) -> TcBounds:
-    if f.target != g.target:
-        raise ValueError("tc bounds need f and g to share their target")
     lower = relative_sec(f, g, budget=budget).value
     contractible = is_contractible(f.source)
     return TcBounds(lower=lower, upper=lower if contractible else None, exact=contractible,

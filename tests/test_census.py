@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from secnum.census import (
@@ -144,3 +147,16 @@ def test_homotopic_neighbor_is_homotopic():
         X, Y, g = gen.triple(3)
         neighbor = gen.homotopic_neighbor(g)
         assert homotopic(g, neighbor)
+
+
+def test_readme_census_counts_match_the_known_counts():
+    """README spells the census counts out; they must be the ones the census
+    is checked against."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"\(([\d, ]+) spaces for sizes 1\.\.(\d+); posets: ([\d, ]+)\)",
+                      " ".join(readme.split()))
+    assert found, "README no longer states the census counts"
+    sizes = range(1, int(found[2]) + 1)
+    assert max(KNOWN_PREORDER_COUNTS) == max(KNOWN_POSET_COUNTS) == sizes[-1]
+    assert [int(v) for v in found[1].split(",")] == [KNOWN_PREORDER_COUNTS[n] for n in sizes]
+    assert [int(v) for v in found[3].split(",")] == [KNOWN_POSET_COUNTS[n] for n in sizes]

@@ -165,6 +165,14 @@ def test_census_over_cap_is_input_error(capsys):
     assert main(["census", "--max-points", "8"]) == 4
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_census_count_below_one_is_input_error(capsys, count):
+    assert main(["census", "--max-points", count]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-points must be >= 1\n"
+
+
 def test_suite_cli_roundtrip(tmp_path, capsys):
     config = {
         "schema": "secnum.suite-config/1",

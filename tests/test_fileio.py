@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnum.fileio import Document, ParseError, format_map, format_space, parse_document
-from secnum.finspace import make_map, sierpinski
+from secnum.finspace import identity_map, make_map, make_space, sierpinski
 
 
 SIERPINSKI_TEXT = """\
@@ -168,3 +168,56 @@ def test_parser_raises_only_parse_error_on_grammar_tokens(text):
 @given(st.text())
 def test_parser_raises_only_parse_error_on_arbitrary_text(text):
     _parses_or_raises_parse_error(text)
+
+
+def test_writers_reject_text_the_parser_misreads():
+    # each of these used to be written and then read back as something else
+    for label in ["a\nspace X 1", "a#b", " c ", "", "d\r"]:
+        with pytest.raises(ValueError, match="label"):
+            format_space("S", make_space(1, [], labels=[label]))
+    s = sierpinski()
+    for name in ["a b", "a#b", "", "x\n"]:
+        with pytest.raises(ValueError, match="name"):
+            format_space(name, s)
+        with pytest.raises(ValueError, match="name"):
+            format_map(name, identity_map(s), "S", "S")
+        with pytest.raises(ValueError, match="name"):
+            format_map("f", identity_map(s), "S", name)
+
+
+def _name_reads_back(name: str) -> bool:
+    try:
+        return list(parse_document(f"space {name} 0\n").spaces) == [name]
+    except ParseError:
+        return False
+
+
+def _label_reads_back(label: str) -> bool:
+    try:
+        return parse_document(f"space S 1\nlabel 0 {label}\n").spaces["S"].labels == (label,)
+    except ParseError:
+        return False
+
+
+_AWKWARD_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from("ab #\t\n\r\x0b\x0c\x1c\x1f\x85 "), max_size=4),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300)
+@given(_AWKWARD_TEXT, _AWKWARD_TEXT)
+def test_writers_accept_exactly_what_reads_back(name, label):
+    """Whatever the writers accept parses back to the same names and labels,
+    and they raise for everything the parser would read as something else."""
+    space = make_space(1, [], labels=[label])
+    f = identity_map(space)
+    if not (_name_reads_back(name) and _label_reads_back(label)):
+        with pytest.raises(ValueError):
+            format_space(name, space) + format_map(name, f, name, name)
+        return
+    doc = parse_document(format_space(name, space) + format_map(name, f, name, name))
+    assert list(doc.spaces) == [name]
+    assert doc.spaces[name].labels == (label,)
+    assert list(doc.maps) == [name]
+    assert doc.maps[name].assignment == (0,)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -250,6 +251,50 @@ def test_discontinuous_witness_fails_the_self_check():
     )
     with pytest.raises(SelfCheckFailed, match="not a continuous map"):
         swapped.verify()
+
+
+def _with_witness(cert, witness):
+    """cert, which must verify, with its one witness replaced."""
+    assert len(cert.cover) == 1 and cert.verify()
+    return dataclasses.replace(cert, witnesses=(witness,))
+
+
+def test_lift_of_another_map_fails_the_self_check():
+    """A lift of the identity is no lift of a constant g: lift mode checks
+    against g, not against the inclusion."""
+    s = sierpinski()
+    cert = relative_sec(identity_map(s), constant_map(s, s, 0)).certificate
+    assert cert.mode == MODE_LIFT
+    tampered = _with_witness(cert, identity_map(s))
+    with pytest.raises(SelfCheckFailed, match="strict lift"):
+        tampered.verify()
+
+
+def test_non_homotopy_section_fails_the_self_check():
+    """A constant self-map of the pseudocircle is no homotopy section of its
+    identity, since the pseudocircle is not contractible."""
+    c = pseudocircle()
+    cert = secat(identity_map(c)).certificate
+    assert cert.mode == MODE_HOMOTOPY
+    tampered = _with_witness(cert, constant_map(c, c, 0))
+    with pytest.raises(SelfCheckFailed, match="homotopy local section"):
+        tampered.verify()
+
+
+def test_witness_into_the_wrong_space_fails_the_self_check():
+    s = sierpinski()
+    indiscrete = make_space(2, [(0, 1), (1, 0)])
+    for cert in (sec(identity_map(s)).certificate, secat(identity_map(s)).certificate):
+        tampered = _with_witness(cert, CMap(s, indiscrete, (0, 1)))
+        with pytest.raises(SelfCheckFailed, match="wrong space"):
+            tampered.verify()
+
+
+def test_relative_invariants_need_a_shared_target():
+    s, c = sierpinski(), pseudocircle()
+    for relative in (relative_sec, relative_secat, relative_tc_bounds):
+        with pytest.raises(ValueError, match="share their target"):
+            relative(identity_map(s), identity_map(c))
 
 
 def test_relative_sec_along_identity_is_sec():
