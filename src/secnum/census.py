@@ -122,7 +122,7 @@ def census_spaces(n: int, posets_only: bool = False) -> tuple[FinSpace, ...]:
     if n > CENSUS_HARD_MAX:
         raise LimitExceeded(f"census capped at {CENSUS_HARD_MAX} points, asked for {n}")
     if n == 0:
-        return (make_space(0, [], name="empty"),)
+        return (make_space(0, []),)
     # sizes are built bottom-up in this loop, not by calling census_spaces(n - 1):
     # bench/tracer.py::suite_phases adds up the time of every census_spaces span,
     # so nested calls would count the smaller censuses twice, and the traced

@@ -88,13 +88,16 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_relative(args) -> int:
+    if args.route is not None and args.invariant != "sec":
+        raise InputError(f"--route applies to --invariant sec only, not {args.invariant}")
     p = _single_map(Document(), args.p)
     g = _single_map(Document(), args.g)
     if p.target != g.target:
         raise InputError("p and g must share their target space")
     if args.invariant == "sec":
-        result = relative_sec(p, g, route=args.route)
-        _emit({"invariant": "relative-sec", "route": args.route} | result.to_json_dict())
+        route = args.route or "both"
+        result = relative_sec(p, g, route=route)
+        _emit({"invariant": "relative-sec", "route": route} | result.to_json_dict())
         return 0
     if args.invariant == "secat":
         result = relative_secat(p, g)
@@ -192,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     relative.add_argument("--p", required=True, help=".fmap file with p: E -> B")
     relative.add_argument("--g", required=True, help=".fmap file with g: X -> B")
     relative.add_argument("--invariant", required=True, choices=["sec", "secat", "tc-bounds"])
-    relative.add_argument("--route", default="both", choices=["pullback", "lift", "both"])
+    relative.add_argument("--route", choices=["pullback", "lift", "both"],
+                          help="route of --invariant sec (default: both)")
     relative.set_defaults(func=_cmd_relative)
 
     check = sub.add_parser("check", help="verify one theorem instance")

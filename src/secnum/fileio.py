@@ -13,6 +13,10 @@ map names are rejected, as are dangling indices, incomplete or duplicated
 assignments, and discontinuous maps.  A name is one token; a label is the rest
 of its line, read without surrounding whitespace.  The writers raise
 ValueError for a name or label that would not read back unchanged.
+
+Names and labels are display text: a FinSpace or CMap is its structure alone,
+so a Document keeps the names as its dict keys and a space block's labels in
+Document.labels, and format_space takes them back as an argument.
 """
 
 from __future__ import annotations
@@ -31,16 +35,23 @@ class ParseError(ValueError):
 
 @dataclass
 class Document:
+    """Parsed blocks by name.  labels[name] holds the point labels of a space
+    block that has any (None for an unlabelled point); a repeated block keeps
+    the first block's labels."""
+
     spaces: dict[str, FinSpace] = field(default_factory=dict)
     maps: dict[str, CMap] = field(default_factory=dict)
+    labels: dict[str, tuple[str | None, ...]] = field(default_factory=dict)
 
 
-def _merge_space(doc: Document, name: str, space: FinSpace, line_no: int):
+def _merge_space(doc: Document, name: str, space: FinSpace, labels, line_no: int):
     if name in doc.spaces:
         if doc.spaces[name] == space:
             return
         raise ParseError(line_no, f"duplicate space name {name!r} with a different definition")
     doc.spaces[name] = space
+    if any(text is not None for text in labels):
+        doc.labels[name] = tuple(labels)
 
 
 def parse_document(text: str, into: Document | None = None) -> Document:
@@ -54,13 +65,11 @@ def parse_document(text: str, into: Document | None = None) -> Document:
         kind = pending[0]
         if kind == "space":
             _, name, n, pairs, labels, line_no = pending
-            if not any(text is not None for text in labels):
-                labels = None
             try:
-                space = make_space(n, pairs, labels=labels, name=name)
+                space = make_space(n, pairs)
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from exc
-            _merge_space(doc, name, space, line_no)
+            _merge_space(doc, name, space, labels, line_no)
         else:
             _, name, src, tgt, sends, line_no = pending
             if name in doc.maps:
@@ -79,7 +88,7 @@ def parse_document(text: str, into: Document | None = None) -> Document:
             if missing:
                 raise ParseError(line_no, f"map {name!r} misses assignments for points {missing}")
             try:
-                doc.maps[name] = CMap(source, target, assignment, name=name, validate=True)
+                doc.maps[name] = CMap(source, target, assignment, validate=True)
             except DiscontinuityError as exc:
                 raise ParseError(line_no, f"map {name!r} is not continuous: {exc}") from exc
         pending = None
@@ -177,19 +186,21 @@ def _writable_label(text: str) -> str:
     return text
 
 
-def format_space(name: str, space: FinSpace) -> str:
-    """The space as a document; raises ValueError for a name or label that
-    would not read back unchanged."""
+def format_space(name: str, space: FinSpace, labels=None) -> str:
+    """The space as a document, with one label line per labels entry that is
+    not None; raises ValueError for a label count other than the point count,
+    and for a name or label that would not read back unchanged."""
+    if labels is not None and len(labels) != space.n:
+        raise ValueError(f"{len(labels)} labels for {space.n} points")
     lines = [f"space {_writable_name(name)} {space.n}"]
     for x in range(space.n):
         row = space.reach_rows[x]
         for y in range(space.n):
             if y != x and (row >> y) & 1:
                 lines.append(f"reach {x} {y}")
-    if space.labels is not None:
-        for x, text in enumerate(space.labels):
-            if text is not None:
-                lines.append(f"label {x} {_writable_label(text)}")
+    for x, text in enumerate(labels or ()):
+        if text is not None:
+            lines.append(f"label {x} {_writable_label(text)}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,11 @@ topology completely: a subset U is open exactly when U_x is contained in U for
 every x in U, and a point assignment is continuous exactly when it preserves
 reach.  Points are dense indices 0..n-1 and every enumeration order is fixed
 (lexicographic), so all results are bit-reproducible.
+
+A space is its reach rows and a map its source, target and assignment, and
+nothing else: equality, hashing and every cache key on them, as does every
+invariant.  Display text for points and blocks belongs to the text format
+(fileio).
 """
 
 from __future__ import annotations
@@ -57,14 +62,12 @@ class FinSpace:
     maps compose across independently constructed copies of the same space.
     """
 
-    __slots__ = ("n", "reach_rows", "co_rows", "labels", "name", "full_mask", "_hash")
+    __slots__ = ("n", "reach_rows", "co_rows", "full_mask", "_hash")
 
-    def __init__(self, reach_rows, labels=None, name=None, validate=True):
+    def __init__(self, reach_rows, validate=True):
         rows = tuple(reach_rows)
         n = len(rows)
-        labels = tuple(labels) if labels is not None else None
         if validate:
-            _check_label_count(labels, n)
             full = (1 << n) - 1
             for x, row in enumerate(rows):
                 if row & ~full:
@@ -84,8 +87,6 @@ class FinSpace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "reach_rows", rows)
         object.__setattr__(self, "co_rows", tuple(co))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "name", name)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "_hash", hash((n, rows)))
 
@@ -93,7 +94,7 @@ class FinSpace:
         raise AttributeError("FinSpace is immutable")
 
     def __reduce__(self):
-        return (_rebuild_space, (self.reach_rows, self.labels, self.name))
+        return (FinSpace, (self.reach_rows, False))
 
     def reach(self, x: int, y: int) -> bool:
         return bool((self.reach_rows[x] >> y) & 1)
@@ -104,11 +105,6 @@ class FinSpace:
                 return False
         return True
 
-    def label(self, x: int) -> str:
-        if self.labels is not None and self.labels[x] is not None:
-            return self.labels[x]
-        return str(x)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinSpace):
             return NotImplemented
@@ -118,40 +114,7 @@ class FinSpace:
         return self._hash
 
     def __repr__(self) -> str:
-        name = self.name or "space"
-        return f"FinSpace({name!r}, n={self.n})"
-
-
-def _rebuild_space(rows, labels, name):
-    return FinSpace(rows, labels=labels, name=name, validate=False)
-
-
-def cached_by_space(maxsize: int):
-    """lru_cache for a function of (space, ...) whose result carries the
-    space's labels or name.
-
-    FinSpace equality ignores labels and name, so a cache keyed on the space
-    would hand one caller the result built for a differently labelled copy.
-    The key is the reach rows, labels and name plus the other arguments
-    instead, and a miss computes on a rebuilt copy that equals the caller's
-    space in every attribute.
-    Cached results are shared between callers, so they must be immutable.
-    """
-
-    def decorate(fn):
-        @functools.lru_cache(maxsize=maxsize)
-        def cached(rows, labels, name, *args, **kwargs):
-            return fn(_rebuild_space(rows, labels, name), *args, **kwargs)
-
-        @functools.wraps(fn)
-        def wrapper(space, *args, **kwargs):
-            return cached(space.reach_rows, space.labels, space.name, *args, **kwargs)
-
-        wrapper.cache_info = cached.cache_info
-        wrapper.cache_clear = cached.cache_clear
-        return wrapper
-
-    return decorate
+        return f"FinSpace({self.reach_rows!r})"
 
 
 @dataclass(frozen=True)
@@ -181,9 +144,9 @@ class OpenSet:
 class CMap:
     """A continuous map: a total point assignment preserving reach."""
 
-    __slots__ = ("source", "target", "assignment", "name")
+    __slots__ = ("source", "target", "assignment")
 
-    def __init__(self, source: FinSpace, target: FinSpace, assignment, name=None, validate=True):
+    def __init__(self, source: FinSpace, target: FinSpace, assignment, validate=True):
         assignment = tuple(assignment)
         if len(assignment) != source.n:
             raise ValueError(
@@ -203,13 +166,12 @@ class CMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, key, value):
         raise AttributeError("CMap is immutable")
 
     def __reduce__(self):
-        return (_rebuild_map, (self.source, self.target, self.assignment, self.name))
+        return (CMap, (self.source, self.target, self.assignment, False))
 
     def __call__(self, x: int) -> int:
         return self.assignment[x]
@@ -238,78 +200,66 @@ class CMap:
         )
 
     def __repr__(self) -> str:
-        name = f" {self.name!r}" if self.name else ""
-        return f"CMap{name}({self.source!r} -> {self.target!r}, {list(self.assignment)})"
-
-
-def _rebuild_map(source, target, assignment, name):
-    return CMap(source, target, assignment, name=name, validate=False)
+        return f"CMap({self.source!r} -> {self.target!r}, {list(self.assignment)})"
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def make_space(n: int, reach_pairs, labels=None, name=None) -> FinSpace:
+def make_space(n: int, reach_pairs) -> FinSpace:
     """Space on points 0..n-1 whose reach is the reflexive-transitive closure
     of the generator pairs (i, j), each meaning reach(i, j).
 
-    FinSpace is immutable, so equal generator rows, labels and name give one
-    shared object, held in a bounded cache; a hit skips the closure."""
+    FinSpace is immutable, so equal generator rows give one shared object,
+    held in a bounded cache; a hit skips the closure."""
     if n < 0:
         raise ValueError("point count must be >= 0")
-    labels = None if labels is None else tuple(labels)
-    _check_label_count(labels, n)
     rows = [1 << i for i in range(n)]
     for i, j in reach_pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"reach pair ({i},{j}) is out of range for {n} points")
         rows[i] |= 1 << j
-    return _closed_space(tuple(rows), labels, name)
-
-
-def _check_label_count(labels, n: int) -> None:
-    if labels is not None and len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} points")
+    return _closed_space(tuple(rows))
 
 
 @functools.lru_cache(maxsize=1024)
-def _closed_space(generator_rows: tuple[int, ...], labels, name) -> FinSpace:
+def _closed_space(generator_rows: tuple[int, ...]) -> FinSpace:
     rows = _transitive_closure(list(generator_rows), len(generator_rows))
-    return FinSpace(rows, labels=labels, name=name, validate=False)
+    return FinSpace(rows, validate=False)
 
 
-def empty_space(name="empty") -> FinSpace:
-    return make_space(0, [], name=name)
+def empty_space() -> FinSpace:
+    return make_space(0, [])
 
 
-def sierpinski(name="S") -> FinSpace:
+def sierpinski() -> FinSpace:
     """Two points with reach(1, 0): U_0 = {0}, U_1 = {0, 1}."""
-    return make_space(2, [(1, 0)], name=name)
+    return make_space(2, [(1, 0)])
 
 
-def discrete_space(n: int, name=None) -> FinSpace:
-    return make_space(n, [], name=name or f"discrete{n}")
+def discrete_space(n: int) -> FinSpace:
+    return make_space(n, [])
 
 
-def pseudocircle(name="C") -> FinSpace:
+def pseudocircle() -> FinSpace:
     """The four-point circle model: no beat points, not contractible."""
-    return make_space(4, [(2, 0), (2, 1), (3, 0), (3, 1)], name=name)
+    return make_space(4, [(2, 0), (2, 1), (3, 0), (3, 1)])
 
 
 def identity_map(space: FinSpace) -> CMap:
-    return CMap(space, space, range(space.n), name="id", validate=False)
+    return CMap(space, space, range(space.n), validate=False)
 
 
 def constant_map(source: FinSpace, target: FinSpace, y: int) -> CMap:
     if not 0 <= y < target.n:
         raise ValueError(f"constant value {y} out of range")
-    return CMap(source, target, [y] * source.n, name=f"const{y}", validate=False)
+    return CMap(source, target, [y] * source.n, validate=False)
 
 
-def make_map(source: FinSpace, target: FinSpace, assignment, name=None) -> CMap:
+def make_map(source: FinSpace, target: FinSpace, assignment) -> CMap:
     """Validated continuous map; raises DiscontinuityError with a witness pair."""
-    return CMap(source, target, assignment, name=name, validate=True)
+    return CMap(source, target, assignment, validate=True)
 
 
 def compose(outer: CMap, inner: CMap) -> CMap:
@@ -396,8 +346,7 @@ def _tuple_space(factors, points) -> FinSpace:
     coordinate lies in U_a (an OR of coordinate fibers), the row of t is the
     AND of below[i][t[i]] over its coordinates: O(N*k + n*n*k) big-int
     operations for N points of k coordinates, where testing every pair of
-    points would take O(N*N*k).  Labels are "(a,b,...)" when any factor is
-    labelled.
+    points would take O(N*N*k).
     """
     belows = []
     for factor, coordinates in zip(factors, zip(*points)):
@@ -412,13 +361,7 @@ def _tuple_space(factors, points) -> FinSpace:
             below.append(acc)
         belows.append(below)
     rows = [functools.reduce(operator.and_, map(list.__getitem__, belows, t)) for t in points]
-    labels = None
-    if any(factor.labels is not None for factor in factors):
-        labels = [
-            "(" + ",".join(factor.label(a) for factor, a in zip(factors, t)) + ")"
-            for t in points
-        ]
-    return FinSpace(rows, labels=labels, validate=False)
+    return FinSpace(rows, validate=False)
 
 
 def product(a: FinSpace, b: FinSpace):
@@ -429,8 +372,8 @@ def product(a: FinSpace, b: FinSpace):
     check_product(a.n * b.n)
     n = a.n * b.n
     space = _tuple_space((a, b), list(itertools.product(range(a.n), range(b.n))))
-    proj_a = CMap(space, a, (i // b.n for i in range(n)), name="proj1", validate=False)
-    proj_b = CMap(space, b, (i % b.n for i in range(n)), name="proj2", validate=False)
+    proj_a = CMap(space, a, (i // b.n for i in range(n)), validate=False)
+    proj_b = CMap(space, b, (i % b.n for i in range(n)), validate=False)
     return space, proj_a, proj_b
 
 
@@ -452,9 +395,8 @@ def subspace(space: FinSpace, points):
             if q in index_of:
                 row |= 1 << index_of[q]
         rows.append(row)
-    labels = [space.label(p) for p in pts] if space.labels is not None else None
-    sub = FinSpace(rows, labels=labels, validate=False)
-    incl = CMap(sub, space, pts, name="incl", validate=False)
+    sub = FinSpace(rows, validate=False)
+    incl = CMap(sub, space, pts, validate=False)
     return sub, incl
 
 
@@ -479,12 +421,12 @@ def pullback(p: CMap, g: CMap):
     check_product(sum(fibers[b].bit_count() for b in g.assignment))
     pairs = [(x, e) for x, b in enumerate(g.assignment) for e in _bits(fibers[b])]
     space = _tuple_space((X, E), pairs)
-    to_base = CMap(space, X, (x for x, _ in pairs), name="pullback_to_base", validate=False)
-    to_total = CMap(space, E, (e for _, e in pairs), name="pullback_to_total", validate=False)
+    to_base = CMap(space, X, (x for x, _ in pairs), validate=False)
+    to_total = CMap(space, E, (e for _, e in pairs), validate=False)
     return space, to_base, to_total
 
 
-@cached_by_space(maxsize=64)
+@functools.lru_cache(maxsize=64)
 def configuration_space(space: FinSpace, k: int):
     """Ordered configuration space F(Y, k) of k pairwise-distinct points.
 
@@ -500,14 +442,13 @@ def configuration_space(space: FinSpace, k: int):
         raise ValueError("k must be >= 1")
     if k == 1:
         return space, identity_map(space)
-    name = f"proj_{k}_1"
     if k > space.n:
         empty = FinSpace((), validate=False)
-        return empty, CMap(empty, space, (), name=name, validate=False)
+        return empty, CMap(empty, space, (), validate=False)
     check_product(math.perm(space.n, k))
     tuples = list(itertools.permutations(range(space.n), k))
     conf = _tuple_space((space,) * k, tuples)
-    return conf, CMap(conf, space, (t[0] for t in tuples), name=name, validate=False)
+    return conf, CMap(conf, space, (t[0] for t in tuples), validate=False)
 
 
 # ---------------------------------------------------------------------------

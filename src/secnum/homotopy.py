@@ -24,6 +24,7 @@ is built per open, and only whole targets go through the core cache.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cover import min_good_cover
@@ -33,7 +34,6 @@ from .finspace import (
     FinSpace,
     OpenSet,
     _bits,
-    cached_by_space,
     compose,
     constant_map,
     identity_map,
@@ -137,7 +137,7 @@ def _compute_core(space: FinSpace) -> Core:
     return Core(space=sub, retraction=r, inclusion=inclusion, stages=stages)
 
 
-@cached_by_space(maxsize=8192)
+@functools.lru_cache(maxsize=8192)
 def core(space: FinSpace) -> Core:
     """Stable beat-point-free retract with retraction/inclusion maps."""
     return _compute_core(space)

@@ -232,7 +232,7 @@ def _payload_json(payload) -> list:
 
 
 @_register(
-    "remark_sec1_iff_not_cp",
+    coin.CLAIM_REMARK,
     "the relative sectional number of the 2-point configuration projection "
     "equals 1 exactly when a coincidence-free map exists",
 )
@@ -241,7 +241,7 @@ def _eval_remark(payload, budget):
 
 
 @_register(
-    "main_theorem",
+    coin.CLAIM_MAIN,
     "CP holds exactly when the relative sectional number of the 2-point "
     "configuration projection equals 2",
     hypotheses="target Hausdorff with at least 2 points; other instances explored",
@@ -258,7 +258,7 @@ def _eval_main_theorem(payload, budget):
 
 
 @_register(
-    "key_lemma_k",
+    coin.CLAIM_KEY_LEMMA,
     "the relative sectional number of the k-point configuration projection "
     "is at most k",
     hypotheses="target Hausdorff with at least k points; other instances explored",
@@ -268,7 +268,7 @@ def _eval_key_lemma(payload, budget):
 
 
 @_register(
-    "cp_implies_fpp",
+    coin.CLAIM_CP_FPP,
     "CP for (X, Y; g) implies FPP for Y; on failure of FPP the composite of "
     "the fixed-point-free witness with g is a coincidence-free witness",
 )
@@ -794,18 +794,18 @@ def _build_tasks(cfg: SuiteConfig):
 
     census = census_up_to(cfg.census_max_points, include_empty=True)
     for X, Y, g in _triples(itertools.product(census, census)):
-        add("remark_sec1_iff_not_cp", (X, Y, g))
-        add("cp_implies_fpp", (X, Y, g))
+        add(coin.CLAIM_REMARK, (X, Y, g))
+        add(coin.CLAIM_CP_FPP, (X, Y, g))
         add("cp_target_restriction", (X, Y, g))
         if not is_hausdorff(Y):
-            add("main_theorem", (X, Y, g))
+            add(coin.CLAIM_MAIN, (X, Y, g))
             for k in cfg.k_values:
-                add("key_lemma_k", (X, Y, g, k))
+                add(coin.CLAIM_KEY_LEMMA, (X, Y, g, k))
     for X, Y, g in _triples(_hausdorff_pairs(census, 2, cfg.hausdorff_target_max)):
-        add("main_theorem", (X, Y, g))
+        add(coin.CLAIM_MAIN, (X, Y, g))
     for k in cfg.k_values:
         for X, Y, g in _triples(_hausdorff_pairs(census, k, cfg.key_lemma_target_max)):
-            add("key_lemma_k", (X, Y, g, k))
+            add(coin.CLAIM_KEY_LEMMA, (X, Y, g, k))
 
     add("sierpinski_boundary", (sierpinski(),))
     add("pullback_secat_strict_drop", (3,))

@@ -330,7 +330,7 @@ def brute_census(n, posets_only=False):
     transitive (and antisymmetric for posets), collapsed by canonical form and
     returned as spaces in ascending canonical order, like census_spaces."""
     if n == 0:
-        return (make_space(0, [], name="empty"),)
+        return (make_space(0, []),)
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     keys = set()
     for mask in range(1 << len(positions)):

@@ -5,19 +5,22 @@ bench/child.py wraps suite._eval_task; a refactor that binds a function
 under another name, or calls a phase twice, silently hides it from the
 traced counts.  This runs the benchmark's own tracer around its smoke
 suite config and checks that every span it declares is reached, and that
-it sees every call a profiler sees.
+it sees every call a profiler sees.  It also runs a few calculator queries
+of every kind, so a change to a constructor or an entry point the
+calculator calls fails here.
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
 
-from secnum import homotopy, run_suite, sectional
+from secnum import Budget, homotopy, run_suite, sectional
+from secnum import coincidence as coin
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # the claims whose evaluators call one coincidence.check_* checker each
-CHECKED_CLAIMS = ("remark_sec1_iff_not_cp", "main_theorem", "key_lemma_k", "cp_implies_fpp")
+CHECKED_CLAIMS = (coin.CLAIM_REMARK, coin.CLAIM_MAIN, coin.CLAIM_KEY_LEMMA, coin.CLAIM_CP_FPP)
 
 
 def test_traced_smoke_suite_reaches_every_span_and_checker(monkeypatch):
@@ -67,3 +70,14 @@ def test_traced_sec_and_secat_calls_match_a_profiler_count(monkeypatch):
     for name in names.values():
         assert profiled[name] > 0
         assert t.counts[name + ".calls"] == profiled[name], name
+
+
+def test_calculator_queries_run_and_verify(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import calculator
+
+    queries = calculator.make_queries(7, 2 * len(calculator.KINDS))
+    assert {kind for kind, _ in queries} == set(calculator.KINDS)
+    for kind, args in queries:
+        result = calculator.run_query(kind, args, Budget())
+        assert calculator.verify(kind, args, result), kind

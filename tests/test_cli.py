@@ -118,6 +118,19 @@ def test_relative_routes_and_tc(files, capsys):
     assert data["exact"] is True and data["lower"] == data["upper"] == 1
 
 
+@pytest.mark.parametrize("invariant, route", [("secat", "lift"), ("tc-bounds", "pullback")])
+def test_relative_route_is_for_sec_only(files, capsys, invariant, route):
+    # secat and tc-bounds have one route each, so a --route would be ignored
+    code = main([
+        "relative", "--p", files["pi.fmap"], "--g", files["g.fmap"],
+        "--invariant", invariant, "--route", route,
+    ])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_check_claims(files, capsys):
     for claim in ("remark", "cp-implies-fpp"):
         code, data = run_json(capsys, [

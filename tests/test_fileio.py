@@ -2,8 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secnum.fileio import Document, ParseError, format_map, format_space, parse_document
-from secnum.finspace import identity_map, make_map, make_space, sierpinski
+from secnum.fileio import (
+    Document,
+    ParseError,
+    format_fence,
+    format_map,
+    format_space,
+    parse_document,
+)
+from secnum.finspace import (
+    constant_map,
+    discrete_space,
+    identity_map,
+    make_map,
+    make_space,
+    sierpinski,
+)
+from secnum.homotopy import Fence, homotopy_fence
 
 
 SIERPINSKI_TEXT = """\
@@ -19,7 +34,9 @@ def test_parse_space_with_closure_and_labels():
     doc = parse_document(SIERPINSKI_TEXT)
     s = doc.spaces["S"]
     assert s.reach_rows == (0b01, 0b11)
-    assert s.labels == ("bottom", "top")
+    assert doc.labels == {"S": ("bottom", "top")}
+    assert parse_document("space A 2\nlabel 1 b\n").labels == {"A": (None, "b")}
+    assert parse_document("space A 2\n").labels == {}
 
 
 def test_closure_applied_on_load():
@@ -37,17 +54,31 @@ def test_parse_map():
 
 def test_round_trip():
     s = sierpinski()
-    f = make_map(s, s, [0, 0], name="f")
+    f = make_map(s, s, [0, 0])
     text = format_space("S", s) + format_map("f", f, "S", "S")
     doc = parse_document(text)
     assert doc.spaces["S"] == s
     assert doc.maps["f"].assignment == (0, 0)
+    assert doc.labels == {}
+    assert format_space("S", s, ("bottom", "top")) == SIERPINSKI_TEXT.split("\n", 1)[1]
+    doc = parse_document(format_space("S", s, (None, "top")))
+    assert doc.labels == {"S": (None, "top")}
+
+
+def test_format_space_label_count_must_match_the_points():
+    with pytest.raises(ValueError, match="1 labels for 3 points"):
+        format_space("X", discrete_space(3), ["a"])
+    with pytest.raises(ValueError, match="3 labels for 2 points"):
+        format_space("S", sierpinski(), ["a", "b", "c"])
 
 
 def test_duplicate_space_name_rejected_unless_identical():
     text = "space A 1\nspace A 1\n"
     doc = parse_document(text)  # identical redefinition is allowed
     assert doc.spaces["A"].n == 1
+    # and keeps the first block's labels
+    text = "space A 1\nlabel 0 x\nspace A 1\nlabel 0 y\nspace B 1\nspace B 1\nlabel 0 z\n"
+    assert parse_document(text).labels == {"A": ("x",)}
     with pytest.raises(ParseError):
         parse_document("space A 1\nspace A 2\n")
 
@@ -104,16 +135,28 @@ def test_merge_into_shared_registry():
 
 
 def test_fence_serializes_and_parses_back():
-    from secnum.fileio import format_fence
-    from secnum.finspace import constant_map, identity_map
-    from secnum.homotopy import homotopy_fence
-
     s = sierpinski()
     fence = homotopy_fence(identity_map(s), constant_map(s, s, 1))
     text = format_fence(fence)
     doc = parse_document(text)
     steps = [doc.maps[f"step_{i}"] for i in range(len(fence.steps))]
     assert [m.assignment for m in steps] == [m.assignment for m in fence.steps]
+
+
+def test_fence_writes_one_block_per_distinct_space():
+    """A fence between structurally different spaces writes both, a self-fence
+    writes one, and either parses back to the same steps."""
+    s, d = sierpinski(), discrete_space(2)
+    between = Fence((constant_map(d, s, 0), constant_map(d, s, 1)))
+    self_fence = homotopy_fence(identity_map(s), constant_map(s, s, 1))
+    for fence, blocks in ((between, ["src", "tgt"]), (self_fence, ["src"])):
+        text = format_fence(fence)
+        assert [line.split()[1] for line in text.splitlines()
+                if line.startswith("space ")] == blocks
+        doc = parse_document(text)
+        assert list(doc.spaces) == blocks
+        steps = [doc.maps[f"step_{i}"] for i in range(len(fence.steps))]
+        assert steps == list(fence.steps)
 
 
 def test_point_count_is_capped():
@@ -174,7 +217,7 @@ def test_writers_reject_text_the_parser_misreads():
     # each of these used to be written and then read back as something else
     for label in ["a\nspace X 1", "a#b", " c ", "", "d\r"]:
         with pytest.raises(ValueError, match="label"):
-            format_space("S", make_space(1, [], labels=[label]))
+            format_space("S", make_space(1, []), [label])
     s = sierpinski()
     for name in ["a b", "a#b", "", "x\n"]:
         with pytest.raises(ValueError, match="name"):
@@ -194,7 +237,7 @@ def _name_reads_back(name: str) -> bool:
 
 def _label_reads_back(label: str) -> bool:
     try:
-        return parse_document(f"space S 1\nlabel 0 {label}\n").spaces["S"].labels == (label,)
+        return parse_document(f"space S 1\nlabel 0 {label}\n").labels.get("S") == (label,)
     except ParseError:
         return False
 
@@ -210,14 +253,14 @@ _AWKWARD_TEXT = st.one_of(
 def test_writers_accept_exactly_what_reads_back(name, label):
     """Whatever the writers accept parses back to the same names and labels,
     and they raise for everything the parser would read as something else."""
-    space = make_space(1, [], labels=[label])
+    space = make_space(1, [])
     f = identity_map(space)
     if not (_name_reads_back(name) and _label_reads_back(label)):
         with pytest.raises(ValueError):
-            format_space(name, space) + format_map(name, f, name, name)
+            format_space(name, space, [label]) + format_map(name, f, name, name)
         return
-    doc = parse_document(format_space(name, space) + format_map(name, f, name, name))
+    doc = parse_document(format_space(name, space, [label]) + format_map(name, f, name, name))
     assert list(doc.spaces) == [name]
-    assert doc.spaces[name].labels == (label,)
+    assert doc.labels == {name: (label,)}
     assert list(doc.maps) == [name]
     assert doc.maps[name].assignment == (0,)

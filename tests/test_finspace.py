@@ -52,22 +52,12 @@ from oracles import (
 
 
 def test_make_space_returns_one_object_per_structure():
-    """Equal generator rows, labels and name give the identical space; the
-    rows are compared, so the order and repetition of the pairs do not
-    matter."""
-    a = make_space(3, [(2, 1), (1, 0)], labels=["a", "b", "c"], name="chain")
-    assert a is make_space(3, [(1, 0), (2, 1), (1, 0)], labels=("a", "b", "c"), name="chain")
-    assert sierpinski() is sierpinski()
+    """Equal generator rows give the identical space; the rows are compared,
+    so the order and repetition of the pairs do not matter."""
+    a = make_space(3, [(2, 1), (1, 0)])
+    assert a is make_space(3, [(1, 0), (2, 1), (1, 0)])
+    assert sierpinski() is sierpinski() is make_space(2, [(1, 0)])
     assert discrete_space(4) is discrete_space(4)
-
-
-def test_make_space_keeps_labels_and_names_apart():
-    plain = make_space(2, [(1, 0)])
-    labelled = make_space(2, [(1, 0)], labels=["x", "y"])
-    named = make_space(2, [(1, 0)], name="S")
-    assert len({id(plain), id(labelled), id(named)}) == 3
-    assert (plain.labels, labelled.labels, named.labels) == (None, ("x", "y"), None)
-    assert (plain.name, labelled.name, named.name) == (None, None, "S")
 
 
 def test_interned_spaces_keep_structural_equality_and_hash():
@@ -124,16 +114,6 @@ def test_make_space_rejects_bad_indices():
         make_space(2, [(0, 2)])
     with pytest.raises(ValueError):
         make_space(-1, [])
-
-
-def test_label_count_must_match_the_points():
-    with pytest.raises(ValueError, match="1 labels for 3 points"):
-        make_space(3, [], labels=["a"])
-    with pytest.raises(ValueError, match="3 labels for 2 points"):
-        FinSpace((0b01, 0b10), labels=["a", "b", "c"], validate=True)
-    space = make_space(2, [], labels=["a", "b"])
-    square, _, _ = product(space, space)
-    assert [square.label(p) for p in range(square.n)] == ["(a,a)", "(a,b)", "(b,a)", "(b,b)"]
 
 
 def test_preorder_validation():
@@ -334,16 +314,14 @@ def test_configuration_space_examples():
     assert same == sierpinski() and pi1.is_identity()
 
 
-def test_configuration_space_cache_keeps_labels():
-    plain = sierpinski()
-    labelled = FinSpace(plain.reach_rows, labels=["a", "b"])
-    conf, pi = configuration_space(plain, 2)
-    conf_l, pi_l = configuration_space(labelled, 2)
-    assert conf == conf_l
-    assert conf.labels is None and pi.target.name == "S"
-    assert conf_l.labels == ("(a,b)", "(b,a)")
-    assert pi_l.target.labels == ("a", "b") and pi_l.target.name is None
-    assert configuration_space(labelled, 2)[0] is conf_l
+def test_configuration_space_cache_keys_on_structure():
+    """A space is its reach rows, so the interned discrete space and a copy
+    built from its rows share one cache entry."""
+    configuration_space.cache_clear()
+    first = configuration_space(discrete_space(3), 2)
+    assert configuration_space(FinSpace((1, 2, 4)), 2) is first
+    info = configuration_space.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_configuration_space_matches_offdiagonal_subspace():
@@ -724,7 +702,8 @@ def test_space_equality_and_pickle():
     import pickle
 
     s1 = sierpinski()
-    s2 = make_space(2, [(1, 0)], name="other")
+    s2 = FinSpace(s1.reach_rows)
+    assert s1 is not s2
     assert s1 == s2 and hash(s1) == hash(s2)
     assert pickle.loads(pickle.dumps(s1)) == s1
     f = make_map(s1, s1, [1, 1])

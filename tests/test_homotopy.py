@@ -8,6 +8,7 @@ from secnum.census import census_spaces, census_up_to
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
+    FinSpace,
     OpenSet,
     _bits,
     compose,
@@ -27,7 +28,6 @@ from secnum.finspace import (
 from secnum.homotopy import (
     CatResult,
     Fence,
-    _compute_core,
     _contraction_point,
     _core_mask,
     cat,
@@ -55,13 +55,14 @@ from oracles import (
 )
 
 
-def test_core_cache_keeps_labels():
-    a = make_space(3, [(1, 0), (2, 0)])
-    b = make_space(3, [(1, 0), (2, 0)], labels=["p", "q", "r"])
-    assert core(a).space.labels is None
-    assert core(b).space.labels == _compute_core(b).space.labels == ("r",)
-    assert core(a).space.labels is None
-    assert core(b) is core(b)
+def test_core_cache_keys_on_structure():
+    """A space is its reach rows, so the interned discrete space and a copy
+    built from its rows share one cache entry."""
+    core.cache_clear()
+    first = core(discrete_space(3))
+    assert core(FinSpace((1, 2, 4))) is first
+    info = core.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_fence_validation():
