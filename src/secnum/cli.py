@@ -127,7 +127,7 @@ def _cmd_check(args) -> int:
         raise InputError("g must be a map from the space in --x to the space in --y")
     report = _CHECKS[args.claim](X, Y, g, args.k)
     _emit(report.to_json_dict())
-    return 2 if report.violated else 0
+    return 2 if report.conclusion is False else 0
 
 
 def _cmd_census(args) -> int:

@@ -9,13 +9,15 @@ continuous map avoiding g everywhere is a counterexample witness.
 The checkers compare these searches against the covering invariants: a global
 coincidence-free map is exactly a global lift through the two-point
 configuration projection, which ties CP to the relative sectional number.
-Each checker emits a TheoremReport whose conclusions carry a stable claim id
-and one of the statuses verified / hypothesis-not-met / violated, spelled as
-the suite report spells them (the suite takes the three constants from here).
-violated is reserved for instances where every stated hypothesis holds and
-the conclusion still fails, which signals a bug.  A search that runs out of nodes
-proves nothing, so it raises BudgetExhausted instead of returning a verdict
-or a report; callers decide how to show that the question stayed open.
+Each checker returns a TheoremReport holding one conclusion for a stable claim
+id: True, False or HYPOTHESIS_NOT_MET.  status_of is the one rule that spells
+a conclusion as a status (verified / hypothesis-not-met / violated, or
+falsified for a False of an exploratory suite claim), for the reports and the
+suite alike.  violated is reserved for instances where every stated
+hypothesis holds and the conclusion still fails, which signals a bug.  A
+search that runs out of nodes proves nothing, so it raises BudgetExhausted
+instead of returning a verdict or a report; callers decide how to show that
+the question stayed open.
 """
 
 from __future__ import annotations
@@ -44,24 +46,37 @@ CLAIM_CP_FPP = "cp_implies_fpp"
 VERIFIED = "verified"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VIOLATED = "violated"
+FALSIFIED = "falsified"
 
 REPORT_SCHEMA = "secnum.theorem-report/1"
 
 
+def status_of(conclusion, kind: str = "theorem") -> str:
+    """The one rule that spells a conclusion as a status: True is verified;
+    False is violated for a theorem and falsified for an exploratory claim;
+    HYPOTHESIS_NOT_MET stays; anything else raises TypeError.  True and False
+    are matched by identity, since the ints 1 and 0 compare equal to them."""
+    if conclusion is True:
+        return VERIFIED
+    if conclusion is False:
+        return VIOLATED if kind == "theorem" else FALSIFIED
+    if conclusion == HYPOTHESIS_NOT_MET:
+        return HYPOTHESIS_NOT_MET
+    raise TypeError(f"not a conclusion: {conclusion!r}")
+
+
 @dataclass(frozen=True)
 class CoincidenceVerdict:
-    """Outcome of a finished CP/FPP search.
+    """Outcome of a finished CP/FPP search: witness is a coincidence-free
+    (respectively fixed-point-free) map, or None when the property holds.  A
+    search cut short by its budget raises BudgetExhausted instead of returning
+    a verdict."""
 
-    witness is a coincidence-free (respectively fixed-point-free) map, present
-    exactly when holds is False.  A search cut short by its budget raises
-    BudgetExhausted instead of returning a verdict."""
-
-    holds: bool
     witness: CMap | None
 
-    def __post_init__(self):
-        if (self.witness is None) != self.holds:
-            raise ValueError("witness must be present exactly when the property fails")
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     @property
     def exhaustive(self) -> bool:
@@ -90,9 +105,8 @@ def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
     avoid = [Y.full_mask & ~(1 << y) for y in range(Y.n)]
     f = first_lift(X, Y, avoid, g.assignment, budget)
     if f is None:
-        return CoincidenceVerdict(holds=True, witness=None)
-    witness = _revalidate_witness(CMap(X, Y, f, validate=False), g)
-    return CoincidenceVerdict(holds=False, witness=witness)
+        return CoincidenceVerdict(None)
+    return CoincidenceVerdict(_revalidate_witness(CMap(X, Y, f, validate=False), g))
 
 
 def has_fpp(X: FinSpace, budget: Budget | int | None = None) -> CoincidenceVerdict:
@@ -100,21 +114,20 @@ def has_fpp(X: FinSpace, budget: Budget | int | None = None) -> CoincidenceVerdi
     return has_cp(X, X, identity_map(X), budget)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremReport:
     """Machine-checkable outcome of one theorem instance.
 
     subject is the instance checked, (X, Y, g) or (X, Y, g, k); instance, its
-    text form, is formatted the first time it is read."""
+    text form, is formatted the first time it is read.  conclusion is True,
+    False or HYPOTHESIS_NOT_MET for the claim, and detail holds the fields
+    its JSON conclusion adds to the claim id and status."""
 
     subject: tuple
-    quantities: dict = field(default_factory=dict)
-    conclusions: list = field(default_factory=list)
-
-    def add(self, claim: str, status: str, **extra):
-        entry = {"claim": claim, "status": status}
-        entry.update(extra)
-        self.conclusions.append(entry)
+    quantities: dict
+    claim: str
+    conclusion: bool | str
+    detail: dict = field(default_factory=dict)
 
     @functools.cached_property
     def instance(self) -> str:
@@ -125,12 +138,8 @@ class TheoremReport:
         )
 
     @property
-    def violated(self) -> bool:
-        return any(c["status"] == VIOLATED for c in self.conclusions)
-
-    @property
     def status(self) -> str:
-        return self.conclusions[0]["status"]
+        return status_of(self.conclusion)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,7 +149,7 @@ class TheoremReport:
                 key: value.to_json() if isinstance(value, ExtNat) else value
                 for key, value in self.quantities.items()
             },
-            "conclusions": self.conclusions,
+            "conclusions": [{"claim": self.claim, "status": self.status, **self.detail}],
         }
 
 
@@ -149,30 +158,26 @@ def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget):
     return relative_sec(pi, g, budget=budget)
 
 
-def _pi21_report(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None):
-    """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g), then
-    CP, recorded in a report; returns (report, relsec value, CP holds)."""
+def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None) -> dict:
+    """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g),
+    then CP, as a report's quantities."""
     budget = Budget.ensure(budget)
-    report = TheoremReport((X, Y, g))
     sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
-    cp_holds = has_cp(X, Y, g, budget).holds
-    report.quantities.update({
-        "cp_holds": cp_holds,
+    return {
+        "cp_holds": has_cp(X, Y, g, budget).holds,
         "sec_relative_pi21": sec_value,
         "hausdorff": is_hausdorff(Y),
         "target_points": Y.n,
-    })
-    return report, sec_value, cp_holds
+    }
 
 
 def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
                  budget: Budget | int | None = None) -> TheoremReport:
     """Hypothesis-free equivalence: the relative sectional number of the
     two-point configuration projection is 1 exactly when CP fails."""
-    report, sec_value, cp_holds = _pi21_report(X, Y, g, budget)
-    consistent = (sec_value == ExtNat(1)) == (not cp_holds)
-    report.add(CLAIM_REMARK, VERIFIED if consistent else VIOLATED)
-    return report
+    q = _pi21_quantities(X, Y, g, budget)
+    consistent = (q["sec_relative_pi21"] == ExtNat(1)) == (not q["cp_holds"])
+    return TheoremReport((X, Y, g), q, CLAIM_REMARK, consistent)
 
 
 def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
@@ -182,22 +187,14 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     budget = Budget.ensure(budget)
-    report = TheoremReport((X, Y, g, k))
     hausdorff = is_hausdorff(Y)
     sec_value = _relative_sec_of_projection(Y, g, k, budget).value
-    report.quantities.update({
-        "sec_relative_pik1": sec_value,
-        "hausdorff": hausdorff,
-        "target_points": Y.n,
-        "k": k,
-    })
+    q = {"sec_relative_pik1": sec_value, "hausdorff": hausdorff, "target_points": Y.n, "k": k}
+    bound_holds = sec_value <= ExtNat(k)
     if hausdorff and Y.n >= k:
-        status = VERIFIED if sec_value <= ExtNat(k) else VIOLATED
-        report.add(CLAIM_KEY_LEMMA, status, k=k)
-    else:
-        report.add(CLAIM_KEY_LEMMA, HYPOTHESIS_NOT_MET, k=k,
-                   bound_holds=sec_value <= ExtNat(k))
-    return report
+        return TheoremReport((X, Y, g, k), q, CLAIM_KEY_LEMMA, bound_holds, {"k": k})
+    return TheoremReport((X, Y, g, k), q, CLAIM_KEY_LEMMA, HYPOTHESIS_NOT_MET,
+                         {"k": k, "bound_holds": bound_holds})
 
 
 def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
@@ -207,13 +204,12 @@ def check_main_theorem(X: FinSpace, Y: FinSpace, g: CMap,
 
     Non-Hausdorff or singleton targets run the same computation in exploratory
     mode and record whether the biconditional happened to hold."""
-    report, sec_value, cp_holds = _pi21_report(X, Y, g, budget)
-    biconditional = cp_holds == (sec_value == ExtNat(2))
-    if report.quantities["hausdorff"] and Y.n >= 2:
-        report.add(CLAIM_MAIN, VERIFIED if biconditional else VIOLATED)
-    else:
-        report.add(CLAIM_MAIN, HYPOTHESIS_NOT_MET, biconditional_holds=biconditional)
-    return report
+    q = _pi21_quantities(X, Y, g, budget)
+    biconditional = q["cp_holds"] == (q["sec_relative_pi21"] == ExtNat(2))
+    if q["hausdorff"] and Y.n >= 2:
+        return TheoremReport((X, Y, g), q, CLAIM_MAIN, biconditional)
+    return TheoremReport((X, Y, g), q, CLAIM_MAIN, HYPOTHESIS_NOT_MET,
+                         {"biconditional_holds": biconditional})
 
 
 def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
@@ -224,21 +220,16 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
     coincidence-free map, so CP must fail too; the checker rebuilds that
     composite and re-validates it, reproducing the contrapositive construction."""
     budget = Budget.ensure(budget)
-    report = TheoremReport((X, Y, g))
     cp = has_cp(X, Y, g, budget)
     fpp = has_fpp(Y, budget)
-    report.quantities.update({"cp_holds": cp.holds, "fpp_holds": fpp.holds})
-    if cp.holds:
-        report.add(CLAIM_CP_FPP, VERIFIED if fpp.holds else VIOLATED)
-        return report
-    if not fpp.holds:
-        composite = compose(fpp.witness, g)
-        try:
-            _revalidate_witness(composite, g)
-        except SelfCheckFailed:
-            report.add(CLAIM_CP_FPP, VIOLATED, detail="composite witness has a coincidence")
-            return report
-        report.add(CLAIM_CP_FPP, VERIFIED, contrapositive_witness=list(composite.assignment))
-        return report
-    report.add(CLAIM_CP_FPP, VERIFIED)
-    return report
+    q = {"cp_holds": cp.holds, "fpp_holds": fpp.holds}
+    if cp.holds or fpp.holds:  # FPP must hold with CP, and nothing is left without CP
+        return TheoremReport((X, Y, g), q, CLAIM_CP_FPP, fpp.holds)
+    composite = compose(fpp.witness, g)
+    try:
+        _revalidate_witness(composite, g)
+    except SelfCheckFailed:
+        return TheoremReport((X, Y, g), q, CLAIM_CP_FPP, False,
+                             {"detail": "composite witness has a coincidence"})
+    return TheoremReport((X, Y, g), q, CLAIM_CP_FPP, True,
+                         {"contrapositive_witness": list(composite.assignment)})

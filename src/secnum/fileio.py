@@ -216,10 +216,13 @@ def format_map(name: str, cmap: CMap, src_name: str, tgt_name: str) -> str:
 
 def format_fence(fence, src_name: str = "src", tgt_name: str = "tgt") -> str:
     """Serialize a fence as one document: both spaces plus one map per step,
-    named step_0 .. step_m, for external audit."""
+    named step_0 .. step_m, for external audit.  Raises ValueError when a
+    source and target that differ would share one name."""
     first = fence.steps[0]
     parts = [format_space(src_name, first.source)]
     if first.target != first.source:
+        if tgt_name == src_name:
+            raise ValueError(f"source and target differ but are both named {src_name!r}")
         parts.append(format_space(tgt_name, first.target))
     else:
         tgt_name = src_name

@@ -378,7 +378,8 @@ def product(a: FinSpace, b: FinSpace):
 
 
 def subspace(space: FinSpace, points):
-    """Subspace on the given points (reach restricted); returns (space, inclusion).
+    """Subspace on the given points (reach restricted, the one-factor case of
+    _tuple_space); returns (space, inclusion).
 
     The restriction of reach is exactly the specialization relation of the
     subspace topology, for any subset of points.
@@ -387,17 +388,8 @@ def subspace(space: FinSpace, points):
     for p in pts:
         if not 0 <= p < space.n:
             raise ValueError(f"point {p} out of range")
-    index_of = {p: i for i, p in enumerate(pts)}
-    rows = []
-    for p in pts:
-        row = 0
-        for q in _bits(space.reach_rows[p]):
-            if q in index_of:
-                row |= 1 << index_of[q]
-        rows.append(row)
-    sub = FinSpace(rows, validate=False)
-    incl = CMap(sub, space, pts, validate=False)
-    return sub, incl
+    sub = _tuple_space((space,), [(p,) for p in pts])
+    return sub, CMap(sub, space, pts, validate=False)
 
 
 def subspace_of_mask(space: FinSpace, mask: int):

@@ -35,7 +35,15 @@ from .census import (
     census_spaces,
     census_up_to,
 )
-from .coincidence import HYPOTHESIS_NOT_MET as HNM, VERIFIED, VIOLATED, has_cp, has_fpp
+from .coincidence import (
+    FALSIFIED,
+    HYPOTHESIS_NOT_MET as HNM,
+    VERIFIED,
+    VIOLATED,
+    has_cp,
+    has_fpp,
+    status_of,
+)
 from .extnat import ExtNat
 from .finspace import (
     CMap,
@@ -84,7 +92,6 @@ from .sectional import (
 SUITE_REPORT_SCHEMA = "secnum.suite-report/1"
 SUITE_CONFIG_SCHEMA = "secnum.suite-config/1"
 
-FALSIFIED = "falsified"
 INCONCLUSIVE = "inconclusive"
 
 _STATUS_KEYS = (VERIFIED, HNM, VIOLATED, FALSIFIED, INCONCLUSIVE)
@@ -237,7 +244,7 @@ def _payload_json(payload) -> list:
     "equals 1 exactly when a coincidence-free map exists",
 )
 def _eval_remark(payload, budget):
-    return coin.check_remark(*payload, budget=budget).status
+    return coin.check_remark(*payload, budget=budget).conclusion
 
 
 @_register(
@@ -253,8 +260,8 @@ def _eval_main_theorem(payload, budget):
     if not q["hausdorff"] and q["cp_holds"] and q["sec_relative_pi21"] == ExtNat(2):
         # CP with relsec 2 on a non-Hausdorff target: the census summary's hit
         hit = {"X": _space_json(X), "Y": _space_json(Y), "g": list(g.assignment)}
-        return {"status": report.status, "open_question_hit": hit}
-    return report.status
+        return {"status": report.conclusion, "open_question_hit": hit}
+    return report.conclusion
 
 
 @_register(
@@ -264,7 +271,7 @@ def _eval_main_theorem(payload, budget):
     hypotheses="target Hausdorff with at least k points; other instances explored",
 )
 def _eval_key_lemma(payload, budget):
-    return coin.check_key_lemma(*payload, budget=budget).status
+    return coin.check_key_lemma(*payload, budget=budget).conclusion
 
 
 @_register(
@@ -273,7 +280,7 @@ def _eval_key_lemma(payload, budget):
     "the fixed-point-free witness with g is a coincidence-free witness",
 )
 def _eval_cp_implies_fpp(payload, budget):
-    return coin.check_cp_implies_fpp(*payload, budget=budget).status
+    return coin.check_cp_implies_fpp(*payload, budget=budget).conclusion
 
 
 @_register(
@@ -489,10 +496,9 @@ def _eval_pullback_secat_strict_drop(payload, budget):
             upstairs = secat(p, budget).value
             for y1 in range(Y.n):
                 g = constant_map(pt, Y, y1)
-                _, to_base, _ = pullback(p, g)
-                downstairs = secat(to_base, budget).value
-                if downstairs < upstairs:
-                    return sec(to_base, budget).value <= sec(p, budget).value
+                if relative_secat(p, g, budget).value < upstairs:
+                    return (relative_sec(p, g, route="pullback", budget=budget).value
+                            <= sec(p, budget).value)
     return False  # no strict drop in the census
 
 
@@ -645,12 +651,9 @@ def _eval_relative_times_sec_ge_sec(payload, budget):
 def _eval_relative_secat_le_cat_base(payload, budget):
     p, g = payload
     X = g.source
-    if not is_connected(X):
-        return HNM
-    P, to_base, _ = pullback(p, g)
-    if P.n == 0:
-        return HNM
-    return secat(to_base, budget).value <= cat(X, budget).value
+    if not is_connected(X) or not g.image_mask() & p.image_mask():
+        return HNM  # a disconnected base, or an empty pullback
+    return relative_secat(p, g, budget).value <= cat(X, budget).value
 
 
 @_register(
@@ -739,12 +742,10 @@ def _eval_task(task):
     """The one place that runs an evaluator and writes a status.
 
     The task's node limit becomes a fresh Budget shared by every search of the
-    instance.  The conclusion True (or a checker's verified) is verified;
-    False (or a checker's violated) is violated for a theorem and falsified for
-    an exploratory claim; HNM stays; anything else raises TypeError.  A search
-    that ran out of nodes makes the instance inconclusive, and every violated,
-    falsified or inconclusive outcome without a witness of its own has its
-    instance as witness."""
+    instance, and coin.status_of spells its conclusion for the claim's kind.
+    A search that ran out of nodes makes the instance inconclusive, and every
+    violated, falsified or inconclusive outcome without a witness of its own
+    has its instance as witness."""
     claim_id, payload, limit = task
     claim = CLAIMS_BY_ID[claim_id]
     try:
@@ -753,14 +754,7 @@ def _eval_task(task):
         out = {"status": INCONCLUSIVE}
     else:
         out = out if isinstance(out, dict) else {"status": out}
-        status = out["status"]
-        # identity, not equality: the ints 1 and 0 compare equal to True and False
-        if status is True or status == VERIFIED:
-            out["status"] = VERIFIED
-        elif status is False or status == VIOLATED:
-            out["status"] = VIOLATED if claim.kind == "theorem" else FALSIFIED
-        elif status != HNM:
-            raise TypeError(f"{claim_id}: evaluator concluded {status!r}")
+        out["status"] = status_of(out["status"], claim.kind)
     if out["status"] in _WITNESSED and "witness" not in out:
         out["witness"] = _payload_json(payload)
     return out
@@ -988,16 +982,16 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     functions of their payloads, and results are merged in instance order, so
     the report bytes do not depend on the parallelism degree."""
     cfg.validate()
+    total_started = time.perf_counter()
     tasks = _build_tasks(cfg)
+    timings: dict[str, float] = {"build_tasks": time.perf_counter() - total_started}
     by_claim: dict[str, list] = {claim.id: [] for claim in REGISTRY}
     for task in tasks:
         by_claim[task[0]].append(task)
 
     pool = multiprocessing.Pool(cfg.parallelism) if cfg.parallelism > 1 else None
-    timings: dict[str, float] = {}
     hits: list[dict] = []
     claims = []
-    total_started = time.perf_counter()
     try:
         for claim in REGISTRY:
             claim_tasks = by_claim[claim.id]

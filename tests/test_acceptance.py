@@ -345,7 +345,7 @@ def test_criterion_7_cp_implies_fpp_census():
                 report = check_cp_implies_fpp(X, Y, g)
                 if report.status != VERIFIED:
                     violations += 1
-                if "contrapositive_witness" in report.conclusions[0]:
+                if "contrapositive_witness" in report.detail:
                     contrapositive_checked += 1
     elapsed = time.monotonic() - started
     ok = violations == 0 and contrapositive_checked > 0

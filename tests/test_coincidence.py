@@ -8,7 +8,6 @@ from secnum.census import census_up_to
 from secnum.coincidence import (
     HYPOTHESIS_NOT_MET,
     VERIFIED,
-    CoincidenceVerdict,
     check_cp_implies_fpp,
     check_key_lemma,
     check_main_theorem,
@@ -104,8 +103,6 @@ def test_witnesses_revalidate():
     verdict = has_fpp(c)
     for x in range(c.n):
         assert verdict.witness(x) != x
-    with pytest.raises(ValueError):
-        CoincidenceVerdict(holds=False, witness=None)
 
 
 def test_budget_truncation_is_inconclusive():
@@ -181,7 +178,7 @@ def test_check_main_theorem():
     assert r.status == VERIFIED
     r = check_main_theorem(s, s, identity_map(s))
     assert r.status == HYPOTHESIS_NOT_MET
-    assert r.conclusions[0]["biconditional_holds"] is False
+    assert r.detail["biconditional_holds"] is False
     r = check_main_theorem(s, point, constant_map(s, point, 0))
     assert r.status == HYPOTHESIS_NOT_MET  # Hausdorff but only one point
 
@@ -194,7 +191,7 @@ def test_check_cp_implies_fpp():
     assert r.status == VERIFIED
     r = check_cp_implies_fpp(s, c, constant_map(s, c, 0))
     assert r.status == VERIFIED
-    witness = r.conclusions[0]["contrapositive_witness"]
+    witness = r.detail["contrapositive_witness"]
     g = constant_map(s, c, 0)
     free = has_fpp(c).witness
     assert witness == list(compose(free, g).assignment)

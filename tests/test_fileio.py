@@ -145,7 +145,9 @@ def test_fence_serializes_and_parses_back():
 
 def test_fence_writes_one_block_per_distinct_space():
     """A fence between structurally different spaces writes both, a self-fence
-    writes one, and either parses back to the same steps."""
+    writes one, and either parses back to the same steps.  One name for both
+    of two different spaces would write two blocks of that name, which the
+    parser rejects, so the writer refuses it."""
     s, d = sierpinski(), discrete_space(2)
     between = Fence((constant_map(d, s, 0), constant_map(d, s, 1)))
     self_fence = homotopy_fence(identity_map(s), constant_map(s, s, 1))
@@ -157,6 +159,9 @@ def test_fence_writes_one_block_per_distinct_space():
         assert list(doc.spaces) == blocks
         steps = [doc.maps[f"step_{i}"] for i in range(len(fence.steps))]
         assert steps == list(fence.steps)
+    with pytest.raises(ValueError):
+        format_fence(between, "a", "a")
+    assert list(parse_document(format_fence(self_fence, "a", "a")).spaces) == ["a"]
 
 
 def test_point_count_is_capped():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from secnum import sectional, suite
+from secnum import coincidence, sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
 from secnum.finspace import constant_map, identity_map, sierpinski
 from secnum.suite import (
@@ -88,21 +88,29 @@ def test_the_claim_kind_alone_decides_violated_or_falsified(monkeypatch, kind, s
     assert _concluding(monkeypatch, kind, HNM) == {"status": HNM}
 
 
-@pytest.mark.parametrize("conclusion", [2, 1, 0, None, FALSIFIED, INCONCLUSIVE, {"status": 1}])
+@pytest.mark.parametrize("conclusion", [2, 1, 0, None, FALSIFIED, INCONCLUSIVE, {"status": 1},
+                                        VERIFIED, VIOLATED])
 def test_a_conclusion_that_is_not_one_raises(monkeypatch, conclusion):
     with pytest.raises(TypeError):
         _concluding(monkeypatch, "theorem", conclusion)
 
 
 def test_no_evaluator_spells_a_status():
-    # by name (VIOLATED, coin.VIOLATED) or by value ("violated")
+    """Neither a suite evaluator nor a theorem checker spells a status, by
+    name (VIOLATED, coin.VIOLATED) or by value ("violated"): each returns its
+    conclusion, and coincidence.status_of alone spells it."""
     spellings = {"VERIFIED", "VIOLATED", "FALSIFIED", VERIFIED, VIOLATED, FALSIFIED}
-    tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+    bodies = [
+        node
+        for module, prefix in ((suite, "_eval_"), (coincidence, "check_"))
+        for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)
+        and node.name != "_eval_task"
+    ]
+    assert len([node for node in bodies if node.name.startswith("check_")]) == 4
     spelled = {
         (node.name, word)
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_eval_")
-        and node.name != "_eval_task"
+        for node in bodies
         for part in ast.walk(node)
         for word in (getattr(part, "id", None), getattr(part, "attr", None),
                      getattr(part, "value", None))
@@ -239,7 +247,9 @@ def test_report_write_and_timings_sidecar(tmp_path):
     assert data["exit_code"] == report.exit_code
     assert "timings" not in json.dumps(data)
     sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
-    assert "total" in sidecar["timings_seconds"]
+    timings = sidecar["timings_seconds"]
+    assert set(timings) == {"build_tasks", "total"} | set(CLAIMS_BY_ID)
+    assert 0 <= timings["build_tasks"] <= timings["total"]
 
 
 def test_config_validation():
