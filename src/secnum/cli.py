@@ -173,7 +173,7 @@ def _cmd_suite(args) -> int:
         raise InputError(f"cannot write report: {exc}") from exc
     if not cfg.out:
         sys.stdout.write(report.to_json_bytes().decode())
-        print(json.dumps({"timings_seconds": report.timings}), file=sys.stderr)
+        print(json.dumps(report.sidecar()), file=sys.stderr)
     return report.exit_code
 
 

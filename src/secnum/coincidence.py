@@ -35,7 +35,7 @@ from .finspace import (
     identity_map,
     is_hausdorff,
 )
-from .resources import Budget, SelfCheckFailed
+from .resources import Budget, SelfCheckFailed, shared_search
 from .sectional import relative_sec
 
 CLAIM_REMARK = "remark_sec1_iff_not_cp"
@@ -102,6 +102,11 @@ def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
     if g.source != X or g.target != Y:
         raise ValueError("g must be a map from X to Y")
     budget = Budget.ensure(budget)
+    return shared_search(("has_cp", g), budget, lambda: _cp_search(g, budget))
+
+
+def _cp_search(g: CMap, budget: Budget) -> CoincidenceVerdict:
+    X, Y = g.source, g.target
     avoid = [Y.full_mask & ~(1 << y) for y in range(Y.n)]
     f = first_lift(X, Y, avoid, g.assignment, budget)
     if f is None:

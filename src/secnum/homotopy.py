@@ -40,7 +40,7 @@ from .finspace import (
     iter_assignments,
     subspace_of_mask,
 )
-from .resources import Budget, SelfCheckFailed
+from .resources import Budget, SelfCheckFailed, shared_search
 
 
 @dataclass(frozen=True)
@@ -362,6 +362,10 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
     if X.n == 0:
         return CatResult(ExtNat(1), (), degenerate=True)
     budget = Budget.ensure(budget)
+    return shared_search(("cat", X), budget, lambda: _cat_search(X, budget))
+
+
+def _cat_search(X: FinSpace, budget: Budget) -> CatResult:
     chosen, uncovered = min_good_cover(X, lambda mask: _contraction_point(X, mask, budget),
                                        budget, glue=False)
     if chosen is None:

@@ -1,8 +1,17 @@
-"""Node budgets and size limits shared by all search routines."""
+"""Node budgets and size limits shared by all search routines, and the
+run-scoped memo of finished searches.
+
+Inside shared_searches(), the entry points sec, secat, cat and has_cp look
+themselves up with shared_search before searching: a repeated call returns
+the first call's result and replays its node count on the caller's budget
+(Budget.replay), so a hit spends, and runs out, exactly as the search would.
+Outside the block no memo exists and every call searches.
+"""
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "SECNUM_BUDGET"
@@ -51,6 +60,14 @@ class Budget:
         if self.remaining < 0:
             raise BudgetExhausted(f"node budget of {self.limit} exhausted")
 
+    def replay(self, nodes: int) -> None:
+        """Charge nodes at once, as a search that charged them one by one
+        would: with fewer left, the budget ends at -1 and raises."""
+        if nodes > self.remaining:
+            self.remaining = -1
+            raise BudgetExhausted(f"node budget of {self.limit} exhausted")
+        self.remaining -= nodes
+
     @staticmethod
     def ensure(budget: "Budget | int | None") -> "Budget":
         if budget is None:
@@ -58,6 +75,48 @@ class Budget:
         if isinstance(budget, int):
             return Budget(budget)
         return budget
+
+
+# (memo, tally) of the open shared_searches block, or None outside one
+_shared: tuple[dict, Counter] | None = None
+
+
+class shared_searches:
+    """Context manager that shares finished searches among the calls made
+    inside it and yields their tally: (entry point, 'hits' or 'misses') ->
+    count.  Each block starts empty, and the state before it comes back on
+    exit.  A search that raises is never kept."""
+
+    def __enter__(self) -> Counter:
+        global _shared
+        self._outer = _shared
+        _shared = ({}, Counter())
+        return _shared[1]
+
+    def __exit__(self, *exc_info) -> None:
+        global _shared
+        _shared = self._outer
+
+
+def shared_search(key: tuple, budget: Budget, search):
+    """search(), or inside shared_searches() the result of the first finished
+    call with this key, whose node count is replayed on budget.  key[0]
+    names the entry point in the tally."""
+    shared = _shared
+    if shared is None:
+        return search()
+    memo, tally = shared
+    found = memo.get(key)
+    if found is not None:
+        tally[key[0], "hits"] += 1
+        result, nodes = found
+        budget.replay(nodes)
+        return result
+    tally[key[0], "misses"] += 1
+    before = budget.remaining
+    result = search()
+    memo[key] = (result, before - budget.remaining)
+    return result
 
 
 PRODUCT_MAX_POINTS = 4096

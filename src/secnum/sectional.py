@@ -52,7 +52,7 @@ from .finspace import (
     subspace_of_mask,
 )
 from .homotopy import _component_bfs, _core_mask, core, homotopic, is_contractible
-from .resources import Budget, SelfCheckFailed
+from .resources import Budget, SelfCheckFailed, shared_search
 
 MODE_SECTION = "section"
 MODE_HOMOTOPY = "homotopy-section"
@@ -267,15 +267,16 @@ def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -
 def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by strictly sectionable opens."""
     budget = Budget.ensure(budget)
-    is_good = _lift_test(f, identity_map(f.target), budget)
-    return _cover_result(f.target, MODE_SECTION, is_good, (f,), budget)
+    return shared_search(("sec", f), budget, lambda: _cover_result(
+        f.target, MODE_SECTION, _lift_test(f, identity_map(f.target), budget), (f,), budget))
 
 
 def secat(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by homotopy-sectionable opens."""
     budget = Budget.ensure(budget)
-    return _cover_result(f.target, MODE_HOMOTOPY,
-                         lambda mask: _homotopy_section_witness(f, mask, budget), (f,), budget)
+    return shared_search(("secat", f), budget, lambda: _cover_result(
+        f.target, MODE_HOMOTOPY, lambda mask: _homotopy_section_witness(f, mask, budget),
+        (f,), budget))
 
 
 def _check_shared_target(p: CMap, g: CMap) -> None:

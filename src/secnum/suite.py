@@ -80,6 +80,7 @@ from .resources import (
     BudgetExhausted,
     SelfCheckFailed,
     default_node_budget,
+    shared_searches,
 )
 from .sectional import (
     relative_sec,
@@ -921,6 +922,7 @@ class SuiteReport:
     claims: list[dict] = field(default_factory=list)
     census_summary: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    cache_counts: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -950,10 +952,15 @@ class SuiteReport:
     def to_json_bytes(self) -> bytes:
         return (json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n").encode()
 
+    def sidecar(self) -> dict:
+        """The run's wall times and cache counts, which stay out of the
+        byte-deterministic report."""
+        return {"timings_seconds": self.timings, "cache_counts": self.cache_counts}
+
     def write(self, path: str) -> None:
         with open(path, "wb") as handle:
             handle.write(self.to_json_bytes())
-        sidecar = json.dumps({"timings_seconds": self.timings}, sort_keys=True, indent=2)
+        sidecar = json.dumps(self.sidecar(), sort_keys=True, indent=2)
         with open(path + ".timings.json", "w", encoding="utf-8") as handle:
             handle.write(sidecar + "\n")
 
@@ -975,62 +982,92 @@ def _census_summary(cfg: SuiteConfig, hits: list[dict]) -> dict:
     }
 
 
+def _share_searches_in_worker() -> None:
+    """Pool initializer: a worker shares its searches for its whole life."""
+    shared_searches().__enter__()
+
+
+# read through the functions bound at import, which a tracer may wrap later
+_COUNTED_CACHES = (("core", core.cache_info),
+                   ("configuration_space", configuration_space.cache_info))
+
+
+def _cache_counts(tally, before) -> dict:
+    """Hits and misses of the shared searches in tally, and of the lru
+    caches since the cache_info() readings in before."""
+    counts = {name: {"hits": tally[name, "hits"], "misses": tally[name, "misses"]}
+              for name in sorted({name for name, _ in tally})}
+    for (name, cache_info), start in zip(_COUNTED_CACHES, before):
+        info = cache_info()
+        counts[name] = {"hits": info.hits - start.hits, "misses": info.misses - start.misses}
+    return counts
+
+
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Evaluate every registered claim; deterministic for a fixed config.
 
     Instances are generated up front in a fixed order; workers evaluate pure
     functions of their payloads, and results are merged in instance order, so
-    the report bytes do not depend on the parallelism degree."""
+    the report bytes do not depend on the parallelism degree.  The claim loop
+    and the census summary run inside shared_searches(), each pool worker in
+    its own, so a repeated sec, secat, cat or has_cp call replays its first
+    answer and node count; a claim's tasks are dropped once it is tallied."""
     cfg.validate()
     total_started = time.perf_counter()
+    caches_before = [cache_info() for _, cache_info in _COUNTED_CACHES]
     tasks = _build_tasks(cfg)
     timings: dict[str, float] = {"build_tasks": time.perf_counter() - total_started}
     by_claim: dict[str, list] = {claim.id: [] for claim in REGISTRY}
     for task in tasks:
         by_claim[task[0]].append(task)
+    del tasks
 
-    pool = multiprocessing.Pool(cfg.parallelism) if cfg.parallelism > 1 else None
+    pool = (multiprocessing.Pool(cfg.parallelism, initializer=_share_searches_in_worker)
+            if cfg.parallelism > 1 else None)
     hits: list[dict] = []
     claims = []
     try:
-        for claim in REGISTRY:
-            claim_tasks = by_claim[claim.id]
-            started = time.perf_counter()
-            if pool is not None and len(claim_tasks) > 1:
-                chunk = max(1, len(claim_tasks) // (cfg.parallelism * 8))
-                outcomes = pool.map(_eval_task, claim_tasks, chunksize=chunk)
-            else:
-                outcomes = [_eval_task(task) for task in claim_tasks]
-            timings[claim.id] = time.perf_counter() - started
-            tallies = {key: 0 for key in _STATUS_KEYS}
-            witnesses = []
-            for outcome in outcomes:
-                status = outcome["status"]
-                tallies[status] += 1
-                if status in _WITNESSED and len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append({"status": status, "instance": outcome["witness"]})
-                if "open_question_hit" in outcome:
-                    hits.append(outcome["open_question_hit"])
-            claims.append({
-                "id": claim.id,
-                "statement": claim.statement,
-                "hypotheses": claim.hypotheses,
-                "kind": claim.kind,
-                "instances": len(claim_tasks),
-                "tallies": tallies,
-                "witnesses": witnesses,
-            })
+        with shared_searches() as tally:
+            for claim in REGISTRY:
+                claim_tasks = by_claim.pop(claim.id)
+                started = time.perf_counter()
+                if pool is not None and len(claim_tasks) > 1:
+                    chunk = max(1, len(claim_tasks) // (cfg.parallelism * 8))
+                    outcomes = pool.map(_eval_task, claim_tasks, chunksize=chunk)
+                else:
+                    outcomes = [_eval_task(task) for task in claim_tasks]
+                timings[claim.id] = time.perf_counter() - started
+                tallies = {key: 0 for key in _STATUS_KEYS}
+                witnesses = []
+                for outcome in outcomes:
+                    status = outcome["status"]
+                    tallies[status] += 1
+                    if status in _WITNESSED and len(witnesses) < _MAX_WITNESSES:
+                        witnesses.append({"status": status, "instance": outcome["witness"]})
+                    if "open_question_hit" in outcome:
+                        hits.append(outcome["open_question_hit"])
+                claims.append({
+                    "id": claim.id,
+                    "statement": claim.statement,
+                    "hypotheses": claim.hypotheses,
+                    "kind": claim.kind,
+                    "instances": len(claim_tasks),
+                    "tallies": tallies,
+                    "witnesses": witnesses,
+                })
+            timings["total"] = time.perf_counter() - total_started
+            census_summary = _census_summary(cfg, hits)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    timings["total"] = time.perf_counter() - total_started
 
     report = SuiteReport(
         config=cfg,
         claims=claims,
-        census_summary=_census_summary(cfg, hits),
+        census_summary=census_summary,
         timings=timings,
+        cache_counts=_cache_counts(tally, caches_before),
     )
     if cfg.out:
         report.write(cfg.out)

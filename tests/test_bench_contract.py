@@ -52,7 +52,8 @@ def test_traced_sec_and_secat_calls_match_a_profiler_count(monkeypatch):
 
     cfg = child.suite_config({"smoke": True, "seed": 7, "parallelism": 1})
     # the code objects of the originals, read before the tracer wraps them
-    names = {sectional.sec.__code__: "sectional.sec", sectional.secat.__code__: "sectional.secat"}
+    names = {sectional.sec.__code__: "sectional.sec", sectional.secat.__code__: "sectional.secat",
+             homotopy.cat.__code__: "homotopy.cat", coin.has_cp.__code__: "coincidence.has_cp"}
     profiled = Counter()
 
     def profile(frame, event, arg):

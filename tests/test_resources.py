@@ -1,0 +1,105 @@
+"""Budget replay and the run-scoped memo of finished searches."""
+
+import pytest
+
+from secnum import coincidence, homotopy, resources, sectional
+from secnum.census import census_up_to
+from secnum.finspace import enumerate_maps
+from secnum.resources import Budget, BudgetExhausted, shared_searches
+
+# the four entry points that look themselves up, each as a call on one map
+ENTRY_POINTS = {
+    "sec": lambda f, budget: sectional.sec(f, budget),
+    "secat": lambda f, budget: sectional.secat(f, budget),
+    "cat": lambda f, budget: homotopy.cat(f.source, budget),
+    "has_cp": lambda f, budget: coincidence.has_cp(f.source, f.target, f, budget),
+}
+
+
+def _census_maps():
+    spaces = census_up_to(3)
+    return [f for X in spaces for Y in spaces for f in enumerate_maps(X, Y)]
+
+
+def _nodes(call, f) -> int:
+    budget = Budget()
+    call(f, budget)
+    return budget.limit - budget.remaining
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_hit_replays_the_nodes_of_a_fresh_search(name):
+    """With N the nodes of a fresh search, a hit on Budget(N) ends at 0 and a
+    hit on Budget(N - 1) runs out, as the fresh search does.  A search may
+    charge no node (has_cp into one point fails at once); its hit on
+    Budget(1) charges none."""
+    call = ENTRY_POINTS[name]
+    for f in _census_maps():
+        n = _nodes(call, f)
+        if n > 1:
+            with pytest.raises(BudgetExhausted):
+                call(f, Budget(n - 1))
+        with shared_searches():
+            warm = call(f, Budget())
+            exact = Budget(max(n, 1))
+            assert call(f, exact) is warm
+            assert exact.remaining == exact.limit - n
+            if n > 1:
+                short = Budget(n - 1)
+                with pytest.raises(BudgetExhausted):
+                    call(f, short)
+                assert short.remaining == -1
+
+
+def test_replay_charges_at_once():
+    budget = Budget(5)
+    budget.replay(0)
+    budget.replay(3)
+    assert budget.remaining == 2
+    budget.replay(2)
+    assert budget.remaining == 0
+    with pytest.raises(BudgetExhausted, match="node budget of 5 exhausted"):
+        budget.replay(1)
+    assert budget.remaining == -1
+
+
+def test_a_search_that_runs_out_is_not_kept():
+    f = next(f for f in _census_maps() if _nodes(ENTRY_POINTS["secat"], f) > 1)
+    with shared_searches() as tally:
+        with pytest.raises(BudgetExhausted):
+            sectional.secat(f, Budget(1))
+        budget = Budget()
+        sectional.secat(f, budget)
+    assert tally == {("secat", "misses"): 2}
+    assert budget.limit - budget.remaining == _nodes(ENTRY_POINTS["secat"], f)
+
+
+def test_calls_outside_a_block_each_search(monkeypatch):
+    passes = []
+    original = sectional.first_lift
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sectional, "first_lift", counted)
+    f = _census_maps()[-1]
+    assert resources._shared is None
+    first = _nodes(ENTRY_POINTS["sec"], f)
+    searched = len(passes)
+    assert searched > 0
+    assert _nodes(ENTRY_POINTS["sec"], f) == first
+    assert len(passes) == 2 * searched
+
+
+def test_blocks_nest_and_restore():
+    f = _census_maps()[-1]
+    with shared_searches() as outer:
+        sectional.sec(f)
+        with shared_searches() as inner:
+            sectional.sec(f)
+        assert resources._shared[1] is outer
+        sectional.sec(f)
+    assert resources._shared is None
+    assert inner == {("sec", "misses"): 1}
+    assert outer == {("sec", "misses"): 1, ("sec", "hits"): 1}

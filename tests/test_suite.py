@@ -1,11 +1,14 @@
 import ast
 import json
+import multiprocessing
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from secnum import coincidence, sectional, suite
+from secnum import coincidence, homotopy, resources, sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
 from secnum.finspace import constant_map, identity_map, sierpinski
 from secnum.suite import (
@@ -184,6 +187,33 @@ def test_suite_determinism_across_runs_and_parallelism():
     assert a == c
 
 
+def test_spawned_workers_give_the_serial_bytes(monkeypatch):
+    """The pool's worker initializer must reach workers that start from a
+    fresh import, as under the spawn start method."""
+    serial = run_suite(SuiteConfig(**TINY)).to_json_bytes()
+    monkeypatch.setattr(suite, "multiprocessing", multiprocessing.get_context("spawn"))
+    assert run_suite(SuiteConfig(**TINY, parallelism=2)).to_json_bytes() == serial
+
+
+def test_searches_are_shared_only_inside_a_run(monkeypatch):
+    first = run_suite(SuiteConfig(**TINY))
+    assert resources._shared is None
+    second = run_suite(SuiteConfig(**TINY))
+    # a memo kept from the first run would turn the second run's misses into hits
+    shared = ("sec", "secat", "cat", "has_cp")
+    assert all(first.cache_counts[name]["misses"] > 0 for name in shared)
+    assert [first.cache_counts[name] for name in shared] == \
+        [second.cache_counts[name] for name in shared]
+
+    def fail(cfg, hits):
+        raise RuntimeError("census summary failed")
+
+    monkeypatch.setattr(suite, "_census_summary", fail)
+    with pytest.raises(RuntimeError, match="census summary failed"):
+        run_suite(SuiteConfig(**TINY))
+    assert resources._shared is None
+
+
 def test_different_seed_changes_random_sections_only():
     a = run_suite(SuiteConfig(**TINY))
     other = dict(TINY)
@@ -242,7 +272,19 @@ def test_exploratory_falsifications_do_not_gate_exit():
 def test_report_write_and_timings_sidecar(tmp_path):
     out = tmp_path / "report.json"
     cfg = SuiteConfig(**TINY, out=str(out))
-    report = run_suite(cfg)
+    names = {sectional.sec.__code__: "sec", sectional.secat.__code__: "secat",
+             homotopy.cat.__code__: "cat", coincidence.has_cp.__code__: "has_cp"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        report = run_suite(cfg)
+    finally:
+        sys.setprofile(None)
     data = json.loads(out.read_text())
     assert data["exit_code"] == report.exit_code
     assert "timings" not in json.dumps(data)
@@ -250,6 +292,13 @@ def test_report_write_and_timings_sidecar(tmp_path):
     timings = sidecar["timings_seconds"]
     assert set(timings) == {"build_tasks", "total"} | set(CLAIMS_BY_ID)
     assert 0 <= timings["build_tasks"] <= timings["total"]
+    counts = sidecar["cache_counts"]
+    assert counts == report.cache_counts
+    assert set(counts) == set(names.values()) | {"core", "configuration_space"}
+    for name in names.values():
+        assert calls[name] > 0
+        assert counts[name]["hits"] + counts[name]["misses"] == calls[name], name
+    assert all(min(entry.values()) >= 0 for entry in counts.values())
 
 
 def test_config_validation():
