@@ -62,8 +62,8 @@ from .finspace import (
     subspace,
     subspace_of_mask,
 )
+from .cover import CoverCertificate, CoverResult
 from .homotopy import (
-    CatResult,
     Core,
     Fence,
     cat,
@@ -74,8 +74,6 @@ from .homotopy import (
 )
 from .resources import Budget, BudgetExhausted, LimitExceeded, SelfCheckFailed
 from .sectional import (
-    CoverCertificate,
-    CoverResult,
     TcBounds,
     relative_sec,
     relative_secat,

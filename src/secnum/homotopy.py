@@ -19,7 +19,8 @@ are the collapsed pairs of points.  One search decides whether a map is
 nullhomotopic, for nullhomotopy_target and for cat's good-open test (the
 inclusion of an open): it reduces the map's domain to its core mask and runs
 the fence search from that mask into the core of the target, so no subspace
-is built per open, and only whole targets go through the core cache.
+is built per open, and only whole targets go through the core cache.  cat
+answers with a cover.CoverResult whose witnesses are constant maps.
 """
 
 from __future__ import annotations
@@ -27,20 +28,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cover import min_good_cover
-from .extnat import INF, ExtNat
+from .cover import MODE_CONTRACTION, CoverResult, _cover_result
 from .finspace import (
     CMap,
     FinSpace,
-    OpenSet,
     _bits,
     compose,
-    constant_map,
     identity_map,
     iter_assignments,
     subspace_of_mask,
 )
-from .resources import Budget, SelfCheckFailed, shared_search
+from .resources import Budget, shared_search
 
 
 @dataclass(frozen=True)
@@ -307,49 +305,7 @@ def _contraction_point(X: FinSpace, mask: int, budget: Budget) -> int | None:
     return _constant_in_component(X, mask, range(X.n), X, budget)
 
 
-@dataclass(frozen=True)
-class CatResult:
-    """LS-category with its cover; points[i] is the point that the inclusion
-    of cover[i] contracts to within the space, so verify() can rebuild each
-    fence."""
-
-    value: ExtNat
-    cover: tuple[OpenSet, ...]
-    degenerate: bool
-    uncovered_point: int | None = None
-    points: tuple[int, ...] = ()
-
-    def verify(self, budget: Budget | int | None = None) -> bool:
-        """Re-check a finite value independently of the search: the cover has
-        value elements and exhausts the space, and a fence runs from each
-        element's inclusion to the constant map at its point.  Every nonempty
-        space has a finite category (U_x contracts to x), so an infinite value
-        fails.  Raises SelfCheckFailed."""
-        budget = Budget.ensure(budget)
-        if self.degenerate:
-            if self.cover or self.value != ExtNat(1):
-                raise SelfCheckFailed("degenerate category must be 1 with an empty cover")
-            return True
-        if not self.value.is_finite or not self.cover:
-            raise SelfCheckFailed("a nonempty space has a finite category and a cover")
-        if len(self.cover) != self.value.n or len(self.points) != len(self.cover):
-            raise SelfCheckFailed("one cover element and one point per unit of the value")
-        X = self.cover[0].space
-        union = 0
-        for element, point in zip(self.cover, self.points):
-            if element.space != X:
-                raise SelfCheckFailed("cover elements live on different spaces")
-            union |= element.mask
-            sub, incl = subspace_of_mask(X, element.mask)
-            # Fence re-validates every step when it is constructed
-            if homotopy_fence(incl, constant_map(sub, X, point), budget) is None:
-                raise SelfCheckFailed(f"open {sorted(element.members)} does not contract to {point}")
-        if union != X.full_mask:
-            raise SelfCheckFailed("cover does not exhaust the space")
-        return True
-
-
-def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
+def cat(X: FinSpace, budget: Budget | int | None = None) -> CoverResult:
     """Least size of an open cover by sets nullhomotopic within the space.
 
     The candidates are the maximal such opens (the property shrinks), and the
@@ -359,16 +315,11 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CatResult:
     is the sum of the values of its components.  The empty space takes the
     degenerate value 1 by the empty-cover convention.
     """
-    if X.n == 0:
-        return CatResult(ExtNat(1), (), degenerate=True)
     budget = Budget.ensure(budget)
-    return shared_search(("cat", X), budget, lambda: _cat_search(X, budget))
 
+    def contraction(mask: int) -> tuple[int, ...] | None:
+        point = _contraction_point(X, mask, budget)
+        return None if point is None else (point,) * mask.bit_count()
 
-def _cat_search(X: FinSpace, budget: Budget) -> CatResult:
-    chosen, uncovered = min_good_cover(X, lambda mask: _contraction_point(X, mask, budget),
-                                       budget, glue=False)
-    if chosen is None:
-        return CatResult(INF, (), degenerate=False, uncovered_point=uncovered)
-    return CatResult(ExtNat(len(chosen)), tuple(OpenSet(X, mask) for mask, _ in chosen),
-                     degenerate=False, points=tuple(point for _, point in chosen))
+    return shared_search(("cat", X), budget, lambda: _cover_result(
+        X, MODE_CONTRACTION, contraction, (identity_map(X),), budget, glue=False))

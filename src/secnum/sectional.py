@@ -23,189 +23,19 @@ cover.min_good_cover tests the whole base first and otherwise covers each
 component on its own, and element j of the cover is the union of element j
 of the components' covers.
 
-Every finite answer carries a certificate (the cover and one witness map per
-element) that re-validates independently of the search that produced it.
-The good-open tests return bare assignments, and a result keeps the chosen
-(mask, assignment) pairs as they are: the cover's open sets, the
-cover-element subspaces and the witness maps are built the first time
-CoverResult.certificate is read, so a caller that reads only the value
-builds none of them.  CoverCertificate.verify rebuilds each subspace itself.
+Every answer is a cover.CoverResult; the good-open tests return bare
+assignments, from which it builds its certificate when that is read.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .cover import min_good_cover
-from .extnat import INF, ExtNat
-from .finspace import (
-    CMap,
-    FinSpace,
-    OpenSet,
-    _bits,
-    compose,
-    fiber_masks,
-    first_lift,
-    identity_map,
-    pullback,
-    subspace_of_mask,
-)
-from .homotopy import _component_bfs, _core_mask, core, homotopic, is_contractible
+from .cover import MODE_HOMOTOPY, MODE_LIFT, MODE_SECTION, CoverResult, _cover_result
+from .extnat import ExtNat
+from .finspace import CMap, _bits, fiber_masks, first_lift, identity_map, pullback
+from .homotopy import _component_bfs, _core_mask, core, is_contractible
 from .resources import Budget, SelfCheckFailed, shared_search
-
-MODE_SECTION = "section"
-MODE_HOMOTOPY = "homotopy-section"
-MODE_LIFT = "lift"
-
-CERTIFICATE_SCHEMA = "secnum.cover-certificate/1"
-
-_EQUATIONS = {
-    MODE_SECTION: "compose(f, witness) == inclusion",
-    MODE_HOMOTOPY: "compose(f, witness) homotopic to inclusion",
-    MODE_LIFT: "compose(p, witness) == restriction of g",
-}
-
-
-@dataclass(frozen=True)
-class CoverCertificate:
-    """An open cover of the base plus one witness map per element.
-
-    mode 'section' or 'homotopy-section': context is (f,), witnesses are maps
-    from the cover-element subspace into the source of f.  mode 'lift':
-    context is (p, g), witnesses map cover-element subspaces of the base of g
-    into the source of p.  A section of f is a lift of the identity of the
-    base, so 'section' and 'lift' are checked by one strict-lift equation.
-    """
-
-    mode: str
-    base: FinSpace
-    cover: tuple[OpenSet, ...]
-    witnesses: tuple[CMap, ...]
-    context: tuple[CMap, ...]
-    degenerate: bool = False
-
-    def verify(self, budget: Budget | int | None = None) -> bool:
-        budget = Budget.ensure(budget)
-        if self.mode not in _EQUATIONS:
-            raise SelfCheckFailed(f"unknown mode {self.mode!r}")
-        union = 0
-        for element in self.cover:
-            if element.space != self.base:
-                raise SelfCheckFailed("cover element lives on the wrong space")
-            union |= element.mask
-        if self.degenerate:
-            if self.base.n != 0 or self.cover:
-                raise SelfCheckFailed("degenerate certificate must be an empty cover of the empty base")
-            return True
-        if union != self.base.full_mask:
-            raise SelfCheckFailed("cover does not exhaust the base")
-        if len(self.cover) != len(self.witnesses):
-            raise SelfCheckFailed("one witness per cover element is required")
-        for element, witness in zip(self.cover, self.witnesses):
-            # re-validate continuity independently of the search
-            try:
-                CMap(witness.source, witness.target, witness.assignment, validate=True)
-            except ValueError as exc:  # DiscontinuityError or an out-of-range image
-                raise SelfCheckFailed(f"witness is not a continuous map: {exc}") from exc
-            sub, incl = subspace_of_mask(self.base, element.mask)
-            if witness.source != sub:
-                raise SelfCheckFailed("witness domain is not the cover element subspace")
-            p = self.context[0]
-            if witness.target != p.source:
-                raise SelfCheckFailed("witness maps into the wrong space")
-            composite = compose(p, witness)
-            if self.mode == MODE_HOMOTOPY:
-                if not homotopic(composite, incl, budget):
-                    raise SelfCheckFailed("witness is not a homotopy local section")
-            else:
-                # a section is a strict lift of the identity of the base
-                g = self.context[1].assignment if self.mode == MODE_LIFT else range(self.base.n)
-                if composite.assignment != tuple(g[u] for u in incl.assignment):
-                    raise SelfCheckFailed("witness is not a strict lift through the map")
-        return True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": CERTIFICATE_SCHEMA,
-            "mode": self.mode,
-            "base_points": self.base.n,
-            "degenerate": self.degenerate,
-            "cover": [element.mask for element in self.cover],
-            "cover_members": [list(element.members) for element in self.cover],
-            "witnesses": [list(w.assignment) for w in self.witnesses],
-            "checks": [
-                {"element": element.mask, "equation": _EQUATIONS[self.mode], "holds": True}
-                for element in self.cover
-            ],
-        }
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class CoverResult:
-    """Value of a covering invariant plus its audit trail.
-
-    uncovered_point witnesses an Infinite answer: that point of the base lies
-    in no qualifying open.  degenerate marks the empty-base convention (the
-    empty family covers the empty base; reported as 1).  A finite result
-    keeps its mode, base and context, and its cover as chosen, the
-    (mask, witness assignment) pairs, each assignment listing the images of
-    the open's points in ascending order in the source of context[0].
-    certificate builds the CoverCertificate from them the first time it is
-    read, and then drops chosen, which the certificate holds; it is None for
-    an Infinite value, which keeps none of them.  Equality, hashing and repr
-    go through the certificate, as for a result that stored one."""
-
-    value: ExtNat
-    uncovered_point: int | None = None
-    degenerate: bool = False
-    mode: str | None = None
-    base: FinSpace | None = None
-    context: tuple[CMap, ...] = ()
-    chosen: tuple[tuple[int, tuple[int, ...]], ...] = ()
-
-    @functools.cached_property
-    def certificate(self) -> CoverCertificate | None:
-        if not self.value.is_finite:
-            return None
-        base, chosen = self.base, self.chosen
-        total = self.context[0].source
-        # the subspace on every point of the base is the base itself
-        certificate = CoverCertificate(
-            self.mode,
-            base,
-            tuple(OpenSet(base, mask) for mask, _ in chosen),
-            tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
-                       total, witness, validate=False)
-                  for mask, witness in chosen),
-            self.context,
-            self.degenerate,
-        )
-        object.__setattr__(self, "chosen", ())
-        return certificate
-
-    def _key(self):
-        return self.value, self.certificate, self.uncovered_point, self.degenerate
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"CoverResult(value={self.value!r}, certificate={self.certificate!r}, "
-                f"uncovered_point={self.uncovered_point!r}, degenerate={self.degenerate!r})")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value.to_json(),
-            "degenerate": self.degenerate,
-            "uncovered_point": self.uncovered_point,
-            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
-        }
 
 
 def _lift_test(p: CMap, g: CMap, budget: Budget):
@@ -248,20 +78,6 @@ def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> tuple[int, 
         return None
     lift = dict(zip(points, found["lift"]))
     return tuple(lift[r[u]] for u in _bits(mask))
-
-
-def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
-    """Cover result from is_good witnesses, which are assignments on the
-    open's points into the source of context[0]; the result keeps them as
-    they are, and builds the certificate only when it is read."""
-    context = tuple(context)
-    if base.n == 0:
-        return CoverResult(ExtNat(1), degenerate=True, mode=mode, base=base, context=context)
-    chosen, uncovered = min_good_cover(base, is_good, budget)
-    if chosen is None:
-        return CoverResult(INF, uncovered_point=uncovered)
-    return CoverResult(ExtNat(len(chosen)), mode=mode, base=base, context=context,
-                       chosen=tuple(chosen))
 
 
 def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:

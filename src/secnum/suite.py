@@ -922,7 +922,7 @@ class SuiteReport:
     claims: list[dict] = field(default_factory=list)
     census_summary: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    cache_counts: dict = field(default_factory=dict)
+    cache_counts: dict | None = None
 
     @property
     def exit_code(self) -> int:
@@ -953,9 +953,10 @@ class SuiteReport:
         return (json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n").encode()
 
     def sidecar(self) -> dict:
-        """The run's wall times and cache counts, which stay out of the
-        byte-deterministic report."""
-        return {"timings_seconds": self.timings, "cache_counts": self.cache_counts}
+        """The run's wall times, and its cache counts when one process made
+        them all; both stay out of the byte-deterministic report."""
+        counts = {} if self.cache_counts is None else {"cache_counts": self.cache_counts}
+        return {"timings_seconds": self.timings} | counts
 
     def write(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -1011,7 +1012,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     the report bytes do not depend on the parallelism degree.  The claim loop
     and the census summary run inside shared_searches(), each pool worker in
     its own, so a repeated sec, secat, cat or has_cp call replays its first
-    answer and node count; a claim's tasks are dropped once it is tallied."""
+    answer and node count; a claim's tasks are dropped once it is tallied.
+    Only a run without a pool reports its cache counts."""
     cfg.validate()
     total_started = time.perf_counter()
     caches_before = [cache_info() for _, cache_info in _COUNTED_CACHES]
@@ -1067,7 +1069,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         claims=claims,
         census_summary=census_summary,
         timings=timings,
-        cache_counts=_cache_counts(tally, caches_before),
+        cache_counts=_cache_counts(tally, caches_before) if pool is None else None,
     )
     if cfg.out:
         report.write(cfg.out)

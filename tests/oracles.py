@@ -23,7 +23,12 @@ import operator
 from hypothesis import strategies as st
 
 from secnum.census import canonical_form, census_up_to
-from secnum.cover import exact_min_cover, find_maximal_good_opens, min_good_cover
+from secnum.cover import (
+    CoverCertificate,
+    exact_min_cover,
+    find_maximal_good_opens,
+    min_good_cover,
+)
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
@@ -40,7 +45,6 @@ from secnum.finspace import (
 )
 from secnum.homotopy import _component_bfs
 from secnum.resources import Budget, BudgetExhausted
-from secnum.sectional import CoverCertificate
 
 
 def brute_open_masks(space):

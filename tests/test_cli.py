@@ -60,10 +60,29 @@ def test_compute_fpp_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert data["holds"] is False and len(data["witness"]) == 1500
 
 
-def test_compute_cat(files, capsys):
-    code, data = run_json(capsys, ["compute", "--input", files["S.finsp"], "--invariant", "cat"])
-    assert code == 0
-    assert data["value"] == 1
+PSEUDOCIRCLE = "space C 4\nreach 2 0\nreach 2 1\nreach 3 0\nreach 3 1\n"
+TWO_PSEUDOCIRCLES = (
+    "space CC 8\nreach 2 0\nreach 2 1\nreach 3 0\nreach 3 1\n"
+    "reach 6 4\nreach 6 5\nreach 7 4\nreach 7 5\n"
+)
+
+
+def test_compute_cat(tmp_path, capsys):
+    """The whole JSON object for the Sierpinski space, the pseudocircle, the
+    empty space and two disjoint pseudocircles."""
+    cases = [
+        (SIERPINSKI, 1, False, [3]),
+        (PSEUDOCIRCLE, 2, False, [7, 11]),
+        ("space E 0\n", 1, True, []),
+        (TWO_PSEUDOCIRCLES, 4, False, [7, 11, 112, 176]),
+    ]
+    for text, value, degenerate, cover in cases:
+        path = tmp_path / "X.finsp"
+        path.write_text(text)
+        code, data = run_json(capsys, ["compute", "--input", str(path), "--invariant", "cat"])
+        assert code == 0
+        assert data == {"invariant": "cat", "value": value, "degenerate": degenerate,
+                        "cover": cover}
 
 
 def test_compute_sec_and_secat(files, capsys):

@@ -248,7 +248,7 @@ def test_relative_sec_on_disjoint_unions_matches_the_oracle(problem):
 def test_cat_on_disjoint_unions_matches_the_oracle(space):
     result = cat(space)
     assert result.value == brute_cat(space)
-    assert result.verify()
+    assert result.certificate.verify()
     _assert_split_matches_whole_space(
         space, lambda mask: _contraction_point(space, mask, Budget()), glue=False)
 
@@ -257,7 +257,7 @@ def test_cat_on_disjoint_unions_matches_the_oracle(space):
 @given(preorder_families(12, 4))
 def test_cat_adds_over_components(parts):
     result = cat(disjoint_union(*parts))
-    assert result.verify()
+    assert result.certificate.verify()
     assert result.value == ExtNat(sum(cat(part).value.n for part in parts))
 
 
@@ -300,7 +300,7 @@ def test_cat_of_three_and_four_pseudocircles_within_a_small_budget():
     for copies in (3, 4):
         result = cat(disjoint_union(*[C] * copies), Budget(10**4))
         assert result.value == ExtNat(2 * copies)
-        assert result.verify()
+        assert result.certificate.verify()
 
 
 def test_secat_of_the_discrete_cover_of_three_pseudocircles():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnum.census import census_spaces, census_up_to
-from secnum.extnat import INF, ExtNat
+from secnum.cover import MODE_CONTRACTION, CoverCertificate
+from secnum.extnat import ExtNat
 from secnum.finspace import (
     CMap,
     FinSpace,
@@ -26,7 +28,6 @@ from secnum.finspace import (
     subspace_of_mask,
 )
 from secnum.homotopy import (
-    CatResult,
     Fence,
     _contraction_point,
     _core_mask,
@@ -326,21 +327,37 @@ def test_mask_routes_match_the_subspace_routes_on_random_preorders(instance):
 
 
 def test_cat_certificate_verifies():
+    """cat is finite on every nonempty space (U_x contracts to x), and its
+    certificate holds one constant witness per cover element."""
     for space in list(census_up_to(4)) + [pseudocircle(), discrete_space(3)]:
         result = cat(space)
-        assert len(result.points) == len(result.cover)
-        assert result.verify()
+        assert result.value.is_finite
+        cert = result.certificate
+        assert cert.mode == MODE_CONTRACTION
+        assert len(cert.witnesses) == len(result.cover) == result.value.n
+        assert cert.verify()
 
 
 def test_cat_certificate_rejects_a_wrong_point_or_cover():
     d = discrete_space(2)
-    result = cat(d)
-    assert result.points == (0, 1)
-    swapped = CatResult(result.value, result.cover, False, points=(1, 0))
-    short = CatResult(ExtNat(1), result.cover[:1], False, points=(0,))
+    cert = cat(d).certificate
+    assert [w.assignment for w in cert.witnesses] == [(0,), (1,)]
+    swapped = dataclasses.replace(cert, witnesses=cert.witnesses[::-1])
+    short = dataclasses.replace(cert, cover=cert.cover[:1], witnesses=cert.witnesses[:1])
     c = pseudocircle()
-    whole = CatResult(ExtNat(1), (OpenSet(c, c.full_mask),), False, points=(0,))
-    infinite = CatResult(INF, (), False, uncovered_point=0)
-    for wrong in (swapped, short, whole, infinite):
+    whole = CoverCertificate(MODE_CONTRACTION, c, (OpenSet(c, c.full_mask),),
+                             (constant_map(c, c, 0),), (identity_map(c),))
+    for wrong in (swapped, short, whole):
         with pytest.raises(SelfCheckFailed):
             wrong.verify()
+
+
+def test_cat_certificate_rejects_a_witness_that_is_not_constant():
+    """The inclusion of an open is homotopic to itself, so only the
+    constant check rejects it as a contraction witness."""
+    s = sierpinski()
+    cert = cat(s).certificate
+    assert len(cert.cover) == 1 and cert.verify()
+    inclusion = dataclasses.replace(cert, witnesses=(identity_map(s),))
+    with pytest.raises(SelfCheckFailed, match="not a constant map"):
+        inclusion.verify()

@@ -1,15 +1,25 @@
 import dataclasses
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnum.census import InstanceGenerator, census_up_to
-from secnum.cover import find_maximal_good_opens
+from secnum import homotopy
+from secnum.cover import (
+    MODE_CONTRACTION,
+    MODE_HOMOTOPY,
+    MODE_LIFT,
+    MODE_SECTION,
+    CoverCertificate,
+    find_maximal_good_opens,
+)
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
+    OpenSet,
     compose,
     configuration_space,
     constant_map,
@@ -28,10 +38,6 @@ from secnum.finspace import (
 from secnum.homotopy import cat, homotopic, is_contractible
 from secnum.resources import Budget, SelfCheckFailed
 from secnum.sectional import (
-    MODE_HOMOTOPY,
-    MODE_LIFT,
-    MODE_SECTION,
-    CoverCertificate,
     _homotopy_section_witness,
     _lift_test,
     relative_sec,
@@ -279,6 +285,25 @@ def test_non_homotopy_section_fails_the_self_check():
     tampered = _with_witness(cert, constant_map(c, c, 0))
     with pytest.raises(SelfCheckFailed, match="homotopy local section"):
         tampered.verify()
+
+
+def test_one_fence_rule_checks_every_homotopy_witness(monkeypatch):
+    """Both homotopy modes ask homotopy_fence for a fence, which Fence
+    re-validates step by step, so neither trusts the homotopic search: with
+    every module's homotopic answering True, a constant self-map of the
+    pseudocircle still fails as a homotopy section of its identity and as a
+    contraction of the whole pseudocircle."""
+    c = pseudocircle()
+    secat_cert = _with_witness(secat(identity_map(c)).certificate, constant_map(c, c, 0))
+    cat_cert = CoverCertificate(MODE_CONTRACTION, c, (OpenSet(c, c.full_mask),),
+                                (constant_map(c, c, 0),), (identity_map(c),))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("secnum") and hasattr(module, "homotopic"):
+            monkeypatch.setattr(module, "homotopic", lambda f, g, budget=None: True)
+    assert homotopy.homotopic(constant_map(c, c, 0), identity_map(c))
+    for tampered in (secat_cert, cat_cert):
+        with pytest.raises(SelfCheckFailed, match="homotopy local section"):
+            tampered.verify()
 
 
 def test_witness_into_the_wrong_space_fails_the_self_check():

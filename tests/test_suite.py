@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from secnum import coincidence, homotopy, resources, sectional, suite
+from secnum import coincidence, cover, homotopy, resources, sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
 from secnum.finspace import constant_map, identity_map, sierpinski
 from secnum.suite import (
@@ -158,7 +158,7 @@ def test_default_suite_builds_no_certificate_and_formats_no_instance(monkeypatch
     no cover certificate and formats no instance text; reading either one
     afterwards is counted, so the counters see what a reader builds."""
     built, formatted = [], []
-    certificate = sectional.CoverCertificate
+    certificate = cover.CoverCertificate
     instance = TheoremReport.instance.func
 
     def counted_certificate(*args, **kwargs):
@@ -169,7 +169,7 @@ def test_default_suite_builds_no_certificate_and_formats_no_instance(monkeypatch
         formatted.append(report)
         return instance(report)
 
-    monkeypatch.setattr(sectional, "CoverCertificate", counted_certificate)
+    monkeypatch.setattr(cover, "CoverCertificate", counted_certificate)
     monkeypatch.setattr(TheoremReport, "instance", property(counted_instance))
     assert run_suite(SuiteConfig()).exit_code == 0
     assert built == [] and formatted == []
@@ -267,6 +267,21 @@ def test_exploratory_falsifications_do_not_gate_exit():
     assert entry["tallies"]["falsified"] > 0  # counterexamples exist and are recorded
     assert entry["witnesses"]
     assert report.exit_code == 0
+
+
+def test_only_a_serial_run_reports_cache_counts(tmp_path):
+    """Pool workers share their searches but keep their own counts, so a run
+    at parallelism 2 leaves cache_counts out of its sidecar rather than
+    report the calling process's part."""
+    sidecars = []
+    for parallelism in (1, 2):
+        out = tmp_path / f"report-{parallelism}.json"
+        run_suite(SuiteConfig(**TINY, parallelism=parallelism, out=str(out)))
+        sidecars.append(json.loads((tmp_path / f"{out.name}.timings.json").read_text()))
+    serial, parallel = sidecars
+    assert serial["cache_counts"]["has_cp"]["misses"] > 0
+    assert "cache_counts" not in parallel
+    assert set(parallel["timings_seconds"]) == set(serial["timings_seconds"])
 
 
 def test_report_write_and_timings_sidecar(tmp_path):
