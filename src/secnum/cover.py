@@ -21,14 +21,15 @@ closed in it, so witnesses glue), so element j of the cover is the union of
 element j of every component's cover and the value is the maximum of the
 per-component values.
 
-Every covering invariant answers with a CoverResult, whose certificate is
-the cover plus one witness map per element (CoverCertificate); its verify
-reads homotopy at call time, since homotopy imports this module.
+Every covering invariant answers with a CoverResult, whose certificate
+(CoverCertificate) is the (mask, witness assignment) pairs min_good_cover
+chose, kept as they are.  Only its verify builds objects from them, each
+open's subspace and witness map, and it reads homotopy at call time, since
+homotopy imports this module.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -40,6 +41,7 @@ from .finspace import (
     _bits,
     compose,
     connected_components,
+    identity_map,
     subspace_of_mask,
 )
 from .resources import Budget, SelfCheckFailed
@@ -236,24 +238,29 @@ def _glue(pieces):
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """An open cover of the base plus one witness map per element.
+    """An open cover of the base with one local witness per element, stored
+    as the (mask, images) pairs min_good_cover chose: images lists the images
+    of the open's points, in ascending order, in the source of context[0].
 
-    mode 'section' or 'homotopy-section': context is (f,), witnesses are maps
-    from the cover-element subspace into the source of f.  mode 'lift':
-    context is (p, g), witnesses map cover-element subspaces of the base of g
-    into the source of p.  mode 'contraction': context is the identity of
-    the base, and each witness is a constant map.  A section of f is a lift
-    of the identity of the base, so 'section' and 'lift' are checked by one
+    mode 'section' or 'homotopy-section': context is (f,), f a map onto the
+    base.  mode 'lift': context is (p, g), g a map from the base with the
+    target of p.  mode 'contraction': context is the identity of the base,
+    and each witness is a constant map.  A section of f is a lift of the
+    identity of the base, so 'section' and 'lift' are checked by one
     strict-lift equation; 'homotopy-section' and 'contraction' are checked
-    by one fence from the composite to the inclusion.
+    by one fence from the composite to the inclusion.  verify builds every
+    open's subspace and witness map it checks; nothing else does.
     """
 
     mode: str
     base: FinSpace
-    cover: tuple[OpenSet, ...]
-    witnesses: tuple[CMap, ...]
+    cover: tuple[tuple[int, tuple[int, ...]], ...]
     context: tuple[CMap, ...]
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """The empty-base convention: the empty family covers the empty base."""
+        return self.base.n == 0
 
     def verify(self, budget: Budget | int | None = None) -> bool:
         from . import homotopy
@@ -261,32 +268,34 @@ class CoverCertificate:
         budget = Budget.ensure(budget)
         if self.mode not in _EQUATIONS:
             raise SelfCheckFailed(f"unknown mode {self.mode!r}")
+        base, context = self.base, self.context
+        if self.mode == MODE_LIFT:
+            fits = (len(context) == 2 and context[1].source == base
+                    and context[0].target == context[1].target)
+        elif self.mode == MODE_CONTRACTION:
+            fits = context == (identity_map(base),)
+        else:
+            fits = len(context) == 1 and context[0].target == base
+        if not fits:
+            raise SelfCheckFailed(f"{self.mode} context does not fit the base")
         union = 0
-        for element in self.cover:
-            if element.space != self.base:
-                raise SelfCheckFailed("cover element lives on the wrong space")
-            union |= element.mask
-        if self.degenerate:
-            if self.base.n != 0 or self.cover:
-                raise SelfCheckFailed("degenerate certificate must be an empty cover of the empty base")
-            return True
-        if union != self.base.full_mask:
+        for mask, _ in self.cover:
+            if mask & ~base.full_mask:
+                raise SelfCheckFailed("cover element mentions points outside the base")
+            if not base.is_open_mask(mask):
+                raise SelfCheckFailed(f"cover element {list(_bits(mask))} is not open")
+            union |= mask
+        if union != base.full_mask:
             raise SelfCheckFailed("cover does not exhaust the base")
-        if len(self.cover) != len(self.witnesses):
-            raise SelfCheckFailed("one witness per cover element is required")
-        for element, witness in zip(self.cover, self.witnesses):
+        p = context[0]
+        for mask, images in self.cover:
+            sub, incl = subspace_of_mask(base, mask)
             # re-validate continuity independently of the search
             try:
-                CMap(witness.source, witness.target, witness.assignment, validate=True)
-            except ValueError as exc:  # DiscontinuityError or an out-of-range image
+                witness = CMap(sub, p.source, images, validate=True)
+            except ValueError as exc:  # DiscontinuityError, a wrong length or an out-of-range image
                 raise SelfCheckFailed(f"witness is not a continuous map: {exc}") from exc
-            sub, incl = subspace_of_mask(self.base, element.mask)
-            if witness.source != sub:
-                raise SelfCheckFailed("witness domain is not the cover element subspace")
-            p = self.context[0]
-            if witness.target != p.source:
-                raise SelfCheckFailed("witness maps into the wrong space")
-            if self.mode == MODE_CONTRACTION and len(set(witness.assignment)) > 1:
+            if self.mode == MODE_CONTRACTION and len(set(images)) > 1:
                 raise SelfCheckFailed("contraction witness is not a constant map")
             composite = compose(p, witness)
             if self.mode in (MODE_HOMOTOPY, MODE_CONTRACTION):
@@ -295,7 +304,7 @@ class CoverCertificate:
                     raise SelfCheckFailed("witness is not a homotopy local section")
             else:
                 # a section is a strict lift of the identity of the base
-                g = self.context[1].assignment if self.mode == MODE_LIFT else range(self.base.n)
+                g = context[1].assignment if self.mode == MODE_LIFT else range(base.n)
                 if composite.assignment != tuple(g[u] for u in incl.assignment):
                     raise SelfCheckFailed("witness is not a strict lift through the map")
         return True
@@ -306,78 +315,39 @@ class CoverCertificate:
             "mode": self.mode,
             "base_points": self.base.n,
             "degenerate": self.degenerate,
-            "cover": [element.mask for element in self.cover],
-            "cover_members": [list(element.members) for element in self.cover],
-            "witnesses": [list(w.assignment) for w in self.witnesses],
+            "cover": [mask for mask, _ in self.cover],
+            "cover_members": [list(_bits(mask)) for mask, _ in self.cover],
+            "witnesses": [list(images) for _, images in self.cover],
             "checks": [
-                {"element": element.mask, "equation": _EQUATIONS[self.mode], "holds": True}
-                for element in self.cover
+                {"element": mask, "equation": _EQUATIONS[self.mode], "holds": True}
+                for mask, _ in self.cover
             ],
         }
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class CoverResult:
     """Value of a covering invariant plus its audit trail.
 
     uncovered_point witnesses an Infinite answer: that point of the base lies
-    in no qualifying open.  degenerate marks the empty-base convention (the
-    empty family covers the empty base; reported as 1).  A finite result
-    keeps its mode, base and context, and its cover as chosen, the
-    (mask, witness assignment) pairs, each assignment listing the images of
-    the open's points in ascending order in the source of context[0].
-    certificate builds the CoverCertificate from them the first time it is
-    read, and then drops chosen, which the certificate holds; it is None for
-    an Infinite value, which keeps none of them, and then cover is empty.
-    Equality, hashing and repr go through the certificate, as for a result
-    that stored one."""
+    in no qualifying open.  A finite value carries its certificate; the empty
+    base takes the empty cover and the value 1 (degenerate)."""
 
     value: ExtNat
     uncovered_point: int | None = None
-    degenerate: bool = False
-    mode: str | None = None
-    base: FinSpace | None = None
-    context: tuple[CMap, ...] = ()
-    chosen: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    certificate: CoverCertificate | None = None
 
-    @functools.cached_property
-    def certificate(self) -> CoverCertificate | None:
-        if not self.value.is_finite:
-            return None
-        base, chosen = self.base, self.chosen
-        total = self.context[0].source
-        # the subspace on every point of the base is the base itself
-        certificate = CoverCertificate(
-            self.mode,
-            base,
-            tuple(OpenSet(base, mask) for mask, _ in chosen),
-            tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
-                       total, witness, validate=False)
-                  for mask, witness in chosen),
-            self.context,
-            self.degenerate,
-        )
-        object.__setattr__(self, "chosen", ())
-        return certificate
+    @property
+    def degenerate(self) -> bool:
+        return self.certificate is not None and self.certificate.degenerate
 
     @property
     def cover(self) -> tuple[OpenSet, ...]:
-        return () if self.certificate is None else self.certificate.cover
-
-    def _key(self):
-        return self.value, self.certificate, self.uncovered_point, self.degenerate
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"CoverResult(value={self.value!r}, certificate={self.certificate!r}, "
-                f"uncovered_point={self.uncovered_point!r}, degenerate={self.degenerate!r})")
+        """The certificate's opens, or () for an Infinite value."""
+        if self.certificate is None:
+            return ()
+        base = self.certificate.base
+        return tuple(OpenSet(base, mask) for mask, _ in self.certificate.cover)
 
     def to_json_dict(self) -> dict:
         return {
@@ -391,13 +361,13 @@ class CoverResult:
 def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget,
                   glue: bool = True) -> CoverResult:
     """Cover result from is_good witnesses, which are assignments on the
-    open's points into the source of context[0]; the result keeps them as
-    they are, and builds the certificate only when it is read."""
+    open's points into the source of context[0]; the certificate keeps the
+    chosen (mask, witness) pairs as they are."""
     context = tuple(context)
     if base.n == 0:
-        return CoverResult(ExtNat(1), degenerate=True, mode=mode, base=base, context=context)
+        return CoverResult(ExtNat(1), certificate=CoverCertificate(mode, base, (), context))
     chosen, uncovered = min_good_cover(base, is_good, budget, glue)
     if chosen is None:
         return CoverResult(INF, uncovered_point=uncovered)
-    return CoverResult(ExtNat(len(chosen)), mode=mode, base=base, context=context,
-                       chosen=tuple(chosen))
+    return CoverResult(ExtNat(len(chosen)),
+                       certificate=CoverCertificate(mode, base, tuple(chosen), context))

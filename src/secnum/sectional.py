@@ -24,7 +24,7 @@ component on its own, and element j of the cover is the union of element j
 of the components' covers.
 
 Every answer is a cover.CoverResult; the good-open tests return bare
-assignments, from which it builds its certificate when that is read.
+assignments, which its certificate keeps as they are.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
 library's point-mask route, the recursive map search as the check of the
 explicit-stack one, and the cover pipeline on the whole space as the check of
-the one that covers each connected component on its own.  The certificate
-built eagerly, as soon as the cover is chosen, is kept as the check of the
-one that CoverResult builds on first read.  The module also
+the one that covers each connected component on its own.  The module also
 holds the random-preorder and disjoint-union strategies that the property
 tests share.
 """
@@ -23,17 +21,11 @@ import operator
 from hypothesis import strategies as st
 
 from secnum.census import canonical_form, census_up_to
-from secnum.cover import (
-    CoverCertificate,
-    exact_min_cover,
-    find_maximal_good_opens,
-    min_good_cover,
-)
+from secnum.cover import exact_min_cover, find_maximal_good_opens
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
     FinSpace,
-    OpenSet,
     _bits,
     compose,
     enumerate_maps,
@@ -287,27 +279,6 @@ def whole_space_min_good_cover(space, is_good, budget):
         return None, next(_bits(space.full_mask & ~union))
     chosen = exact_min_cover(space.full_mask, [mask for mask, _ in good], budget)
     return [good[i] for i in chosen], None
-
-
-def eager_cover_certificate(base, mode, is_good, context, budget):
-    """The certificate of a covering invariant built as soon as its cover is
-    chosen: each element's open set, subspace and witness map.  None for an
-    infinite value."""
-    if base.n == 0:
-        return CoverCertificate(mode, base, (), (), tuple(context), degenerate=True)
-    chosen, _ = min_good_cover(base, is_good, budget)
-    if chosen is None:
-        return None
-    total = context[0].source
-    return CoverCertificate(
-        mode,
-        base,
-        tuple(OpenSet(base, mask) for mask, _ in chosen),
-        tuple(CMap(base if mask == base.full_mask else subspace_of_mask(base, mask)[0],
-                   total, witness, validate=False)
-              for mask, witness in chosen),
-        tuple(context),
-    )
 
 
 def brute_has_fixed_point_free_map(space):

@@ -85,6 +85,66 @@ def test_compute_cat(tmp_path, capsys):
                         "cover": cover}
 
 
+V_SHAPE = "space V 3\nreach 1 0\nreach 2 0\n"
+# two Sierpinski spaces onto V, one onto each of its minimal opens {0, 1} and {0, 2}
+TWO_ARMS = "space E 4\nreach 1 0\nreach 3 2\n" + V_SHAPE + "map f E V\nsend 0 0\nsend 1 1\nsend 2 0\nsend 3 2\n"
+
+
+def _certificate(mode, equation, base_points, cover, witnesses):
+    """The JSON of a cover certificate whose elements are the masks in cover."""
+    return {
+        "schema": "secnum.cover-certificate/1",
+        "mode": mode,
+        "base_points": base_points,
+        "degenerate": base_points == 0,
+        "cover": cover,
+        "cover_members": [[x for x in range(base_points) if mask >> x & 1] for mask in cover],
+        "witnesses": witnesses,
+        "checks": [{"element": mask, "equation": equation, "holds": True} for mask in cover],
+    }
+
+
+def test_compute_and_relative_certificates(tmp_path, capsys):
+    """The whole JSON object for secat of a point into the pseudocircle, sec
+    of TWO_ARMS, sec of the identity of the empty space, and the lift route
+    of TWO_ARMS along the identity of V."""
+    inputs = {
+        "C.finsp": PSEUDOCIRCLE,
+        "point.fmap": "space P 1\n" + PSEUDOCIRCLE + "map c P C\nsend 0 0\n",
+        "V.finsp": V_SHAPE,
+        "f.fmap": TWO_ARMS,
+        "g.fmap": V_SHAPE + "map g V V\nsend 0 0\nsend 1 1\nsend 2 2\n",
+        "E.finsp": "space E 0\n",
+        "e.fmap": "space E 0\nmap e E E\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    path = {name: str(tmp_path / name) for name in inputs}
+    section = "compose(f, witness) == inclusion"
+    cases = [
+        (["compute", "--input", path["C.finsp"], "--map", path["point.fmap"], "--invariant", "secat"],
+         {"invariant": "secat", "value": 2, "degenerate": False, "uncovered_point": None,
+          "certificate": _certificate("homotopy-section", "compose(f, witness) homotopic to inclusion",
+                                      4, [7, 11], [[0, 0, 0], [0, 0, 0]])}),
+        (["compute", "--input", path["V.finsp"], "--map", path["f.fmap"], "--invariant", "sec"],
+         {"invariant": "sec", "value": 2, "degenerate": False, "uncovered_point": None,
+          "certificate": _certificate("section", section, 3, [3, 5], [[0, 1], [2, 3]])}),
+        (["compute", "--input", path["E.finsp"], "--map", path["e.fmap"], "--invariant", "sec"],
+         {"invariant": "sec", "value": 1, "degenerate": True, "uncovered_point": None,
+          "certificate": _certificate("section", section, 0, [], [])}),
+        (["relative", "--p", path["f.fmap"], "--g", path["g.fmap"], "--invariant", "sec",
+          "--route", "lift"],
+         {"invariant": "relative-sec", "route": "lift", "value": 2, "degenerate": False,
+          "uncovered_point": None,
+          "certificate": _certificate("lift", "compose(p, witness) == restriction of g",
+                                      3, [3, 5], [[0, 1], [2, 3]])}),
+    ]
+    for argv, expected in cases:
+        code, data = run_json(capsys, argv)
+        assert code == 0
+        assert data == expected
+
+
 def test_compute_sec_and_secat(files, capsys):
     code, data = run_json(capsys, [
         "compute", "--input", files["S.finsp"], "--map", files["pi.fmap"],

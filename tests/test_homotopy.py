@@ -11,7 +11,6 @@ from secnum.extnat import ExtNat
 from secnum.finspace import (
     CMap,
     FinSpace,
-    OpenSet,
     _bits,
     compose,
     constant_map,
@@ -334,19 +333,19 @@ def test_cat_certificate_verifies():
         assert result.value.is_finite
         cert = result.certificate
         assert cert.mode == MODE_CONTRACTION
-        assert len(cert.witnesses) == len(result.cover) == result.value.n
+        assert len(cert.cover) == len(result.cover) == result.value.n
+        assert all(len(set(images)) == 1 for _, images in cert.cover)
         assert cert.verify()
 
 
 def test_cat_certificate_rejects_a_wrong_point_or_cover():
     d = discrete_space(2)
     cert = cat(d).certificate
-    assert [w.assignment for w in cert.witnesses] == [(0,), (1,)]
-    swapped = dataclasses.replace(cert, witnesses=cert.witnesses[::-1])
-    short = dataclasses.replace(cert, cover=cert.cover[:1], witnesses=cert.witnesses[:1])
+    assert cert.cover == ((0b01, (0,)), (0b10, (1,)))
+    swapped = dataclasses.replace(cert, cover=((0b01, (1,)), (0b10, (0,))))
+    short = dataclasses.replace(cert, cover=cert.cover[:1])
     c = pseudocircle()
-    whole = CoverCertificate(MODE_CONTRACTION, c, (OpenSet(c, c.full_mask),),
-                             (constant_map(c, c, 0),), (identity_map(c),))
+    whole = CoverCertificate(MODE_CONTRACTION, c, ((c.full_mask, (0,) * c.n),), (identity_map(c),))
     for wrong in (swapped, short, whole):
         with pytest.raises(SelfCheckFailed):
             wrong.verify()
@@ -358,6 +357,6 @@ def test_cat_certificate_rejects_a_witness_that_is_not_constant():
     s = sierpinski()
     cert = cat(s).certificate
     assert len(cert.cover) == 1 and cert.verify()
-    inclusion = dataclasses.replace(cert, witnesses=(identity_map(s),))
+    inclusion = dataclasses.replace(cert, cover=((s.full_mask, (0, 1)),))
     with pytest.raises(SelfCheckFailed, match="not a constant map"):
         inclusion.verify()

@@ -19,7 +19,6 @@ from secnum.cover import (
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
-    OpenSet,
     compose,
     configuration_space,
     constant_map,
@@ -38,7 +37,6 @@ from secnum.finspace import (
 from secnum.homotopy import cat, homotopic, is_contractible
 from secnum.resources import Budget, SelfCheckFailed
 from secnum.sectional import (
-    _homotopy_section_witness,
     _lift_test,
     relative_sec,
     relative_secat,
@@ -51,7 +49,6 @@ from oracles import (
     brute_relative_sec_lift,
     brute_sec,
     continuous_maps,
-    eager_cover_certificate,
     preorders,
 )
 
@@ -165,42 +162,25 @@ def test_certificates_verify_and_serialize():
     assert all(check["holds"] for check in blob["checks"])
 
 
-def _assert_lazy_certificate_is_the_eager_one(result, eager):
-    """The certificate a result builds on first read equals, in value and in
-    JSON, the one built as soon as the cover was chosen, and verifies; the
-    result then holds the cover only in its certificate, and an infinite
-    result holds no cover data at all."""
-    assert "certificate" not in vars(result)  # nothing read it yet
-    lazy = result.certificate
-    if eager is None:
-        assert lazy is None and not result.value.is_finite
-        assert (result.mode, result.base, result.context, result.chosen) == (None, None, (), ())
+def _check_certificate(result, mode):
+    """A finite result carries a certificate of the given mode that verifies,
+    with one cover element per unit of value (the empty base excepted, whose
+    empty cover counts as 1); an infinite one names an uncovered point."""
+    cert = result.certificate
+    if cert is None:
+        assert not result.value.is_finite and result.uncovered_point is not None
         return
-    assert result.chosen == ()  # the certificate holds the cover now
-    assert lazy == eager
-    assert lazy.to_json_dict() == eager.to_json_dict()
-    assert result.to_json_dict()["certificate"] == eager.to_json_dict()
-    assert lazy.verify()
-    assert result.certificate is lazy  # built once, then cached
+    assert cert.mode == mode
+    assert len(cert.cover) == (0 if cert.degenerate else result.value.n)
+    assert cert.verify()
 
 
 def _check_section_modes(f):
-    b = Budget()
-    _assert_lazy_certificate_is_the_eager_one(
-        sec(f), eager_cover_certificate(
-            f.target, MODE_SECTION, _lift_test(f, identity_map(f.target), b), (f,), b))
-    _assert_lazy_certificate_is_the_eager_one(
-        secat(f), eager_cover_certificate(
-            f.target, MODE_HOMOTOPY, lambda mask: _homotopy_section_witness(f, mask, b), (f,), b))
+    _check_certificate(sec(f), MODE_SECTION)
+    _check_certificate(secat(f), MODE_HOMOTOPY)
 
 
-def _check_lift_mode(p, g):
-    b = Budget()
-    _assert_lazy_certificate_is_the_eager_one(
-        relative_sec(p, g), eager_cover_certificate(g.source, MODE_LIFT, _lift_test(p, g, b), (p, g), b))
-
-
-def test_lazy_certificates_match_the_eager_ones_on_the_census():
+def test_certificates_verify_on_the_census():
     """Every map between spaces of at most 3 points (the empty one included)
     in the section and homotopy-section modes, and every lift of a map into
     such a space through its two-point configuration projection."""
@@ -210,7 +190,7 @@ def test_lazy_certificates_match_the_eager_ones_on_the_census():
             for f in enumerate_maps(source, target):
                 _check_section_modes(f)
                 if target.n:
-                    _check_lift_mode(_pi21(target), f)
+                    _check_certificate(relative_sec(_pi21(target), f), MODE_LIFT)
 
 
 @st.composite
@@ -223,20 +203,20 @@ def cover_instances(draw):
 
 @settings(max_examples=100)
 @given(cover_instances())
-def test_lazy_certificates_match_the_eager_ones_on_random_preorders(instance):
+def test_certificates_verify_on_random_preorders(instance):
     p, g = instance
     _check_section_modes(p)
-    _check_lift_mode(p, g)
+    _check_certificate(relative_sec(p, g), MODE_LIFT)
 
 
 def test_tampered_certificate_fails():
     s = sierpinski()
     cert = sec(identity_map(s)).certificate
+    assert cert.cover == ((0b11, (0, 1)),)
     swapped = CoverCertificate(
         mode=cert.mode,
         base=cert.base,
-        cover=cert.cover,
-        witnesses=(constant_map(s, s, 1),),
+        cover=((0b11, (1, 1)),),
         context=cert.context,
     )
     with pytest.raises(SelfCheckFailed):
@@ -251,18 +231,18 @@ def test_discontinuous_witness_fails_the_self_check():
     swapped = CoverCertificate(
         mode=cert.mode,
         base=cert.base,
-        cover=cert.cover,
-        witnesses=(CMap(s, s, (1, 0), validate=False),),
+        cover=((0b11, (1, 0)),),
         context=cert.context,
     )
     with pytest.raises(SelfCheckFailed, match="not a continuous map"):
         swapped.verify()
 
 
-def _with_witness(cert, witness):
-    """cert, which must verify, with its one witness replaced."""
+def _with_witness(cert, images):
+    """cert, which must verify, with the images of its one witness replaced."""
     assert len(cert.cover) == 1 and cert.verify()
-    return dataclasses.replace(cert, witnesses=(witness,))
+    ((mask, _),) = cert.cover
+    return dataclasses.replace(cert, cover=((mask, images),))
 
 
 def test_lift_of_another_map_fails_the_self_check():
@@ -271,7 +251,7 @@ def test_lift_of_another_map_fails_the_self_check():
     s = sierpinski()
     cert = relative_sec(identity_map(s), constant_map(s, s, 0)).certificate
     assert cert.mode == MODE_LIFT
-    tampered = _with_witness(cert, identity_map(s))
+    tampered = _with_witness(cert, (0, 1))
     with pytest.raises(SelfCheckFailed, match="strict lift"):
         tampered.verify()
 
@@ -282,7 +262,7 @@ def test_non_homotopy_section_fails_the_self_check():
     c = pseudocircle()
     cert = secat(identity_map(c)).certificate
     assert cert.mode == MODE_HOMOTOPY
-    tampered = _with_witness(cert, constant_map(c, c, 0))
+    tampered = _with_witness(cert, (0,) * c.n)
     with pytest.raises(SelfCheckFailed, match="homotopy local section"):
         tampered.verify()
 
@@ -294,9 +274,9 @@ def test_one_fence_rule_checks_every_homotopy_witness(monkeypatch):
     pseudocircle still fails as a homotopy section of its identity and as a
     contraction of the whole pseudocircle."""
     c = pseudocircle()
-    secat_cert = _with_witness(secat(identity_map(c)).certificate, constant_map(c, c, 0))
-    cat_cert = CoverCertificate(MODE_CONTRACTION, c, (OpenSet(c, c.full_mask),),
-                                (constant_map(c, c, 0),), (identity_map(c),))
+    secat_cert = _with_witness(secat(identity_map(c)).certificate, (0,) * c.n)
+    cat_cert = CoverCertificate(MODE_CONTRACTION, c, ((c.full_mask, (0,) * c.n),),
+                                (identity_map(c),))
     for name, module in list(sys.modules.items()):
         if name.startswith("secnum") and hasattr(module, "homotopic"):
             monkeypatch.setattr(module, "homotopic", lambda f, g, budget=None: True)
@@ -306,13 +286,51 @@ def test_one_fence_rule_checks_every_homotopy_witness(monkeypatch):
             tampered.verify()
 
 
-def test_witness_into_the_wrong_space_fails_the_self_check():
+def test_witness_with_an_out_of_range_image_fails_the_self_check():
+    """A witness maps into the source of context[0]; an image past its last
+    point is a failed self-check, not a ValueError escaping verify."""
     s = sierpinski()
-    indiscrete = make_space(2, [(0, 1), (1, 0)])
     for cert in (sec(identity_map(s)).certificate, secat(identity_map(s)).certificate):
-        tampered = _with_witness(cert, CMap(s, indiscrete, (0, 1)))
-        with pytest.raises(SelfCheckFailed, match="wrong space"):
+        tampered = _with_witness(cert, (0, 2))
+        with pytest.raises(SelfCheckFailed, match="out of range"):
             tampered.verify()
+
+
+def _misfit_context(mode):
+    """A certificate that verifies, and a context that does not fit its base:
+    for a section certificate of D2 a map into the Sierpinski space, for a
+    contraction certificate of D2 the identity of the Sierpinski space, and
+    for a lift certificate its p without g."""
+    d, s = discrete_space(2), sierpinski()
+    if mode == MODE_SECTION:
+        return sec(identity_map(d)).certificate, (CMap(d, s, (0, 1)),)
+    if mode == MODE_CONTRACTION:
+        return cat(d).certificate, (identity_map(s),)
+    lift = relative_sec(identity_map(s), identity_map(s)).certificate
+    return lift, lift.context[:1]
+
+
+@pytest.mark.parametrize("mode", [MODE_SECTION, MODE_CONTRACTION, MODE_LIFT])
+def test_certificate_context_must_fit_the_base(mode):
+    cert, context = _misfit_context(mode)
+    assert cert.mode == mode and cert.verify()
+    with pytest.raises(SelfCheckFailed, match="context does not fit the base"):
+        dataclasses.replace(cert, context=context).verify()
+
+
+@pytest.mark.parametrize("cover, message", [
+    (((0b10, (1,)),), "not open"),
+    (((0b01, (0,)), (0b10, (1,))), "not open"),
+    (((0b100, (0,)),), "outside the base"),
+    (((0b11, (0, 1)), (0b100, (0,))), "outside the base"),
+])
+def test_cover_elements_must_be_opens_of_the_base(cover, message):
+    """In the Sierpinski space U_1 = {0, 1}, so {1} is not open, and it has
+    no point 2.  The second and fourth covers exhaust the base with
+    witnesses that are sections on their elements."""
+    cert = dataclasses.replace(sec(identity_map(sierpinski())).certificate, cover=cover)
+    with pytest.raises(SelfCheckFailed, match=message):
+        cert.verify()
 
 
 def test_relative_invariants_need_a_shared_target():

@@ -155,28 +155,37 @@ def test_tiny_suite_runs_clean():
 
 def test_default_suite_builds_no_certificate_and_formats_no_instance(monkeypatch):
     """The claims read only values and statuses, so the default run builds
-    no cover certificate and formats no instance text; reading either one
-    afterwards is counted, so the counters see what a reader builds."""
-    built, formatted = [], []
-    certificate = cover.CoverCertificate
+    no open set or subspace out of a cover certificate and formats no
+    instance text; reading a result's cover, verifying its certificate and
+    reading a report's instance afterwards are counted, so the counters see
+    what a reader builds."""
+    opens, subspaces, formatted = [], [], []
+    open_set, subspace_of_mask = cover.OpenSet, cover.subspace_of_mask
     instance = TheoremReport.instance.func
 
-    def counted_certificate(*args, **kwargs):
-        built.append(args)
-        return certificate(*args, **kwargs)
+    def counted_open_set(*args):
+        opens.append(args)
+        return open_set(*args)
+
+    def counted_subspace(*args):
+        subspaces.append(args)
+        return subspace_of_mask(*args)
 
     def counted_instance(report):
         formatted.append(report)
         return instance(report)
 
-    monkeypatch.setattr(cover, "CoverCertificate", counted_certificate)
+    monkeypatch.setattr(cover, "OpenSet", counted_open_set)
+    monkeypatch.setattr(cover, "subspace_of_mask", counted_subspace)
     monkeypatch.setattr(TheoremReport, "instance", property(counted_instance))
     assert run_suite(SuiteConfig()).exit_code == 0
-    assert built == [] and formatted == []
+    assert opens == subspaces == formatted == []
     s = sierpinski()
-    assert sectional.sec(identity_map(s)).certificate.verify()
+    result = sectional.sec(identity_map(s))
+    assert [element.mask for element in result.cover] == [s.full_mask]
+    assert result.certificate.verify()
     assert check_remark(s, s, constant_map(s, s, 0)).to_json_dict()["instance"]
-    assert len(built) == 1 and len(formatted) == 1
+    assert len(opens) == len(subspaces) == len(formatted) == 1
 
 
 def test_suite_determinism_across_runs_and_parallelism():
