@@ -95,12 +95,17 @@ def _revalidate_witness(witness: CMap, g: CMap) -> CMap:
     return checked
 
 
+def _check_map_between(X: FinSpace, Y: FinSpace, g: CMap) -> None:
+    """The precondition of has_cp and of every checker: g maps X to Y."""
+    if g.source != X or g.target != Y:
+        raise ValueError("g must be a map from X to Y")
+
+
 def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
            budget: Budget | int | None = None) -> CoincidenceVerdict:
     """Search for a continuous f with f(x) != g(x) everywhere; raises
     BudgetExhausted when the budget runs out first."""
-    if g.source != X or g.target != Y:
-        raise ValueError("g must be a map from X to Y")
+    _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
     return shared_search(("has_cp", g), budget, lambda: _cp_search(g, budget))
 
@@ -158,16 +163,18 @@ class TheoremReport:
         }
 
 
-def _relative_sec_of_projection(Y: FinSpace, g: CMap, k: int, budget: Budget):
-    _, pi = configuration_space(Y, k)
-    return relative_sec(pi, g, budget=budget)
+def _relative_sec_of_projection(g: CMap, k: int, budget: Budget) -> ExtNat:
+    """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run."""
+    return shared_search(("relative_sec_pi", g, k), budget, lambda: relative_sec(
+        configuration_space(g.target, k)[1], g, budget=budget).value)
 
 
 def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None) -> dict:
     """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g),
     then CP, as a report's quantities."""
+    _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
-    sec_value = _relative_sec_of_projection(Y, g, 2, budget).value
+    sec_value = _relative_sec_of_projection(g, 2, budget)
     return {
         "cp_holds": has_cp(X, Y, g, budget).holds,
         "sec_relative_pi21": sec_value,
@@ -189,11 +196,12 @@ def check_key_lemma(X: FinSpace, Y: FinSpace, g: CMap, k: int,
                     budget: Budget | int | None = None) -> TheoremReport:
     """For Hausdorff targets with at least k points, the relative sectional
     number of the k-point configuration projection is at most k."""
+    _check_map_between(X, Y, g)
     if k < 2:
         raise ValueError("k must be >= 2")
     budget = Budget.ensure(budget)
     hausdorff = is_hausdorff(Y)
-    sec_value = _relative_sec_of_projection(Y, g, k, budget).value
+    sec_value = _relative_sec_of_projection(g, k, budget)
     q = {"sec_relative_pik1": sec_value, "hausdorff": hausdorff, "target_points": Y.n, "k": k}
     bound_holds = sec_value <= ExtNat(k)
     if hausdorff and Y.n >= k:
@@ -224,6 +232,7 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
     When FPP fails, the fixed-point-free witness composed with g must be a
     coincidence-free map, so CP must fail too; the checker rebuilds that
     composite and re-validates it, reproducing the contrapositive construction."""
+    _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
     cp = has_cp(X, Y, g, budget)
     fpp = has_fpp(Y, budget)

@@ -106,6 +106,8 @@ class FinSpace:
         return True
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinSpace):
             return NotImplemented
         return self.n == other.n and self.reach_rows == other.reach_rows

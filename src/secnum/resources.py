@@ -1,11 +1,13 @@
 """Node budgets and size limits shared by all search routines, and the
 run-scoped memo of finished searches.
 
-Inside shared_searches(), the entry points sec, secat, cat and has_cp look
-themselves up with shared_search before searching: a repeated call returns
-the first call's result and replays its node count on the caller's budget
-(Budget.replay), so a hit spends, and runs out, exactly as the search would.
-Outside the block no memo exists and every call searches.
+Inside shared_searches(), the entry points sec, secat, cat, has_cp and
+coincidence._relative_sec_of_projection (relsec(pi_{k,1}^Y, g), keeping only
+its value) look themselves up with shared_search before searching: a
+repeated call returns the first call's result and replays its node count on
+the caller's budget (Budget.replay), so a hit spends, and runs out, exactly
+as the search would.  Outside the block no memo exists and every call
+searches.
 """
 
 from __future__ import annotations

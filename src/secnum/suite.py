@@ -1011,8 +1011,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     functions of their payloads, and results are merged in instance order, so
     the report bytes do not depend on the parallelism degree.  The claim loop
     and the census summary run inside shared_searches(), each pool worker in
-    its own, so a repeated sec, secat, cat or has_cp call replays its first
-    answer and node count; a claim's tasks are dropped once it is tallied.
+    its own, so a repeated sec, secat, cat, has_cp or relsec(pi_{k,1}, g)
+    call replays its first answer and node count; a claim's tasks are
+    dropped once it is tallied.
     Only a run without a pool reports its cache counts."""
     cfg.validate()
     total_started = time.perf_counter()

@@ -216,6 +216,18 @@ def test_reports_serialize_with_stable_claim_ids():
         json.dumps(data, sort_keys=True)  # no unserialisable values
 
 
+@pytest.mark.parametrize("check", [check_remark, check_main_theorem, check_cp_implies_fpp,
+                                   lambda X, Y, g: check_key_lemma(X, Y, g, 2)])
+def test_checkers_refuse_a_map_that_does_not_go_from_x_to_y(check):
+    """Each checker names its X and Y and checks g against them before any
+    search, with a wrong X and with a wrong Y."""
+    s, d2, d3 = sierpinski(), discrete_space(2), discrete_space(3)
+    g = constant_map(d2, d3, 0)
+    for X, Y in ((s, d3), (d2, s)):
+        with pytest.raises(ValueError, match="g must be a map from X to Y"):
+            check(X, Y, g)
+
+
 def test_inconclusive_on_tiny_budget():
     s = sierpinski()
     with pytest.raises(BudgetExhausted):

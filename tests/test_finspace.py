@@ -705,6 +705,7 @@ def test_space_equality_and_pickle():
     s2 = FinSpace(s1.reach_rows)
     assert s1 is not s2
     assert s1 == s2 and hash(s1) == hash(s2)
+    assert s1 == s1 and s1 != discrete_space(2) and s1 != s1.reach_rows
     assert pickle.loads(pickle.dumps(s1)) == s1
     f = make_map(s1, s1, [1, 1])
     assert pickle.loads(pickle.dumps(f)) == f

@@ -1,5 +1,8 @@
 """Budget replay and the run-scoped memo of finished searches."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from secnum import coincidence, homotopy, resources, sectional
@@ -7,13 +10,25 @@ from secnum.census import census_up_to
 from secnum.finspace import enumerate_maps
 from secnum.resources import Budget, BudgetExhausted, shared_searches
 
-# the four entry points that look themselves up, each as a call on one map
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "secnum"
+
+# the five entry points that look themselves up, each as a call on one map
 ENTRY_POINTS = {
     "sec": lambda f, budget: sectional.sec(f, budget),
     "secat": lambda f, budget: sectional.secat(f, budget),
     "cat": lambda f, budget: homotopy.cat(f.source, budget),
     "has_cp": lambda f, budget: coincidence.has_cp(f.source, f.target, f, budget),
+    "relative_sec_pi": lambda f, budget: coincidence._relative_sec_of_projection(f, 2, budget),
 }
+
+
+def shared_search_names(source: str) -> set[str]:
+    """The entry-point names, key[0], of every shared_search((...), ...) call
+    in source; a key that is not a tuple display starting with a literal
+    name makes the scan raise."""
+    return {node.args[0].elts[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "shared_search"}
 
 
 def _census_maps():
@@ -103,3 +118,22 @@ def test_blocks_nest_and_restore():
     assert resources._shared is None
     assert inner == {("sec", "misses"): 1}
     assert outer == {("sec", "misses"): 1, ("sec", "hits"): 1}
+
+
+def test_the_scan_finds_every_shared_search_key():
+    source = ("def f(g, budget):\n"
+              "    return shared_search(('one', g), budget, lambda: 1)\n"
+              "x = shared_search(('two', g, 3), budget, search)\n"
+              "y = other(('three', g), budget)\n")
+    assert shared_search_names(source) == {"one", "two"}
+    with pytest.raises(AttributeError):
+        shared_search_names("shared_search(key, budget, search)\n")
+
+
+def test_every_shared_search_has_a_replay_test():
+    """A memoised entry point in the package is one of ENTRY_POINTS, so the
+    replay test above runs on it."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        names |= shared_search_names(path.read_text())
+    assert names == set(ENTRY_POINTS)

@@ -209,7 +209,7 @@ def test_searches_are_shared_only_inside_a_run(monkeypatch):
     assert resources._shared is None
     second = run_suite(SuiteConfig(**TINY))
     # a memo kept from the first run would turn the second run's misses into hits
-    shared = ("sec", "secat", "cat", "has_cp")
+    shared = ("sec", "secat", "cat", "has_cp", "relative_sec_pi")
     assert all(first.cache_counts[name]["misses"] > 0 for name in shared)
     assert [first.cache_counts[name] for name in shared] == \
         [second.cache_counts[name] for name in shared]
@@ -297,7 +297,8 @@ def test_report_write_and_timings_sidecar(tmp_path):
     out = tmp_path / "report.json"
     cfg = SuiteConfig(**TINY, out=str(out))
     names = {sectional.sec.__code__: "sec", sectional.secat.__code__: "secat",
-             homotopy.cat.__code__: "cat", coincidence.has_cp.__code__: "has_cp"}
+             homotopy.cat.__code__: "cat", coincidence.has_cp.__code__: "has_cp",
+             coincidence._relative_sec_of_projection.__code__: "relative_sec_pi"}
     calls = Counter()
 
     def profile(frame, event, arg):
