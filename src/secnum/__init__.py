@@ -6,17 +6,16 @@ computes sectional numbers and sectional categories (plain and relative to a
 map), Lusternik-Schnirelmann category, fixed-point and coincidence properties,
 and runs a property suite that checks the relations between these invariants
 over exhaustive censuses and seeded random families.
+
+`import secnum` loads the calculator: the modules of spaces, covers,
+homotopy, the sectional numbers, the coincidence checkers, budgets and the
+extended naturals.  The census, the text format and the property suite load
+on first use: a name such as `secnum.census_spaces`, `secnum.Document` or
+`secnum.SuiteConfig` imports its module when it is first read.
 """
 
-from .census import (
-    InstanceGenerator,
-    are_isomorphic,
-    canonical_form,
-    census_spaces,
-    census_up_to,
-    cone,
-    random_instance,
-)
+from importlib import import_module as _import_module
+
 from .coincidence import (
     CoincidenceVerdict,
     TheoremReport,
@@ -28,15 +27,6 @@ from .coincidence import (
     has_fpp,
 )
 from .extnat import INF, ExtNat
-from .fileio import (
-    Document,
-    ParseError,
-    format_fence,
-    format_map,
-    format_space,
-    load_document,
-    parse_document,
-)
 from .finspace import (
     CMap,
     DiscontinuityError,
@@ -81,6 +71,43 @@ from .sectional import (
     sec,
     secat,
 )
-from .suite import Claim, REGISTRY, SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"
+
+# names whose module loads on first access, by module
+_LAZY_MODULES = {
+    "census": (
+        "InstanceGenerator",
+        "are_isomorphic",
+        "canonical_form",
+        "census_spaces",
+        "census_up_to",
+        "cone",
+        "random_instance",
+    ),
+    "fileio": (
+        "Document",
+        "ParseError",
+        "format_fence",
+        "format_map",
+        "format_space",
+        "load_document",
+        "parse_document",
+    ),
+    "suite": ("Claim", "REGISTRY", "SuiteConfig", "SuiteReport", "run_suite"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_MODULES) | set(_LAZY))

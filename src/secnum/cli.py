@@ -14,12 +14,10 @@ import sys
 from dataclasses import replace
 
 from . import coincidence as coin
-from .census import census_spaces
 from .fileio import Document, ParseError, format_space, load_document
 from .homotopy import cat
 from .resources import BudgetExhausted, LimitExceeded, default_node_budget
 from .sectional import relative_sec, relative_secat, relative_tc_bounds, sec, secat
-from .suite import SuiteConfig, run_suite
 
 
 class InputError(Exception):
@@ -131,6 +129,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .census import census_spaces
+
     if args.max_points < 1:
         raise InputError("--max-points must be >= 1")
     total = 0
@@ -146,6 +146,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import SuiteConfig, run_suite
+
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:

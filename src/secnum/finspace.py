@@ -74,16 +74,20 @@ class FinSpace:
                     raise ValueError(f"reach row of point {x} mentions an out-of-range point")
                 if not (row >> x) & 1:
                     raise ValueError(f"reach is not reflexive at point {x}")
-            for x, row in enumerate(rows):
-                for y in _bits(row):
-                    if rows[y] & ~row:
-                        raise ValueError(
-                            f"reach is not transitive: reach({x},{y}) but U_{y} is not inside U_{x}"
-                        )
+        # the transpose, and with validate the transitivity test, walk the
+        # bits of each row lowest first
         co = [0] * n
         for x, row in enumerate(rows):
-            for y in _bits(row):
-                co[y] |= 1 << x
+            bit, rest = 1 << x, row
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if validate and rows[y] & ~row:
+                    raise ValueError(
+                        f"reach is not transitive: reach({x},{y}) but U_{y} is not inside U_{x}"
+                    )
+                co[y] |= bit
+                rest ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "reach_rows", rows)
         object.__setattr__(self, "co_rows", tuple(co))
@@ -158,13 +162,16 @@ class CMap:
             for x, fx in enumerate(assignment):
                 if not 0 <= fx < target.n:
                     raise ValueError(f"image of point {x} is out of range: {fx}")
-            rows = source.reach_rows
             trows = target.reach_rows
-            for x in range(source.n):
+            for x, row in enumerate(source.reach_rows):
                 fx = assignment[x]
-                for x2 in _bits(rows[x]):
-                    if not (trows[fx] >> assignment[x2]) & 1:
+                trow = trows[fx]
+                while row:
+                    low = row & -row
+                    x2 = low.bit_length() - 1
+                    if not (trow >> assignment[x2]) & 1:
                         raise DiscontinuityError(x, x2, fx, assignment[x2])
+                    row ^= low
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", assignment)
@@ -362,7 +369,10 @@ def _tuple_space(factors, points) -> FinSpace:
                 row ^= low
             below.append(acc)
         belows.append(below)
-    rows = [functools.reduce(operator.and_, map(list.__getitem__, belows, t)) for t in points]
+    if len(belows) == 1:  # a subspace: the row of t is below[t[0]]
+        rows = [belows[0][a] for a, in points]
+    else:
+        rows = [functools.reduce(operator.and_, map(list.__getitem__, belows, t)) for t in points]
     return FinSpace(rows, validate=False)
 
 

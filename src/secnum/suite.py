@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -1025,8 +1024,12 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         by_claim[task[0]].append(task)
     del tasks
 
-    pool = (multiprocessing.Pool(cfg.parallelism, initializer=_share_searches_in_worker)
-            if cfg.parallelism > 1 else None)
+    pool = None
+    if cfg.parallelism > 1:
+        # only a pooled run pays for loading multiprocessing
+        import multiprocessing
+
+        pool = multiprocessing.Pool(cfg.parallelism, initializer=_share_searches_in_worker)
     hits: list[dict] = []
     claims = []
     try:

@@ -359,6 +359,40 @@ def brute_closure_rows(n, pairs):
     return tuple(rows)
 
 
+def brute_preorder_error(rows):
+    """The message FinSpace(rows) raises, or None when rows are the reach
+    rows of a preorder, from the relation as a set of pairs: first every
+    point's row in range and reflexive, in point order, then transitivity at
+    the first pair (x, y) in lexicographic order with reach(x, y) and some
+    reach(y, z) without reach(x, z)."""
+    n = len(rows)
+    reach = {(x, y) for x, row in enumerate(rows) for y in range(row.bit_length()) if (row >> y) & 1}
+    for x in range(n):
+        if any(y >= n for a, y in reach if a == x):
+            return f"reach row of point {x} mentions an out-of-range point"
+        if (x, x) not in reach:
+            return f"reach is not reflexive at point {x}"
+    for x, y in sorted(reach):
+        if any((y, z) in reach and (x, z) not in reach for z in range(n)):
+            return f"reach is not transitive: reach({x},{y}) but U_{y} is not inside U_{x}"
+    return None
+
+
+def brute_co_rows(rows):
+    """co_rows[y]: the mask of the points x with reach(x, y), bit by bit."""
+    n = len(rows)
+    return tuple(sum(1 << x for x in range(n) if (rows[x] >> y) & 1) for y in range(n))
+
+
+def brute_discontinuity(source, target, assignment):
+    """The first pair (x, x2) in lexicographic order with reach(x, x2) in the
+    source and not reach(f(x), f(x2)) in the target, or None."""
+    for x, x2 in itertools.product(range(source.n), repeat=2):
+        if source.reach(x, x2) and not target.reach(assignment[x], assignment[x2]):
+            return x, x2
+    return None
+
+
 def brute_configuration_rows(space, k):
     """The points of F(space, k) in permutations order and their reach rows,
     by testing every pair of configurations coordinate by coordinate."""

@@ -41,9 +41,12 @@ from secnum.resources import Budget, BudgetExhausted, LimitExceeded
 
 from oracles import (
     brute_closure_rows,
+    brute_co_rows,
     brute_configuration_rows,
+    brute_discontinuity,
     brute_lift_exists,
     brute_open_masks,
+    brute_preorder_error,
     brute_pullback_rows,
     continuous_maps,
     preorders,
@@ -121,6 +124,73 @@ def test_preorder_validation():
         FinSpace((0b10, 0b10))  # not reflexive at 0
     with pytest.raises(ValueError):
         FinSpace((0b011, 0b110, 0b100))  # 0->1->2 but not 0->2
+
+
+@st.composite
+def corrupted_rows(draw, max_points):
+    """Reach rows of a random preorder of at most max_points points, as they
+    are or with one corruption: a missing self bit, a bit past the last
+    point, a chain x -> y -> z whose end z is not in U_x, or some flipped
+    bits."""
+    rows = list(draw(preorders(max_points)).reach_rows)
+    n = len(rows)
+    point = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["preorder", "self", "range", "chain", "flip"]))
+    if kind == "self":
+        x = draw(point)
+        rows[x] &= ~(1 << x)
+    elif kind == "range":
+        rows[draw(point)] |= 1 << draw(st.integers(n, n + 3))
+    elif kind == "chain":
+        x, y = draw(point), draw(point)
+        outside = [z for z in range(n) if not (rows[x] >> z) & 1 and z != y]
+        if x != y and outside:
+            rows[y] |= 1 << draw(st.sampled_from(outside))
+            rows[x] |= 1 << y
+    elif kind == "flip":
+        for x, y in draw(st.lists(st.tuples(point, point), min_size=1, max_size=3)):
+            if x != y:
+                rows[x] ^= 1 << y
+    return rows
+
+
+@settings(max_examples=500)
+@given(corrupted_rows(10))
+def test_space_validation_matches_brute_force_oracle(rows):
+    expected = brute_preorder_error(rows)
+    if expected is None:
+        space = FinSpace(rows)
+        assert space.reach_rows == tuple(rows)
+        assert space.co_rows == brute_co_rows(rows)
+        assert FinSpace(rows, validate=False).co_rows == space.co_rows
+    else:
+        with pytest.raises(ValueError) as err:
+            FinSpace(rows)
+        assert str(err.value) == expected
+
+
+@st.composite
+def assignments(draw, max_points):
+    """A source and target preorder and any assignment between them, most of
+    them discontinuous."""
+    source, target = draw(preorders(max_points)), draw(preorders(max_points))
+    images = draw(st.lists(st.integers(0, target.n - 1), min_size=source.n, max_size=source.n))
+    return source, target, images
+
+
+@settings(max_examples=500)
+@given(assignments(10))
+def test_map_validation_matches_brute_force_oracle(instance):
+    source, target, images = instance
+    expected = brute_discontinuity(source, target, images)
+    if expected is None:
+        assert CMap(source, target, images, validate=True).assignment == tuple(images)
+    else:
+        with pytest.raises(DiscontinuityError) as err:
+            CMap(source, target, images, validate=True)
+        x, x2 = expected
+        assert err.value.witness == expected
+        assert err.value.images == (images[x], images[x2])
 
 
 def test_is_hausdorff():

@@ -200,7 +200,7 @@ def test_spawned_workers_give_the_serial_bytes(monkeypatch):
     """The pool's worker initializer must reach workers that start from a
     fresh import, as under the spawn start method."""
     serial = run_suite(SuiteConfig(**TINY)).to_json_bytes()
-    monkeypatch.setattr(suite, "multiprocessing", multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     assert run_suite(SuiteConfig(**TINY, parallelism=2)).to_json_bytes() == serial
 
 
