@@ -15,6 +15,12 @@ preserve those, so the restriction is sound).
 InstanceGenerator draws reproducible random spaces, maps, commuting squares,
 triples and retractions from a seeded generator; identical seeds give
 identical instances regardless of the host or the degree of parallelism.
+Every draw goes through InstanceGenerator._below, one rejection loop on
+random.Random.getrandbits, so the instances rest on the Mersenne Twister's
+bit stream alone and not on randrange, sample or choice, whose algorithms
+the random module does not promise to keep across Python versions.  The loop
+is the one CPython runs under those calls, so the draws are the ones they
+gave.
 """
 
 from __future__ import annotations
@@ -155,23 +161,56 @@ def cone(space: FinSpace) -> FinSpace:
 
 
 class InstanceGenerator:
-    """Seeded, reproducible source of random spaces and maps."""
+    """Seeded, reproducible source of random spaces and maps.
+
+    Every draw is _below(n), uniform on range(n) by rejection on
+    n.bit_length() bits of getrandbits: randint(a, b) is a + _below(b - a + 1),
+    _shuffled(n) is the pool-swap loop of sample(range(n), n) and _pick(seq)
+    is choice(seq), draw for draw.  Owning the loop keeps the instances
+    independent of those methods' algorithms, which may change between
+    Python versions, and skips their argument handling on the 10^5 draws of
+    a suite run."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
+        self._getrandbits = self.rng.getrandbits
+
+    def _below(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError(f"cannot draw below {n}")
+        getrandbits = self._getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def _shuffled(self, n: int) -> list[int]:
+        """A random order of range(n): each step draws one of the points
+        not yet placed and moves the last of them into its slot."""
+        below = self._below
+        pool = list(range(n))
+        order = []
+        for last in range(n - 1, -1, -1):
+            j = below(last + 1)
+            order.append(pool[j])
+            pool[j] = pool[last]
+        return order
+
+    def _pick(self, seq):
+        return seq[self._below(len(seq))]
 
     # -- spaces -------------------------------------------------------------
 
     def space(self, max_points: int) -> FinSpace:
-        n = self.rng.randint(1, max_points)
-        generators = self.rng.randint(0, 2 * n)
-        pairs = [
-            (self.rng.randrange(n), self.rng.randrange(n)) for _ in range(generators)
-        ]
+        below = self._below
+        n = 1 + below(max_points)
+        generators = below(2 * n + 1)
+        pairs = [(below(n), below(n)) for _ in range(generators)]
         return make_space(n, pairs)
 
     def hausdorff_space(self, max_points: int) -> FinSpace:
-        return make_space(self.rng.randint(1, max_points), [])
+        return make_space(1 + self._below(max_points), [])
 
     def contractible_space(self, max_points: int) -> FinSpace:
         base = self.space(max(1, max_points - 1))
@@ -192,7 +231,7 @@ class InstanceGenerator:
         """Random continuous map via value-shuffled backtracking, with x sent
         into the bitmask domains[x] (anywhere when domains is None); None when
         no continuous map does that."""
-        value_orders = [self.rng.sample(range(target.n), target.n) for _ in range(source.n)]
+        value_orders = [self._shuffled(target.n) for _ in range(source.n)]
         if domains is None:
             domains = [target.full_mask] * source.n
         for assignment in iter_assignments(
@@ -210,13 +249,13 @@ class InstanceGenerator:
             budget = Budget(DEFAULT_NODE_BUDGET)
             for assignment in iter_assignments(g.source, Y, domains, budget):
                 candidates.add(assignment)
-        pick = self.rng.choice(sorted(candidates))
+        pick = self._pick(sorted(candidates))
         return CMap(g.source, Y, pick, validate=False)
 
     def open_mask(self, space: FinSpace) -> int:
         """A random nonempty open of the space."""
         masks = [m for m in iter_open_masks(space, Budget(DEFAULT_NODE_BUDGET)) if m]
-        return self.rng.choice(masks)
+        return self._pick(masks)
 
     def retraction(self, max_points: int):
         """Random (X, B open in X, r: X -> B) with r restricting to the identity."""
@@ -247,7 +286,7 @@ class InstanceGenerator:
     def square(self, max_points: int):
         """Strictly commuting square (phi, f, f_prime, psi) with
         f_prime o phi == psi o f, built by construction."""
-        recipe = self.rng.randrange(3)
+        recipe = self._below(3)
         X = self.space(max_points)
         Y = self.space(max_points)
         if recipe == 0:

@@ -129,10 +129,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    from .census import census_spaces
+    from .census import CENSUS_HARD_MAX, census_spaces
 
     if args.max_points < 1:
         raise InputError("--max-points must be >= 1")
+    # checked before the smaller censuses are printed
+    if args.max_points > CENSUS_HARD_MAX:
+        raise InputError(f"--max-points must be <= {CENSUS_HARD_MAX}, got {args.max_points}")
     total = 0
     for n in range(1, args.max_points + 1):
         spaces = census_spaces(n, posets_only=args.posets_only)

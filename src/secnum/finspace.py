@@ -497,17 +497,26 @@ def iter_assignments(
     co_rows = source.co_rows
     treach = target.reach_rows
     tco = target.co_rows
-    # the whole space (every fence search) yields its assignment as is
-    full = mask == source.full_mask
-    points = range(source.n) if full else list(_bits(mask))
-    n = len(points)
     domains = list(domains)
     assigned = [-1] * source.n
+    # the mask's points in ascending order, and the other points of the mask
+    # that each one is related to, in one pass over the mask's bits
     related = [0] * source.n
-    for x in points:
-        related[x] = (reach_rows[x] | co_rows[x]) & mask & ~(1 << x)
-    # images of the mask's points; itemgetter of a single index returns a bare item
-    pick = operator.itemgetter(*points) if n > 1 else lambda a: (a[points[0]],)
+    points = []
+    m = mask
+    while m:
+        b = m & -m
+        x = b.bit_length() - 1
+        m ^= b
+        points.append(x)
+        related[x] = (reach_rows[x] | co_rows[x]) & mask & ~b
+    n = len(points)
+    # the whole space (every fence search) yields its assignment as is, a
+    # proper sub-mask the images of its points; itemgetter of a single index
+    # returns a bare item
+    full = mask == source.full_mask
+    if not full:
+        pick = operator.itemgetter(*points) if n > 1 else lambda a: (a[points[0]],)
     lex = order == "lex"
     # most constrained first: the free points are kept in buckets by domain
     # size, with a mask that has a bit for every size whose bucket may be
@@ -634,9 +643,12 @@ def first_lift(source: FinSpace, target: FinSpace, fibers, images,
     domains = [fibers[b] for b in images]
     if mask is None:
         mask = source.full_mask
-    for x in _bits(mask):
-        if not domains[x]:
+    m = mask
+    while m:
+        b = m & -m
+        if not domains[b.bit_length() - 1]:
             return None
+        m ^= b
     for assignment in iter_assignments(source, target, domains, budget, order="mcf", mask=mask):
         return assignment
     return None

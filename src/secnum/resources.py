@@ -52,6 +52,8 @@ class Budget:
     def __init__(self, nodes: int | None = None):
         if nodes is None:
             nodes = default_node_budget()
+        if isinstance(nodes, bool):
+            raise TypeError("budget must be an int node count, not a bool")
         if nodes <= 0:
             raise ValueError("budget must be positive")
         self.limit = nodes

@@ -868,7 +868,7 @@ def _build_tasks(cfg: SuiteConfig):
         g = seeded("nullhomotopic", i)
         Xs, Ys = g.space(m), g.space(m)
         if i % 2 == 0:
-            f = constant_map(Xs, Ys, g.rng.randrange(Ys.n))
+            f = constant_map(Xs, Ys, g._below(Ys.n))
         else:
             f = g.cmap(Xs, Ys)
         add("nullhomotopic_secat_eq_cat", (f,))

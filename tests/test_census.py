@@ -1,3 +1,4 @@
+import random
 import re
 from pathlib import Path
 
@@ -109,6 +110,34 @@ def test_generator_determinism():
     ya, yb = a.space(3), b.space(3)
     fa, fb = a.cmap(xa, ya), b.cmap(xb, yb)
     assert fa.assignment == fb.assignment
+
+
+def test_draws_follow_the_random_module_stream():
+    """_below, _shuffled and _pick draw exactly what randrange/randint,
+    sample(range(n), n) and choice draw from the same seed, and leave the
+    generator in the same state, so the instances (and the suite report)
+    are those the random module's methods gave."""
+    sizes = list(range(1, 40)) + [2**k + d for k in range(5, 70, 8) for d in (-1, 0, 1)]
+    for seed in range(200):
+        gen, rng = InstanceGenerator(seed), random.Random(seed)
+        for n in sizes:
+            assert gen._below(n) == rng.randrange(n)
+            assert 1 + gen._below(n) == rng.randint(1, n)
+        for n in range(13):
+            assert gen._shuffled(n) == rng.sample(range(n), n)
+        for length in range(1, 20):
+            seq = [f"item{i}" for i in range(length)]
+            assert gen._pick(seq) == rng.choice(seq)
+        assert gen.rng.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_draw_below_nothing_raises(n):
+    gen = InstanceGenerator(1)
+    state = gen.rng.getstate()
+    with pytest.raises(ValueError, match="cannot draw below"):
+        gen._below(n)
+    assert gen.rng.getstate() == state
 
 
 def test_random_instance_kinds():

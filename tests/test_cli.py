@@ -254,7 +254,11 @@ def test_census_output(capsys):
 
 
 def test_census_over_cap_is_input_error(capsys):
+    # rejected before the censuses under the cap are printed
     assert main(["census", "--max-points", "8"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-points must be <= 7, got 8\n"
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

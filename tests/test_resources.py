@@ -7,7 +7,7 @@ import pytest
 
 from secnum import coincidence, homotopy, resources, sectional
 from secnum.census import census_up_to
-from secnum.finspace import enumerate_maps
+from secnum.finspace import enumerate_maps, identity_map, pseudocircle
 from secnum.resources import Budget, BudgetExhausted, shared_searches
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "secnum"
@@ -76,6 +76,17 @@ def test_replay_charges_at_once():
     with pytest.raises(BudgetExhausted, match="node budget of 5 exhausted"):
         budget.replay(1)
     assert budget.remaining == -1
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_budget(flag):
+    with pytest.raises(TypeError, match="not a bool"):
+        Budget(flag)
+    with pytest.raises(TypeError, match="not a bool"):
+        Budget.ensure(flag)
+    f = identity_map(pseudocircle())
+    with pytest.raises(TypeError, match="not a bool"):
+        coincidence.has_cp(f.source, f.target, f, flag)
 
 
 def test_a_search_that_runs_out_is_not_kept():
