@@ -160,6 +160,18 @@ def cone(space: FinSpace) -> FinSpace:
     return make_space(n + 1, pairs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _comparable_maps(g: CMap) -> tuple[tuple[int, ...], ...]:
+    """Sorted assignments of the maps f uniformly comparable with g, g
+    included: f(x) in U_{g(x)} for every x, or g(x) in U_{f(x)} for every x."""
+    Y = g.target
+    candidates = {g.assignment}
+    for rows in (Y.reach_rows, Y.co_rows):
+        domains = [rows[y] for y in g.assignment]
+        candidates.update(iter_assignments(g.source, Y, domains, Budget(DEFAULT_NODE_BUDGET)))
+    return tuple(sorted(candidates))
+
+
 class InstanceGenerator:
     """Seeded, reproducible source of random spaces and maps.
 
@@ -242,15 +254,7 @@ class InstanceGenerator:
 
     def homotopic_neighbor(self, g: CMap) -> CMap:
         """Random map one comparability step away from g (possibly g itself)."""
-        Y = g.target
-        candidates = {g.assignment}
-        for rows in (Y.reach_rows, Y.co_rows):
-            domains = [rows[y] for y in g.assignment]
-            budget = Budget(DEFAULT_NODE_BUDGET)
-            for assignment in iter_assignments(g.source, Y, domains, budget):
-                candidates.add(assignment)
-        pick = self._pick(sorted(candidates))
-        return CMap(g.source, Y, pick, validate=False)
+        return CMap(g.source, g.target, self._pick(_comparable_maps(g)), validate=False)
 
     def open_mask(self, space: FinSpace) -> int:
         """A random nonempty open of the space."""

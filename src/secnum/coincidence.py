@@ -36,7 +36,7 @@ from .finspace import (
     is_hausdorff,
 )
 from .resources import Budget, SelfCheckFailed, shared_search
-from .sectional import relative_sec
+from .sectional import _relative_sec_lift
 
 CLAIM_REMARK = "remark_sec1_iff_not_cp"
 CLAIM_KEY_LEMMA = "key_lemma_k"
@@ -164,9 +164,11 @@ class TheoremReport:
 
 
 def _relative_sec_of_projection(g: CMap, k: int, budget: Budget) -> ExtNat:
-    """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run."""
-    return shared_search(("relative_sec_pi", g, k), budget, lambda: relative_sec(
-        configuration_space(g.target, k)[1], g, budget=budget).value)
+    """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run; the
+    memo keeps the value alone, so a miss searches the lift route directly
+    rather than through relative_sec, whose key would keep the whole result."""
+    return shared_search(("relative_sec_pi", g, k), budget, lambda: _relative_sec_lift(
+        configuration_space(g.target, k)[1], g, budget).value)
 
 
 def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None) -> dict:

@@ -284,11 +284,13 @@ def compose(outer: CMap, inner: CMap) -> CMap:
 
 
 def is_hausdorff(space: FinSpace) -> bool:
-    """Finite Hausdorff means discrete: reach is the identity relation."""
-    return all(row == 1 << x for x, row in enumerate(space.reach_rows))
+    """Finite Hausdorff means discrete: reach is the identity relation.  Every
+    row holds its own point, so that is n related pairs in all."""
+    return sum(map(int.bit_count, space.reach_rows)) == space.n
 
 
-def connected_components(space: FinSpace) -> list[int]:
+@functools.lru_cache(maxsize=256)
+def connected_components(space: FinSpace) -> tuple[int, ...]:
     """Masks of the components of the comparability graph, ordered by their
     lowest point.  For finite spaces these are the connected (and path)
     components; each one is open and closed."""
@@ -305,7 +307,7 @@ def connected_components(space: FinSpace) -> list[int]:
             part |= frontier
         parts.append(part)
         rest &= ~part
-    return parts
+    return tuple(parts)
 
 
 def is_connected(space: FinSpace) -> bool:
@@ -376,6 +378,7 @@ def _tuple_space(factors, points) -> FinSpace:
     return FinSpace(rows, validate=False)
 
 
+@functools.lru_cache(maxsize=512)
 def product(a: FinSpace, b: FinSpace):
     """Product space with componentwise reach; returns (space, proj_a, proj_b).
 

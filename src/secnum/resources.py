@@ -1,13 +1,14 @@
 """Node budgets and size limits shared by all search routines, and the
 run-scoped memo of finished searches.
 
-Inside shared_searches(), the entry points sec, secat, cat, has_cp and
+Inside shared_searches(), seven entry points look themselves up with
+shared_search before searching: sec, secat, cat, has_cp, relative_sec (its
+lift route), relative_secat (before it builds its pullback) and
 coincidence._relative_sec_of_projection (relsec(pi_{k,1}^Y, g), keeping only
-its value) look themselves up with shared_search before searching: a
-repeated call returns the first call's result and replays its node count on
-the caller's budget (Budget.replay), so a hit spends, and runs out, exactly
-as the search would.  Outside the block no memo exists and every call
-searches.
+its value).  A repeated call returns the first call's result and replays its
+node count on the caller's budget (Budget.replay), so a hit spends, and runs
+out, exactly as the search would.  Outside the block no memo exists and every
+call searches.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class Budget:
     def __init__(self, nodes: int | None = None):
         if nodes is None:
             nodes = default_node_budget()
-        if isinstance(nodes, bool):
-            raise TypeError("budget must be an int node count, not a bool")
+        elif isinstance(nodes, bool) or not isinstance(nodes, int):
+            raise TypeError(f"budget must be an int node count, not a {type(nodes).__name__}")
         if nodes <= 0:
             raise ValueError("budget must be positive")
         self.limit = nodes
@@ -74,11 +75,11 @@ class Budget:
 
     @staticmethod
     def ensure(budget: "Budget | int | None") -> "Budget":
-        if budget is None:
-            return Budget()
-        if isinstance(budget, int):
-            return Budget(budget)
-        return budget
+        """budget itself, or a fresh Budget of that many nodes (the default
+        for None); anything else raises TypeError at the call."""
+        if isinstance(budget, Budget):
+            return budget
+        return Budget(budget)
 
 
 # (memo, tally) of the open shared_searches block, or None outside one

@@ -14,7 +14,8 @@ and is kept as the cross-check.  relative_secat takes the pullback route.
 
 secat's good-open test works the same way on homotopy: the candidate open
 is reduced to its core on a point mask of the target, and the fence search
-and the lift test run on that mask (_homotopy_section_witness).
+and the lift test run on that mask (_homotopy_section_test, which computes
+the core of the target and the fibers it lifts through once per search).
 
 On a disconnected base each value is the maximum of its values on the
 connected components: a component is open and closed, so local sections,
@@ -47,37 +48,43 @@ def _lift_test(p: CMap, g: CMap, budget: Budget):
     return lambda mask: first_lift(X, E, fibers, images, budget, mask)
 
 
-def _homotopy_section_witness(f: CMap, mask: int, budget: Budget) -> tuple[int, ...] | None:
-    """Assignment of a witness s with compose(f, s) homotopic to the inclusion
-    of the open.
+def _homotopy_section_test(f: CMap, budget: Budget):
+    """is_good for the opens U of the target Y of f over which some s has
+    compose(f, s) homotopic to the inclusion of U; the witness is the
+    assignment of s on the open's points, in ascending order.
 
-    Works in compressed map space, on point masks of the target Y of f: s
-    exists over U exactly when some map in the fence component of the
-    inclusion of core(U) into core(Y) lifts strictly through the composite of
-    f with the retraction of Y onto its core.  Then s(u) = lift(r(u)), where
-    r retracts U onto its core.
+    Works in compressed map space, on point masks of Y: s exists over U
+    exactly when some map in the fence component of the inclusion of core(U)
+    into core(Y) lifts strictly through the composite of f with the
+    retraction of Y onto its core.  Then s(u) = lift(r(u)), where r retracts
+    U onto its core.  core(Y), its retraction and the fibers of the composite
+    are fixed for the whole search, so they are computed once.
     """
-    Y = f.target
+    Y, E = f.target, f.source
     y_core = core(Y)
     retraction = y_core.retraction.assignment
-    cmask, r, _ = _core_mask(Y, mask)
-    points = list(_bits(cmask))
-    start = tuple(retraction[p] for p in points)
     fibers = fiber_masks([retraction[fy] for fy in f.assignment], y_core.space.n)
-    images = [0] * Y.n
-    found = {}
 
-    def try_lift(t) -> bool:
-        for p, b in zip(points, t):
-            images[p] = b
-        found["lift"] = first_lift(Y, f.source, fibers, images, budget, cmask)
-        return found["lift"] is not None
+    def is_good(mask: int) -> tuple[int, ...] | None:
+        cmask, r, _ = _core_mask(Y, mask)
+        points = list(_bits(cmask))
+        start = tuple(retraction[p] for p in points)
+        images = [0] * Y.n
+        found = {}
 
-    hit, _ = _component_bfs(Y, y_core.space, start, budget, stop=try_lift, mask=cmask)
-    if hit is None:
-        return None
-    lift = dict(zip(points, found["lift"]))
-    return tuple(lift[r[u]] for u in _bits(mask))
+        def try_lift(t) -> bool:
+            for p, b in zip(points, t):
+                images[p] = b
+            found["lift"] = first_lift(Y, E, fibers, images, budget, cmask)
+            return found["lift"] is not None
+
+        hit, _ = _component_bfs(Y, y_core.space, start, budget, stop=try_lift, mask=cmask)
+        if hit is None:
+            return None
+        lift = dict(zip(points, found["lift"]))
+        return tuple(lift[r[u]] for u in _bits(mask))
+
+    return is_good
 
 
 def sec(f: CMap, budget: Budget | int | None = None) -> CoverResult:
@@ -91,14 +98,18 @@ def secat(f: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Minimum open cover of the target by homotopy-sectionable opens."""
     budget = Budget.ensure(budget)
     return shared_search(("secat", f), budget, lambda: _cover_result(
-        f.target, MODE_HOMOTOPY, lambda mask: _homotopy_section_witness(f, mask, budget),
-        (f,), budget))
+        f.target, MODE_HOMOTOPY, _homotopy_section_test(f, budget), (f,), budget))
 
 
 def _check_shared_target(p: CMap, g: CMap) -> None:
     """The precondition of every relative invariant of p along g."""
     if p.target != g.target:
         raise ValueError("relative invariants need p and g to share their target")
+
+
+def _relative_sec_lift(p: CMap, g: CMap, budget: Budget) -> CoverResult:
+    """The lift route of relative_sec, searched without a memo lookup."""
+    return _cover_result(g.source, MODE_LIFT, _lift_test(p, g, budget), (p, g), budget)
 
 
 def relative_sec(p: CMap, g: CMap, route: str = "lift",
@@ -119,7 +130,8 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
     if route in ("pullback", "both"):
         result_pb = sec(pullback(p, g)[1], budget)
     if route in ("lift", "both"):
-        result_lift = _cover_result(g.source, MODE_LIFT, _lift_test(p, g, budget), (p, g), budget)
+        result_lift = shared_search(("relative_sec", p, g), budget,
+                                    lambda: _relative_sec_lift(p, g, budget))
     if route == "pullback":
         return result_pb
     if route == "both" and result_pb.value != result_lift.value:
@@ -132,7 +144,9 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
 def relative_secat(p: CMap, g: CMap, budget: Budget | int | None = None) -> CoverResult:
     """Sectional category of the canonical pullback of p along g."""
     _check_shared_target(p, g)
-    return secat(pullback(p, g)[1], budget)
+    budget = Budget.ensure(budget)
+    return shared_search(("relative_secat", p, g), budget,
+                         lambda: secat(pullback(p, g)[1], budget))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .census import (
     KNOWN_POSET_COUNTS,
     KNOWN_PREORDER_COUNTS,
     InstanceGenerator,
+    _comparable_maps,
     canonical_form,
     census_spaces,
     census_up_to,
@@ -49,6 +50,7 @@ from .finspace import (
     FinSpace,
     compose,
     configuration_space,
+    connected_components,
     constant_map,
     enumerate_maps,
     identity_map,
@@ -989,7 +991,10 @@ def _share_searches_in_worker() -> None:
 
 # read through the functions bound at import, which a tracer may wrap later
 _COUNTED_CACHES = (("core", core.cache_info),
-                   ("configuration_space", configuration_space.cache_info))
+                   ("configuration_space", configuration_space.cache_info),
+                   ("product", product.cache_info),
+                   ("connected_components", connected_components.cache_info),
+                   ("_comparable_maps", _comparable_maps.cache_info))
 
 
 def _cache_counts(tally, before) -> dict:
@@ -1010,9 +1015,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     functions of their payloads, and results are merged in instance order, so
     the report bytes do not depend on the parallelism degree.  The claim loop
     and the census summary run inside shared_searches(), each pool worker in
-    its own, so a repeated sec, secat, cat, has_cp or relsec(pi_{k,1}, g)
-    call replays its first answer and node count; a claim's tasks are
-    dropped once it is tallied.
+    its own, so a repeated sec, secat, cat, has_cp, relative_sec (lift
+    route), relative_secat or relsec(pi_{k,1}, g) call replays its first
+    answer and node count; a claim's tasks are dropped once it is tallied.
     Only a run without a pool reports its cache counts."""
     cfg.validate()
     total_started = time.perf_counter()

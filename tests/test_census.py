@@ -8,9 +8,11 @@ from secnum.census import (
     KNOWN_POSET_COUNTS,
     KNOWN_PREORDER_COUNTS,
     InstanceGenerator,
+    _comparable_maps,
     are_isomorphic,
     canonical_form,
     census_spaces,
+    census_up_to,
     cone,
     random_instance,
 )
@@ -18,6 +20,7 @@ from secnum.finspace import (
     FinSpace,
     compose,
     discrete_space,
+    enumerate_maps,
     is_hausdorff,
     make_space,
     sierpinski,
@@ -176,6 +179,25 @@ def test_homotopic_neighbor_is_homotopic():
         X, Y, g = gen.triple(3)
         neighbor = gen.homotopic_neighbor(g)
         assert homotopic(g, neighbor)
+
+
+def test_comparable_maps_match_a_filter_of_every_map():
+    """On every census map of at most 3 points: the maps uniformly comparable
+    with g, by brute force over every map, sorted; and the draw is the
+    choice of the random module among them."""
+    spaces = census_up_to(3)
+    seed = 0
+    for X in spaces:
+        for Y in spaces:
+            reach = Y.reach
+            for g in enumerate_maps(X, Y):
+                seed += 1
+                expected = tuple(f.assignment for f in enumerate_maps(X, Y)
+                                 if all(reach(a, b) for a, b in zip(g.assignment, f.assignment))
+                                 or all(reach(b, a) for a, b in zip(g.assignment, f.assignment)))
+                assert _comparable_maps(g) == expected
+                gen, rng = InstanceGenerator(seed), random.Random(seed)
+                assert gen.homotopic_neighbor(g).assignment == rng.choice(expected)
 
 
 def test_readme_census_counts_match_the_known_counts():

@@ -21,7 +21,7 @@ from secnum.finspace import (
 )
 from secnum.homotopy import _contraction_point, cat
 from secnum.resources import Budget, BudgetExhausted
-from secnum.sectional import _homotopy_section_witness, _lift_test, relative_sec, sec, secat
+from secnum.sectional import _homotopy_section_test, _lift_test, relative_sec, sec, secat
 
 from oracles import (
     brute_cat,
@@ -32,9 +32,11 @@ from oracles import (
     continuous_maps,
     disjoint_union,
     disjoint_union_map,
+    outcome_and_nodes,
     preorder_families,
     preorders,
     relabel,
+    subspace_homotopy_section_witness,
     whole_space_min_good_cover,
 )
 
@@ -212,7 +214,7 @@ def test_sec_and_secat_on_disjoint_unions_match_the_oracle(f):
     Y = f.target
     tests = (
         (sec, "section", _lift_test(f, identity_map(Y), Budget())),
-        (secat, "homotopy", lambda mask: _homotopy_section_witness(f, mask, Budget())),
+        (secat, "homotopy", _homotopy_section_test(f, Budget())),
     )
     for invariant, mode, is_good in tests:
         result = invariant(f)
@@ -220,6 +222,20 @@ def test_sec_and_secat_on_disjoint_unions_match_the_oracle(f):
         if result.certificate is not None:
             assert result.certificate.verify()
         _assert_split_matches_whole_space(Y, is_good)
+    _assert_one_section_test_serves_every_open(f)
+
+
+def _assert_one_section_test_serves_every_open(f):
+    """One secat good-open test, reused over every open of the target in
+    turn, gives each open the witness and node count of a fresh search on
+    its subspace."""
+    budget = Budget()
+    is_good = _homotopy_section_test(f, budget)
+    for mask in brute_open_masks(f.target):
+        before = budget.remaining
+        witness = is_good(mask)
+        assert (witness, before - budget.remaining) == outcome_and_nodes(
+            subspace_homotopy_section_witness, f, mask)
 
 
 @st.composite

@@ -768,6 +768,18 @@ def test_connected_components_on_the_census():
         assert is_connected(space) == (len(parts) == 1)
 
 
+def test_connected_components_are_a_cached_tuple():
+    """The cache hands every caller one value, so it must be immutable."""
+    space = FinSpace(pseudocircle().reach_rows)
+    connected_components.cache_clear()
+    parts = connected_components(space)
+    assert isinstance(parts, tuple) and parts == (space.full_mask,)
+    assert connected_components(FinSpace(space.reach_rows)) is parts
+    assert connected_components.cache_info().hits == 1
+    two = discrete_space(2)
+    assert connected_components(two) == (1, 2)
+
+
 def test_space_equality_and_pickle():
     import pickle
 

@@ -39,7 +39,7 @@ from secnum.homotopy import (
     nullhomotopy_target,
 )
 from secnum.resources import BudgetExhausted, SelfCheckFailed
-from secnum.sectional import _homotopy_section_witness
+from secnum.sectional import _homotopy_section_test
 
 from oracles import (
     brute_cat,
@@ -279,8 +279,13 @@ def _assert_good_open_routes_agree(space, mask, maps):
     assert outcome_and_nodes(_contraction_point, space, mask) == outcome_and_nodes(
         subspace_contraction_point, space, mask)
     for f in maps:
-        assert outcome_and_nodes(_homotopy_section_witness, f, mask) == outcome_and_nodes(
+        assert outcome_and_nodes(_fresh_section_test, f, mask) == outcome_and_nodes(
             subspace_homotopy_section_witness, f, mask)
+
+
+def _fresh_section_test(f, mask, budget):
+    """secat's good-open test, from a fresh factory, on one open."""
+    return _homotopy_section_test(f, budget)(mask)
 
 
 def _census_maps_into(Y):

@@ -12,12 +12,17 @@ from secnum.resources import Budget, BudgetExhausted, shared_searches
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "secnum"
 
-# the five entry points that look themselves up, each as a call on one map
+# the seven entry points that look themselves up, each as a call on one map;
+# the relative ones take p = f along the identity of its target
 ENTRY_POINTS = {
     "sec": lambda f, budget: sectional.sec(f, budget),
     "secat": lambda f, budget: sectional.secat(f, budget),
     "cat": lambda f, budget: homotopy.cat(f.source, budget),
     "has_cp": lambda f, budget: coincidence.has_cp(f.source, f.target, f, budget),
+    "relative_sec": lambda f, budget: sectional.relative_sec(
+        f, identity_map(f.target), budget=budget),
+    "relative_secat": lambda f, budget: sectional.relative_secat(
+        f, identity_map(f.target), budget),
     "relative_sec_pi": lambda f, budget: coincidence._relative_sec_of_projection(f, 2, budget),
 }
 
@@ -87,6 +92,31 @@ def test_a_bool_is_not_a_budget(flag):
     f = identity_map(pseudocircle())
     with pytest.raises(TypeError, match="not a bool"):
         coincidence.has_cp(f.source, f.target, f, flag)
+
+
+@pytest.mark.parametrize("wrong, kind", [(2.5, "float"), (10.0, "float"), ("10", "str"),
+                                         ([10], "list")])
+def test_only_an_int_or_a_budget_is_a_budget(wrong, kind):
+    """Anything but None, an int or a Budget raises TypeError at the call,
+    not an AttributeError from deep in a search."""
+    with pytest.raises(TypeError, match=f"not a {kind}"):
+        Budget(wrong)
+    with pytest.raises(TypeError, match=f"not a {kind}"):
+        Budget.ensure(wrong)
+    f = identity_map(pseudocircle())
+    with pytest.raises(TypeError, match=f"not a {kind}"):
+        coincidence.has_cp(f.source, f.target, f, wrong)
+    with pytest.raises(TypeError, match=f"not a {kind}"):
+        sectional.relative_secat(f, f, wrong)
+
+
+def test_ensure_passes_a_budget_through_and_builds_the_rest():
+    budget = Budget(7)
+    assert Budget.ensure(budget) is budget
+    assert Budget.ensure(7).limit == 7
+    assert Budget.ensure(None).limit == resources.default_node_budget()
+    with pytest.raises(ValueError, match="positive"):
+        Budget.ensure(0)
 
 
 def test_a_search_that_runs_out_is_not_kept():

@@ -209,7 +209,8 @@ def test_searches_are_shared_only_inside_a_run(monkeypatch):
     assert resources._shared is None
     second = run_suite(SuiteConfig(**TINY))
     # a memo kept from the first run would turn the second run's misses into hits
-    shared = ("sec", "secat", "cat", "has_cp", "relative_sec_pi")
+    shared = ("sec", "secat", "cat", "has_cp", "relative_sec", "relative_secat",
+              "relative_sec_pi")
     assert all(first.cache_counts[name]["misses"] > 0 for name in shared)
     assert [first.cache_counts[name] for name in shared] == \
         [second.cache_counts[name] for name in shared]
@@ -298,11 +299,14 @@ def test_report_write_and_timings_sidecar(tmp_path):
     cfg = SuiteConfig(**TINY, out=str(out))
     names = {sectional.sec.__code__: "sec", sectional.secat.__code__: "secat",
              homotopy.cat.__code__: "cat", coincidence.has_cp.__code__: "has_cp",
+             sectional.relative_sec.__code__: "relative_sec",
+             sectional.relative_secat.__code__: "relative_secat",
              coincidence._relative_sec_of_projection.__code__: "relative_sec_pi"}
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
+        # relative_sec looks itself up on its lift route only
+        if event == "call" and frame.f_code in names and frame.f_locals.get("route") != "pullback":
             calls[names[frame.f_code]] += 1
 
     sys.setprofile(profile)
@@ -319,7 +323,8 @@ def test_report_write_and_timings_sidecar(tmp_path):
     assert 0 <= timings["build_tasks"] <= timings["total"]
     counts = sidecar["cache_counts"]
     assert counts == report.cache_counts
-    assert set(counts) == set(names.values()) | {"core", "configuration_space"}
+    assert set(counts) == set(names.values()) | {
+        "core", "configuration_space", "product", "connected_components", "_comparable_maps"}
     for name in names.values():
         assert calls[name] > 0
         assert counts[name]["hits"] + counts[name]["misses"] == calls[name], name
