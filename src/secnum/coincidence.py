@@ -164,9 +164,15 @@ class TheoremReport:
 
 
 def _relative_sec_of_projection(g: CMap, k: int, budget: Budget) -> ExtNat:
-    """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run; the
-    memo keeps the value alone, so a miss searches the lift route directly
-    rather than through relative_sec, whose key would keep the whole result."""
+    """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run.
+
+    The memo keeps the value alone, so a miss searches the lift route
+    directly rather than through relative_sec, whose (p, g) key would keep
+    the whole CoverResult.  Routed through that key, the default suite was
+    level (suite-serial run_s 1.232 -> 1.233 s, peak RSS +0.56 MB, over 10
+    alternating child runs), but a census_max_points=4 run (seed
+    20240801, serial, in-process, one run each) went from 208 to 289 MB
+    peak RSS and from 8.8 to 10.1 s."""
     return shared_search(("relative_sec_pi", g, k), budget, lambda: _relative_sec_lift(
         configuration_space(g.target, k)[1], g, budget).value)
 

@@ -23,6 +23,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 from . import coincidence as coin
@@ -137,6 +138,8 @@ class SuiteConfig:
             raise ValueError("key_lemma_target_max must be in 2..6")
         if not self.k_values or any(not 2 <= k <= 4 for k in self.k_values):
             raise ValueError("k_values must be inside 2..4")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValueError("k_values must not repeat a k")
         if not 1 <= self.contractibility_census_max <= 5:
             raise ValueError("contractibility_census_max must be in 1..5")
         if self.instances_per_property < 1 or self.tc_instances < 1:
@@ -192,7 +195,7 @@ class Claim:
     statement: str
     hypotheses: str
     kind: str  # "theorem" | "exploratory"
-    evaluate: Callable[[tuple, Budget], bool | str | dict]  # (payload, budget) -> conclusion
+    evaluate: Callable[..., bool | str | dict]  # (*payload, budget) -> conclusion
 
 
 _registered: list[Claim] = []
@@ -235,9 +238,9 @@ def _payload_json(payload) -> list:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: each is registered as one claim, takes (payload, budget) with a
-# fresh Budget per instance and returns its conclusion (True, False or HNM, or
-# an outcome dict whose "status" is one); _eval_task turns it into a status
+# evaluators: each is registered as one claim and takes its instance's items,
+# then a fresh Budget; it returns its conclusion (True, False or HNM, or an
+# outcome dict whose "status" is one), which _eval_task turns into a status
 
 
 @_register(
@@ -245,8 +248,8 @@ def _payload_json(payload) -> list:
     "the relative sectional number of the 2-point configuration projection "
     "equals 1 exactly when a coincidence-free map exists",
 )
-def _eval_remark(payload, budget):
-    return coin.check_remark(*payload, budget=budget).conclusion
+def _eval_remark(X, Y, g, budget):
+    return coin.check_remark(X, Y, g, budget).conclusion
 
 
 @_register(
@@ -255,8 +258,7 @@ def _eval_remark(payload, budget):
     "configuration projection equals 2",
     hypotheses="target Hausdorff with at least 2 points; other instances explored",
 )
-def _eval_main_theorem(payload, budget):
-    X, Y, g = payload
+def _eval_main_theorem(X, Y, g, budget):
     report = coin.check_main_theorem(X, Y, g, budget=budget)
     q = report.quantities
     if not q["hausdorff"] and q["cp_holds"] and q["sec_relative_pi21"] == ExtNat(2):
@@ -272,8 +274,8 @@ def _eval_main_theorem(payload, budget):
     "is at most k",
     hypotheses="target Hausdorff with at least k points; other instances explored",
 )
-def _eval_key_lemma(payload, budget):
-    return coin.check_key_lemma(*payload, budget=budget).conclusion
+def _eval_key_lemma(X, Y, g, k, budget):
+    return coin.check_key_lemma(X, Y, g, k, budget).conclusion
 
 
 @_register(
@@ -281,8 +283,8 @@ def _eval_key_lemma(payload, budget):
     "CP for (X, Y; g) implies FPP for Y; on failure of FPP the composite of "
     "the fixed-point-free witness with g is a coincidence-free witness",
 )
-def _eval_cp_implies_fpp(payload, budget):
-    return coin.check_cp_implies_fpp(*payload, budget=budget).conclusion
+def _eval_cp_implies_fpp(X, Y, g, budget):
+    return coin.check_cp_implies_fpp(X, Y, g, budget).conclusion
 
 
 @_register(
@@ -291,8 +293,7 @@ def _eval_cp_implies_fpp(payload, budget):
     "relative sectional number of the 2-point projection is infinite on both "
     "routes, so the Hausdorff hypothesis of the main equivalence is necessary",
 )
-def _eval_sierpinski_boundary(payload, budget):
-    (S,) = payload
+def _eval_sierpinski_boundary(S, budget):
     one = identity_map(S)
     _, pi = configuration_space(S, 2)
     return (
@@ -307,8 +308,7 @@ def _eval_sierpinski_boundary(payload, budget):
     "fpp_iff_cp_identity",
     "a space has FPP exactly when (X, X; identity) has CP",
 )
-def _eval_fpp_iff_cp_identity(payload, budget):
-    (X,) = payload
+def _eval_fpp_iff_cp_identity(X, budget):
     return has_fpp(X, budget).holds == has_cp(X, X, identity_map(X), budget).holds
 
 
@@ -318,8 +318,7 @@ def _eval_fpp_iff_cp_identity(payload, budget):
     "coincidence-free map into the full target must leave A",
     hypotheses="g factors through a proper open subset and CP holds into it",
 )
-def _eval_cp_target_restriction(payload, budget):
-    X, Y, g = payload
+def _eval_cp_target_restriction(X, Y, g, budget):
     image = g.image_mask()
     hull = 0
     for y in range(Y.n):
@@ -342,8 +341,7 @@ def _eval_cp_target_restriction(payload, budget):
     "core reduction and fence search from the identity to a constant agree "
     "on contractibility",
 )
-def _eval_contractible_core_vs_fence(payload, budget):
-    (X,) = payload
+def _eval_contractible_core_vs_fence(X, budget):
     return is_contractible(X) == (nullhomotopy_target(identity_map(X), budget) is not None)
 
 
@@ -351,8 +349,7 @@ def _eval_contractible_core_vs_fence(payload, budget):
     "cat_core_invariance",
     "the category of a space equals the category of its core",
 )
-def _eval_cat_core_invariance(payload, budget):
-    (X,) = payload
+def _eval_cat_core_invariance(X, budget):
     return cat(X, budget).value == cat(core(X).space, budget).value
 
 
@@ -361,8 +358,7 @@ def _eval_cat_core_invariance(payload, budget):
     "category 1 is equivalent to contractibility",
     hypotheses="nonempty space",
 )
-def _eval_cat1_iff_contractible(payload, budget):
-    (X,) = payload
+def _eval_cat1_iff_contractible(X, budget):
     if X.n == 0:
         return HNM
     return (cat(X, budget).value == ExtNat(1)) == is_contractible(X)
@@ -373,8 +369,7 @@ def _eval_cat1_iff_contractible(payload, budget):
     "the core-compressed homotopy decision agrees with components of the "
     "uncompressed comparability graph on the full map set",
 )
-def _eval_homotopic_matches_direct(payload, budget):
-    A, B = payload
+def _eval_homotopic_matches_direct(A, B, budget):
     maps = list(enumerate_maps(A, B, budget=budget))
     component_of: dict[tuple, int] = {}
     for m in maps:
@@ -396,8 +391,7 @@ def _eval_homotopic_matches_direct(payload, budget):
     "fences_revalidate",
     "every fence produced as a homotopy witness revalidates step by step",
 )
-def _eval_fences_revalidate(payload, budget):
-    f, g = payload
+def _eval_fences_revalidate(f, g, budget):
     if not homotopic(f, g, budget):
         return HNM
     fence = homotopy_fence(f, g, budget)
@@ -415,8 +409,7 @@ def _eval_fences_revalidate(payload, budget):
     "under union and intersection; Hausdorff is equivalent to all singletons "
     "open; enumerated maps compose and revalidate",
 )
-def _eval_finspace_invariants(payload, budget):
-    (X,) = payload
+def _eval_finspace_invariants(X, budget):
     masks = set(iter_open_masks(X, budget))
     for x in range(X.n):
         u = minimal_open(X, x)
@@ -445,8 +438,7 @@ def _eval_finspace_invariants(payload, budget):
     "the 2-point configuration space equals the off-diagonal subspace of the "
     "square, point for point",
 )
-def _eval_config_matches_offdiagonal(payload, budget):
-    (X,) = payload
+def _eval_config_matches_offdiagonal(X, budget):
     conf, _ = configuration_space(X, 2)
     square, _, _ = product(X, X)
     off = [i for i in range(square.n) if i // X.n != i % X.n]
@@ -459,8 +451,7 @@ def _eval_config_matches_offdiagonal(payload, budget):
     "pulling back along the identity returns a space isomorphic to the total "
     "space",
 )
-def _eval_pullback_identity_iso(payload, budget):
-    (p,) = payload
+def _eval_pullback_identity_iso(p, budget):
     P, _, _ = pullback(p, identity_map(p.target))
     return canonical_form(P) == canonical_form(p.source)
 
@@ -470,8 +461,7 @@ def _eval_pullback_identity_iso(payload, budget):
     "census sizes match the known counts of finite spaces and posets up to "
     "isomorphism, and emitted spaces are pairwise non-isomorphic",
 )
-def _eval_census_counts(payload, budget):
-    n, posets_only, expected = payload
+def _eval_census_counts(n, posets_only, expected, budget):
     spaces = census_spaces(n, posets_only)
     if len(spaces) != expected:
         return False
@@ -487,8 +477,7 @@ def _eval_census_counts(payload, budget):
     "some canonical pullback strictly drops the sectional category while the "
     "sectional number obeys its monotonicity",
 )
-def _eval_pullback_secat_strict_drop(payload, budget):
-    (max_points,) = payload
+def _eval_pullback_secat_strict_drop(max_points, budget):
     for Y in census_up_to(max_points):
         if Y.n < 2:
             continue
@@ -509,8 +498,7 @@ def _eval_pullback_secat_strict_drop(payload, budget):
     "rel-sec of the outer map <= rel-sec of the composite <= rel-sec of the "
     "outer map times sec of the inner map",
 )
-def _eval_composition_chain(payload, budget):
-    p1, p2, g = payload
+def _eval_composition_chain(p1, p2, g, budget):
     outer = relative_sec(p2, g, budget=budget).value
     composite = relative_sec(compose(p2, p1), g, budget=budget).value
     inner = sec(p1, budget).value
@@ -525,8 +513,8 @@ def _with_identity_factor(Z: FinSpace, f: CMap) -> CMap:
     return CMap(ZX, ZY, assignment, validate=False)
 
 
-def _eval_product_equality(payload, budget, invariant):
-    Z, f = payload
+def _eval_product_equality(Z, f, budget, category):
+    invariant = secat if category else sec  # read per call, so a tracer's wrapper sees it
     if Z.n == 0:
         return HNM
     return invariant(_with_identity_factor(Z, f), budget).value == invariant(f, budget).value
@@ -536,16 +524,16 @@ _register(
     "product_sec_equality",
     "crossing with an identity preserves the sectional number",
     hypotheses="identity factor space nonempty",
-)(lambda payload, budget: _eval_product_equality(payload, budget, sec))
+)(partial(_eval_product_equality, category=False))
 _register(
     "product_secat_equality",
     "crossing with an identity preserves the sectional category",
     hypotheses="identity factor space nonempty",
-)(lambda payload, budget: _eval_product_equality(payload, budget, secat))
+)(partial(_eval_product_equality, category=True))
 
 
-def _eval_square_rule(payload, budget, invariant):
-    phi, f, f_prime, psi = payload
+def _eval_square_rule(phi, f, f_prime, psi, budget, category):
+    invariant = secat if category else sec
     lhs = invariant(f, budget).value * invariant(psi, budget).value
     return lhs >= invariant(f_prime, budget).value
 
@@ -553,23 +541,22 @@ def _eval_square_rule(payload, budget, invariant):
 _register(
     "square_rule_sec",
     "in a strictly commuting square, sec(left) * sec(bottom) >= sec(right)",
-)(lambda payload, budget: _eval_square_rule(payload, budget, sec))
+)(partial(_eval_square_rule, category=False))
 _register(
     "square_rule_secat",
     "in a strictly commuting square, secat(left) * secat(bottom) >= secat(right)",
-)(lambda payload, budget: _eval_square_rule(payload, budget, secat))
+)(partial(_eval_square_rule, category=True))
 _register(
     "square_rule_secat_homotopy",
     "in a homotopy-commuting square, secat(left) * secat(bottom) >= secat(right)",
-)(lambda payload, budget: _eval_square_rule(payload, budget, secat))
+)(partial(_eval_square_rule, category=True))
 
 
 @_register(
     "triangle_sec_monotone",
     "factoring f' = f o h forces sec(f') >= sec(f) and secat(f') >= secat(f)",
 )
-def _eval_triangle_monotone(payload, budget):
-    f, h = payload
+def _eval_triangle_monotone(f, h, budget):
     f_prime = compose(f, h)
     return (sec(f_prime, budget).value >= sec(f, budget).value
             and secat(f_prime, budget).value >= secat(f, budget).value)
@@ -579,8 +566,7 @@ def _eval_triangle_monotone(payload, budget):
     "triangle_secat_homotopy",
     "f' homotopic to f o h forces secat(f') >= secat(f)",
 )
-def _eval_triangle_secat_homotopy(payload, budget):
-    f, h, f_prime = payload
+def _eval_triangle_secat_homotopy(f, h, f_prime, budget):
     return secat(f_prime, budget).value >= secat(f, budget).value
 
 
@@ -588,8 +574,7 @@ def _eval_triangle_secat_homotopy(payload, budget):
     "secat_le_sec",
     "sectional category never exceeds the sectional number",
 )
-def _eval_secat_le_sec(payload, budget):
-    (f,) = payload
+def _eval_secat_le_sec(f, budget):
     return secat(f, budget).value <= sec(f, budget).value
 
 
@@ -601,8 +586,7 @@ def _eval_secat_le_sec(payload, budget):
         "conventions; falsifiable otherwise on finite instances)"
     ),
 )
-def _eval_secat_le_cat_target(payload, budget):
-    (f,) = payload
+def _eval_secat_le_cat_target(f, budget):
     if f.source.n == 0 or not is_connected(f.target):
         return HNM
     return secat(f, budget).value <= cat(f.target, budget).value
@@ -614,8 +598,7 @@ def _eval_secat_le_cat_target(payload, budget):
     "target",
     hypotheses="map nullhomotopic, source nonempty, target connected",
 )
-def _eval_nullhomotopic_secat_eq_cat(payload, budget):
-    (f,) = payload
+def _eval_nullhomotopic_secat_eq_cat(f, budget):
     if f.source.n == 0 or not is_connected(f.target):
         return HNM
     if nullhomotopy_target(f, budget) is None:
@@ -627,8 +610,7 @@ def _eval_nullhomotopic_secat_eq_cat(payload, budget):
     "relative_sec_le_sec",
     "the relative sectional number never exceeds the plain one",
 )
-def _eval_relative_sec_le_sec(payload, budget):
-    p, g = payload
+def _eval_relative_sec_le_sec(p, g, budget):
     return relative_sec(p, g, budget=budget).value <= sec(p, budget).value
 
 
@@ -636,8 +618,7 @@ def _eval_relative_sec_le_sec(payload, budget):
     "relative_times_sec_ge_sec",
     "rel-sec of p along g times sec of g bounds sec of p from above",
 )
-def _eval_relative_times_sec_ge_sec(payload, budget):
-    p, g = payload
+def _eval_relative_times_sec_ge_sec(p, g, budget):
     lhs = relative_sec(p, g, budget=budget).value * sec(g, budget).value
     return lhs >= sec(p, budget).value
 
@@ -650,8 +631,7 @@ def _eval_relative_times_sec_ge_sec(payload, budget):
         "falsifies the unrestricted statement)"
     ),
 )
-def _eval_relative_secat_le_cat_base(payload, budget):
-    p, g = payload
+def _eval_relative_secat_le_cat_base(p, g, budget):
     X = g.source
     if not is_connected(X) or not g.image_mask() & p.image_mask():
         return HNM  # a disconnected base, or an empty pullback
@@ -668,8 +648,7 @@ def _eval_relative_secat_le_cat_base(payload, budget):
     ),
     kind="exploratory",
 )
-def _eval_relative_secat_homotopy_invariance(payload, budget):
-    p, g, g_prime = payload
+def _eval_relative_secat_homotopy_invariance(p, g, g_prime, budget):
     if not homotopic(g, g_prime, budget):
         return HNM
     lhs = relative_secat(p, g, budget=budget).value
@@ -689,8 +668,7 @@ def _eval_relative_secat_homotopy_invariance(payload, budget):
     "relative to a retraction onto an open subspace, the relative sectional "
     "number equals the plain one",
 )
-def _eval_retraction_relative_sec(payload, budget):
-    r, p = payload
+def _eval_retraction_relative_sec(r, p, budget):
     return relative_sec(p, r, budget=budget).value == sec(p, budget).value
 
 
@@ -699,8 +677,7 @@ def _eval_retraction_relative_sec(payload, budget):
     "the pullback route and the lifting route compute the same relative "
     "sectional number",
 )
-def _eval_route_equivalence(payload, budget):
-    p, g = payload
+def _eval_route_equivalence(p, g, budget):
     try:
         relative_sec(p, g, route="both", budget=budget)
     except SelfCheckFailed:
@@ -708,8 +685,7 @@ def _eval_route_equivalence(payload, budget):
     return True
 
 
-def _eval_tc_bounds(payload, budget, contractible):
-    f, g = payload
+def _eval_tc_bounds(f, g, budget, contractible):
     if is_contractible(f.source) != contractible:
         return HNM
     bounds = relative_tc_bounds(f, g, budget=budget)
@@ -726,12 +702,12 @@ _register(
     "with a contractible domain the relative complexity interval is exact and "
     "equals the relative sectional number",
     hypotheses="domain of the work map contractible",
-)(lambda payload, budget: _eval_tc_bounds(payload, budget, True))
+)(partial(_eval_tc_bounds, contractible=True))
 _register(
     "tc_bounds_noncontractible",
     "with a non-contractible domain the reported lower bound equals the "
     "relative sectional number and the upper bound is unknown",
-)(lambda payload, budget: _eval_tc_bounds(payload, budget, False))
+)(partial(_eval_tc_bounds, contractible=False))
 
 
 REGISTRY: tuple[Claim, ...] = tuple(_registered)
@@ -751,7 +727,7 @@ def _eval_task(task):
     claim_id, payload, limit = task
     claim = CLAIMS_BY_ID[claim_id]
     try:
-        out = claim.evaluate(payload, Budget(limit))
+        out = claim.evaluate(*payload, Budget(limit))
     except BudgetExhausted:
         out = {"status": INCONCLUSIVE}
     else:

@@ -346,6 +346,15 @@ def test_suite_config_of_wrong_type_is_input_error(config, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_suite_config_repeating_a_k_is_input_error(tmp_path, capsys):
+    # a repeated k would build and tally every key-lemma instance twice
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"census_max_points": 2, "k_values": [2, 2]}))
+    assert main(["suite", "--config", str(config_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeat" in err
+
+
 def test_suite_unwritable_out_is_input_error(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({

@@ -1,15 +1,19 @@
 import ast
+import inspect
 import json
 import multiprocessing
+import os
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from secnum import coincidence, cover, homotopy, resources, sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
+from secnum.extnat import ExtNat
 from secnum.finspace import constant_map, identity_map, sierpinski
 from secnum.suite import (
     CLAIMS_BY_ID,
@@ -77,7 +81,7 @@ def test_violated_outcome_records_its_instance_as_witness():
 
 
 def _concluding(monkeypatch, kind, conclusion):
-    claim = Claim("concludes", "a stub claim", "none", kind, lambda payload, budget: conclusion)
+    claim = Claim("concludes", "a stub claim", "none", kind, lambda *instance: conclusion)
     monkeypatch.setitem(CLAIMS_BY_ID, claim.id, claim)
     return _eval_task((claim.id, (2, False, 4), 10))
 
@@ -96,6 +100,16 @@ def test_the_claim_kind_alone_decides_violated_or_falsified(monkeypatch, kind, s
 def test_a_conclusion_that_is_not_one_raises(monkeypatch, conclusion):
     with pytest.raises(TypeError):
         _concluding(monkeypatch, "theorem", conclusion)
+
+
+def test_every_instance_binds_to_its_evaluator():
+    """An instance is its evaluator's argument list, then the budget: a
+    builder and an evaluator that disagree on its shape fail here, before
+    any search runs."""
+    tasks = _build_tasks(SuiteConfig(**TINY))
+    for claim_id, payload, limit in tasks:
+        inspect.signature(CLAIMS_BY_ID[claim_id].evaluate).bind(*payload, resources.Budget(limit))
+    assert {claim_id for claim_id, _, _ in tasks} == set(CLAIMS_BY_ID)
 
 
 def test_no_evaluator_spells_a_status():
@@ -202,6 +216,36 @@ def test_spawned_workers_give_the_serial_bytes(monkeypatch):
     serial = run_suite(SuiteConfig(**TINY)).to_json_bytes()
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     assert run_suite(SuiteConfig(**TINY, parallelism=2)).to_json_bytes() == serial
+
+
+def test_pool_workers_evaluate_inside_shared_searches(monkeypatch):
+    """Each pool worker opens its own shared_searches() block for its whole
+    life; without it a parallelism-2 run gives the same bytes, only slower,
+    so a probe claim reports where it ran.  Forked workers see the probe."""
+    parent = os.getpid()
+    probe = replace(CLAIMS_BY_ID["secat_le_sec"], evaluate=lambda f, budget: (
+        os.getpid() != parent and resources._shared is not None))
+    monkeypatch.setitem(CLAIMS_BY_ID, probe.id, probe)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    entry = run_suite(SuiteConfig(**TINY, parallelism=2)).claim(probe.id)
+    assert entry["tallies"][VERIFIED] == entry["instances"] > 1
+
+
+def test_the_projection_memo_keeps_values_not_cover_results(monkeypatch):
+    """relsec(pi_{k,1}, g) is memoised as its value alone: keeping the whole
+    CoverResult under relative_sec's key costs peak memory on large runs."""
+    memos = []
+    census_summary = suite._census_summary
+
+    def summary_inside_the_run(cfg, hits):
+        memos.append(resources._shared[0])
+        return census_summary(cfg, hits)
+
+    monkeypatch.setattr(suite, "_census_summary", summary_inside_the_run)
+    run_suite(SuiteConfig(**TINY))
+    (memo,) = memos
+    values = [value for key, (value, _) in memo.items() if key[0] == "relative_sec_pi"]
+    assert values and all(type(value) is ExtNat for value in values)
 
 
 def test_searches_are_shared_only_inside_a_run(monkeypatch):
@@ -336,6 +380,8 @@ def test_config_validation():
         SuiteConfig(max_points=9).validate()
     with pytest.raises(ValueError):
         SuiteConfig(k_values=(1,)).validate()
+    with pytest.raises(ValueError, match="repeat"):
+        SuiteConfig(census_max_points=2, k_values=(2, 2)).validate()
     with pytest.raises(ValueError):
         SuiteConfig(parallelism=0).validate()
     with pytest.raises(ValueError):
