@@ -166,10 +166,8 @@ def _cmd_suite(args) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    if overrides:
-        cfg = replace(cfg, **overrides)
     try:
-        cfg.validate()
+        cfg = replace(cfg, **overrides)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     try:

@@ -88,7 +88,10 @@ class CoincidenceVerdict:
 
 def _revalidate_witness(witness: CMap, g: CMap) -> CMap:
     # independent re-validation: continuity plus pointwise disagreement with g
-    checked = CMap(witness.source, witness.target, witness.assignment, validate=True)
+    try:
+        checked = CMap(witness.source, witness.target, witness.assignment, validate=True)
+    except ValueError as exc:  # DiscontinuityError
+        raise SelfCheckFailed(f"witness is not a continuous map: {exc}") from exc
     for x in range(g.source.n):
         if checked(x) == g(x):
             raise SelfCheckFailed(f"witness agrees with g at point {x}; search is buggy")

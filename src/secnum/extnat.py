@@ -69,7 +69,7 @@ class ExtNat:
     def from_json(value) -> "ExtNat":
         if value == "infinite":
             return INF
-        return ExtNat(int(value))
+        return ExtNat(value)
 
 
 INF = ExtNat(None)

@@ -126,19 +126,16 @@ def relative_sec(p: CMap, g: CMap, route: str = "lift",
     budget = Budget.ensure(budget)
     if route not in ("pullback", "lift", "both"):
         raise ValueError(f"unknown route {route!r}")
-    result_pb = result_lift = None
-    if route in ("pullback", "both"):
-        result_pb = sec(pullback(p, g)[1], budget)
-    if route in ("lift", "both"):
-        result_lift = shared_search(("relative_sec", p, g), budget,
-                                    lambda: _relative_sec_lift(p, g, budget))
     if route == "pullback":
-        return result_pb
-    if route == "both" and result_pb.value != result_lift.value:
-        raise SelfCheckFailed(
-            f"pullback route gives {result_pb.value} but lift route gives {result_lift.value}"
-        )
-    return result_lift
+        return sec(pullback(p, g)[1], budget)
+    result = shared_search(("relative_sec", p, g), budget,
+                           lambda: _relative_sec_lift(p, g, budget))
+    if route == "both":
+        pullback_value = sec(pullback(p, g)[1], budget).value
+        if pullback_value != result.value:
+            raise SelfCheckFailed(
+                f"pullback route gives {pullback_value} but lift route gives {result.value}")
+    return result
 
 
 def relative_secat(p: CMap, g: CMap, budget: Budget | int | None = None) -> CoverResult:

@@ -116,7 +116,7 @@ class SuiteConfig:
     parallelism: int = 1
     out: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # type(...) is int rejects bools, which JSON configs could otherwise pass
         for f in fields(self):
             value = getattr(self, f.name)
@@ -178,15 +178,15 @@ class SuiteConfig:
         kwargs = {}
         for key, value in data.items():
             if key == "schema":
+                if value != SUITE_CONFIG_SCHEMA:
+                    raise ValueError(f"unknown suite-config schema {value!r}")
                 continue
             if key not in known:
                 raise ValueError(f"unknown suite-config field {key!r}")
             if key == "k_values":
                 value = tuple(value)
             kwargs[key] = value
-        cfg = SuiteConfig(**kwargs)
-        cfg.validate()
-        return cfg
+        return SuiteConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -995,7 +995,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     route), relative_secat or relsec(pi_{k,1}, g) call replays its first
     answer and node count; a claim's tasks are dropped once it is tallied.
     Only a run without a pool reports its cache counts."""
-    cfg.validate()
     total_started = time.perf_counter()
     caches_before = [cache_info() for _, cache_info in _COUNTED_CACHES]
     tasks = _build_tasks(cfg)

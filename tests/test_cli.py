@@ -337,6 +337,7 @@ def test_suite_bad_config_is_input_error(tmp_path):
     {"instances_per_property": 2.5, "census_max_points": 1,
      "contractibility_census_max": 1, "tc_instances": 1},
     [1],
+    {"schema": "secnum.suite-config/2"},
 ])
 def test_suite_config_of_wrong_type_is_input_error(config, tmp_path, capsys):
     config_path = tmp_path / "bad.json"
@@ -353,6 +354,15 @@ def test_suite_config_repeating_a_k_is_input_error(tmp_path, capsys):
     assert main(["suite", "--config", str(config_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and "repeat" in err
+
+
+def test_suite_seed_override_out_of_range_is_input_error(capsys):
+    # the override is checked when the config is rebuilt, before any search
+    assert main(["suite", "--seed", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_suite_unwritable_out_is_input_error(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnum.census import census_up_to
+from secnum import coincidence
 from secnum.coincidence import (
     HYPOTHESIS_NOT_MET,
     VERIFIED,
@@ -16,7 +17,7 @@ from secnum.coincidence import (
     has_fpp,
 )
 from secnum.extnat import INF, ExtNat
-from secnum.resources import BudgetExhausted
+from secnum.resources import BudgetExhausted, SelfCheckFailed
 from secnum.finspace import (
     CMap,
     compose,
@@ -103,6 +104,14 @@ def test_witnesses_revalidate():
     verdict = has_fpp(c)
     for x in range(c.n):
         assert verdict.witness(x) != x
+
+
+def test_a_discontinuous_witness_fails_the_self_check(monkeypatch):
+    # the swap of the Sierpinski space avoids the identity but is not continuous
+    monkeypatch.setattr(coincidence, "first_lift", lambda *args: (1, 0))
+    s = sierpinski()
+    with pytest.raises(SelfCheckFailed, match="not a continuous map"):
+        has_cp(s, s, identity_map(s))
 
 
 def test_budget_truncation_is_inconclusive():

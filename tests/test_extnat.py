@@ -41,3 +41,7 @@ def test_json_round_trip():
     assert ExtNat.from_json(INF.to_json()) == INF
     assert INF.to_json() == "infinite"
     assert str(ExtNat(2)) == "2" and str(INF) == "infinite"
+    # from_json checks what it reads as the constructor does
+    for wrong in (2.7, True, "3"):
+        with pytest.raises(TypeError):
+            ExtNat.from_json(wrong)

@@ -14,7 +14,14 @@ import pytest
 from secnum import coincidence, cover, homotopy, resources, sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
 from secnum.extnat import ExtNat
-from secnum.finspace import constant_map, identity_map, sierpinski
+from secnum.finspace import (
+    configuration_space,
+    constant_map,
+    discrete_space,
+    identity_map,
+    sierpinski,
+)
+from secnum.resources import Budget, SelfCheckFailed
 from secnum.suite import (
     CLAIMS_BY_ID,
     FALSIFIED,
@@ -375,21 +382,36 @@ def test_report_write_and_timings_sidecar(tmp_path):
     assert all(min(entry.values()) >= 0 for entry in counts.values())
 
 
+def test_routes_that_disagree_fail_the_self_check(monkeypatch):
+    d, s = discrete_space(2), sierpinski()
+    p = configuration_space(d, 2)[1]
+    # the Sierpinski projection's sectional number is infinite, d's relsec is 1
+    wrong = sectional.sec(configuration_space(s, 2)[1])
+    monkeypatch.setattr(sectional, "_relative_sec_lift", lambda p, g, budget: wrong)
+    with pytest.raises(SelfCheckFailed, match="pullback route gives 1"):
+        sectional.relative_sec(p, identity_map(d), route="both")
+    assert suite._eval_route_equivalence(p, identity_map(d), Budget()) is False
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        SuiteConfig(max_points=9).validate()
+        SuiteConfig(max_points=9)
     with pytest.raises(ValueError):
-        SuiteConfig(k_values=(1,)).validate()
+        SuiteConfig(k_values=(1,))
     with pytest.raises(ValueError, match="repeat"):
-        SuiteConfig(census_max_points=2, k_values=(2, 2)).validate()
+        SuiteConfig(census_max_points=2, k_values=(2, 2))
     with pytest.raises(ValueError):
-        SuiteConfig(parallelism=0).validate()
+        SuiteConfig(parallelism=0)
     with pytest.raises(ValueError):
-        SuiteConfig(seed=-1).validate()
+        SuiteConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):  # replace builds, so it checks too
+        replace(SuiteConfig(), seed=-1)
+    with pytest.raises(ValueError, match="k_values"):  # a list would make it unhashable
+        SuiteConfig(k_values=[2, 3])
     for wrong_type in ({"instances_per_property": 2.5}, {"k_values": (2.0,)},
                        {"out": 1}, {"max_points": True}):
         with pytest.raises(ValueError):
-            SuiteConfig(**wrong_type).validate()
+            SuiteConfig(**wrong_type)
         with pytest.raises(ValueError):
             SuiteConfig.from_json_dict(wrong_type)
 
@@ -402,6 +424,9 @@ def test_config_json_round_trip():
     assert again == cfg
     with pytest.raises(ValueError):
         SuiteConfig.from_json_dict({"nonsense": 1})
+    with pytest.raises(ValueError, match="schema"):
+        SuiteConfig.from_json_dict({"schema": "secnum.suite-config/2"})
+    assert SuiteConfig.from_json_dict({}) == SuiteConfig()
 
 
 def test_census_summary_contents():
