@@ -1,15 +1,20 @@
-"""Exact minimum set cover, the maximal-good-opens driver, and the result
-and certificate of every covering invariant.
+"""The least cover by good opens, and the result and certificate of every
+covering invariant.
 
 Every covering invariant (sectional numbers, their relative versions and
 LS-category) minimises over open covers whose elements satisfy a property
-that is closed under shrinking opens, so it suffices to search covers drawn
-from the maximal good opens; min_good_cover is that one pipeline.  The
-maximal good opens are found from the top down (find_maximal_good_opens), so
-opens below an accepted one are never visited, and is_good sees a bare point
-mask of the space.
-The cover search itself is exact branch-and-bound with a greedy upper bound
-and lexicographic tie-breaking, so results are deterministic.
+that is closed under shrinking opens; min_good_cover is that one search, and
+is_good sees a bare point mask of the space.  A point x lies in a good open
+exactly when its minimal open U_x is good, and every point lies below a
+maximal point, so a good cover shrinks to one whose elements are unions of
+the U_m of maximal points m.  The least cover is therefore the least
+partition of the maximal points (one per top reach class, which keeps this
+exact on preorders that are not T0) into classes whose unions are good:
+exact_min_cover finds it by branch-and-bound, a colouring of the maximal
+points, with masks taken in a fixed order, so results are deterministic.
+Each open is tested once per search, through find_maximal_good_opens with
+descend=False; its top-down scan of the maximal good opens (descend=True) is
+kept as an independent algorithm and is not on this path.
 
 A disconnected space is covered one connected component at a time; each
 component is open and closed.  For LS-category a good open lies inside one
@@ -78,11 +83,15 @@ def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget,
     accepted.  Dropping whole classes, not single points, keeps this exact on
     preorders that are not T0.  Returns [(mask, witness), ...] in scan
     order, that is by (-size, mask).  With descend=False only top itself is
-    tested.
+    tested, charging one node.
     """
-    rows, co = space.reach_rows, space.co_rows
     if top is None:
         top = space.full_mask
+    if not descend:
+        budget.charge()
+        witness = is_good(top)
+        return [] if witness is None else [(top, witness)]
+    rows, co = space.reach_rows, space.co_rows
     accepted: list[tuple[int, object]] = []
     levels = {top.bit_count(): {top}} if top else {}  # size -> opens
     while levels:
@@ -94,7 +103,7 @@ def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget,
             if witness is not None:
                 accepted.append((mask, witness))
                 continue
-            rest = mask if descend else 0
+            rest = mask
             while rest:
                 x = (rest & -rest).bit_length() - 1
                 cls = rows[x] & co[x]
@@ -105,76 +114,62 @@ def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget,
     return accepted
 
 
-def greedy_cover(universe: int, masks: list[int]) -> list[int] | None:
-    chosen = []
-    uncovered = universe
-    while uncovered:
-        best, best_gain = -1, 0
-        for idx, m in enumerate(masks):
-            gain = (m & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_gain = idx, gain
-        if best < 0:
-            return None
-        chosen.append(best)
-        uncovered &= ~masks[best]
-    return chosen
+def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
+    """The least partition of masks into classes whose unions are good, as
+    the tuple of those unions in the order the classes open.
 
-
-def exact_min_cover(universe: int, masks: list[int], budget: Budget):
-    """Indices of a minimum-cardinality cover of universe, or None if impossible.
-
-    Deterministic: branches on the uncovered element covered by the fewest
-    sets (lowest element breaks ties) and tries covering sets in index order.
+    masks are good opens whose union is universe, and joinable(mask) is truthy
+    exactly when the open mask is good.  One mask is its own cover.
+    Otherwise a first-fit pass over masks in the given order (each joins the
+    first class whose union stays good, or opens a new one) bounds the value
+    above, and a greedy clique of masks whose pairwise unions are bad, or 2 if
+    universe itself is bad, bounds it below.  Branch-and-bound then puts each
+    mask in turn into every class whose union stays good, or into a new class
+    while that can still beat the best partition, charging budget one node per
+    branch; it stops at the first partition that meets the lower bound.
     """
-    if universe == 0:
-        return ()
-    union = 0
+    if len(masks) == 1:
+        return tuple(masks)
+    best: list[int] = []
     for m in masks:
-        union |= m
-    if universe & ~union:
-        return None
-    coverers: dict[int, list[int]] = {}
-    e = universe
-    while e:
-        b = e & -e
-        elem = b.bit_length() - 1
-        coverers[elem] = [i for i, m in enumerate(masks) if (m >> elem) & 1]
-        e ^= b
-    best = greedy_cover(universe, masks)
-    assert best is not None
-    best_len = len(best)
-    if best_len == 1:
-        return tuple(best)
-    max_size = max(m.bit_count() for m in masks)
-    chosen: list[int] = []
+        for i, union in enumerate(best):
+            if joinable(union | m):
+                best[i] = union | m
+                break
+        else:
+            best.append(m)
+    lower = 1 if joinable(universe) else 2
+    if len(best) > lower:
+        clique: list[int] = []
+        for m in masks:
+            if not any(joinable(c | m) for c in clique):
+                clique.append(m)
+        lower = max(lower, len(clique))
+    classes: list[int] = []
 
-    def branch(uncovered: int):
-        nonlocal best, best_len
+    def branch(i: int) -> bool:
+        """True once a partition of lower classes is found."""
+        nonlocal best
         budget.charge()
-        if not uncovered:
-            if len(chosen) < best_len:
-                best, best_len = list(chosen), len(chosen)
-            return
-        # lower bound: remaining elements / largest set
-        need = (uncovered.bit_count() + max_size - 1) // max_size
-        if len(chosen) + need >= best_len:
-            return
-        pick, pick_count = -1, None
-        e = uncovered
-        while e:
-            b = e & -e
-            elem = b.bit_length() - 1
-            count = len(coverers[elem])
-            if pick_count is None or count < pick_count:
-                pick, pick_count = elem, count
-            e ^= b
-        for i in coverers[pick]:
-            chosen.append(i)
-            branch(uncovered & ~masks[i])
-            chosen.pop()
+        if i == len(masks):
+            best = list(classes)
+            return len(best) == lower
+        m = masks[i]
+        for j, union in enumerate(classes):
+            if joinable(union | m):
+                classes[j] = union | m
+                if branch(i + 1):
+                    return True
+                classes[j] = union
+        if len(classes) + 1 < len(best):
+            classes.append(m)
+            if branch(i + 1):
+                return True
+            classes.pop()
+        return False
 
-    branch(universe)
+    if len(best) > lower:
+        branch(0)
     return tuple(best)
 
 
@@ -183,38 +178,65 @@ def min_good_cover(space: FinSpace, is_good, budget: Budget, glue: bool = True):
 
     Returns ([(mask, witness), ...], None), good opens with their is_good
     witnesses, or (None, point) naming the lowest point that lies in no good
-    open.  Each connected component is scanned and covered on its own.  With
-    glue=False every good open lies inside one component, and the component
-    covers are concatenated.  With glue=True (the default) an open is good
-    exactly when its trace on every component is, and each is_good witness
-    lists one value per point of its open in ascending order; then the whole
-    space is tested first, and otherwise element j of the cover is the union
-    of element j of each component's cover, its witness the union of theirs.
+    open.  A connected component is covered by itself when it is good, and
+    otherwise by exact_min_cover over the minimal opens U_m of one maximal
+    point m per top reach class; if some U_m is bad, the points in no good
+    open are the up-set of the x with U_x bad, so U_x is tested in index
+    order.  Each open is tested at most once, through
+    find_maximal_good_opens(descend=False).  With glue=False every good open
+    lies inside one component, and the component covers are concatenated.
+    With glue=True (the default) an open is good exactly when its trace on
+    every component is, and each is_good witness lists one value per point
+    of its open in ascending order; then the whole space is tested first,
+    and otherwise element j of the cover is the union of element j of each
+    component's cover, its witness the union of theirs.
     """
+    tested: dict[int, list] = {}
+
+    def test(mask: int) -> list:
+        """[(mask, witness)] if the open mask is good, else []."""
+        found = tested.get(mask)
+        if found is None:
+            found = tested[mask] = find_maximal_good_opens(
+                space, is_good, budget, mask, descend=False)
+        return found
+
     parts = connected_components(space)
     if glue and len(parts) > 1:
-        whole = find_maximal_good_opens(space, is_good, budget, descend=False)
+        whole = test(space.full_mask)
         if whole:
             return whole, None
-    goods = []
+    rows, co = space.reach_rows, space.co_rows
+    pending = []  # (component, the opens its classes are unions of)
     uncovered = None
     for part in parts:
         if uncovered is not None and part & -part > 1 << uncovered:
             break  # this and every later component start past that point
-        good = find_maximal_good_opens(space, is_good, budget, part)
-        missed = part
-        for mask, _ in good:
-            missed &= ~mask
-        if missed:
-            low = next(_bits(missed))
-            uncovered = low if uncovered is None else min(uncovered, low)
-        goods.append(good)
+        if test(part):
+            pending.append((part, [part]))
+            continue
+        tops = sorted({rows[x] for x in _bits(part) if co[x] & ~rows[x] == 0},
+                      key=lambda mask: (-mask.bit_count(), mask))
+        good = 0
+        for mask in tops:
+            if not test(mask):
+                break
+            good |= mask
+        else:
+            pending.append((part, tops))
+            continue
+        for x in _bits(part):
+            if uncovered is not None and x > uncovered:
+                break
+            if not good >> x & 1:
+                if not test(rows[x]):
+                    uncovered = x
+                    break
+                good |= rows[x]
     if uncovered is not None:
         return None, uncovered
-    covers = [
-        [good[i] for i in exact_min_cover(part, [mask for mask, _ in good], budget)]
-        for part, good in zip(parts, goods)
-    ]
+    covers = [[test(mask)[0] for mask in exact_min_cover(part, opens, budget, test)]
+              for part, opens in pending]
     if glue and len(covers) > 1:
         return [_glue(pieces) for pieces in zip_longest(*covers)], None
     return [element for cover in covers for element in cover], None

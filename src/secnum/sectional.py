@@ -21,8 +21,9 @@ On a disconnected base each value is the maximum of its values on the
 connected components: a component is open and closed, so local sections,
 lifts and fences found on the pieces of an open glue into one on the open.
 cover.min_good_cover tests the whole base first and otherwise covers each
-component on its own, and element j of the cover is the union of element j
-of the components' covers.
+component on its own, by the least partition of its maximal points into
+classes whose unions of minimal opens are good, and element j of the cover
+is the union of element j of the components' covers.
 
 Every answer is a cover.CoverResult; the good-open tests return bare
 assignments, which its certificate keeps as they are.

@@ -9,8 +9,10 @@ of generator pairs from a graph search from every point.  The subspace
 route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
 library's point-mask route, the recursive map search as the check of the
-explicit-stack one, and the cover pipeline on the whole space as the check of
-the one that covers each connected component on its own.  The module also
+explicit-stack one, and the earlier cover pipeline on the whole space (the
+top-down scan of maximal good opens and an exact set cover of them) as the
+check of the colouring of maximal points that covers each connected
+component on its own.  The module also
 holds the random-preorder and disjoint-union strategies that the property
 tests share.
 """
@@ -21,7 +23,7 @@ import operator
 from hypothesis import strategies as st
 
 from secnum.census import canonical_form, census_up_to
-from secnum.cover import exact_min_cover, find_maximal_good_opens
+from secnum.cover import find_maximal_good_opens
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
@@ -267,17 +269,92 @@ def brute_relative_sec_lift(p, g):
     return INF if size is None else ExtNat(size)
 
 
+def greedy_cover(universe, masks):
+    chosen = []
+    uncovered = universe
+    while uncovered:
+        best, best_gain = -1, 0
+        for idx, m in enumerate(masks):
+            gain = (m & uncovered).bit_count()
+            if gain > best_gain:
+                best, best_gain = idx, gain
+        if best < 0:
+            return None
+        chosen.append(best)
+        uncovered &= ~masks[best]
+    return chosen
+
+
+def exact_set_cover(universe, masks, budget):
+    """Indices of a minimum-cardinality cover of universe, or None if impossible.
+
+    Deterministic: branches on the uncovered element covered by the fewest
+    sets (lowest element breaks ties) and tries covering sets in index order.
+    """
+    if universe == 0:
+        return ()
+    union = 0
+    for m in masks:
+        union |= m
+    if universe & ~union:
+        return None
+    coverers = {}
+    e = universe
+    while e:
+        b = e & -e
+        elem = b.bit_length() - 1
+        coverers[elem] = [i for i, m in enumerate(masks) if (m >> elem) & 1]
+        e ^= b
+    best = greedy_cover(universe, masks)
+    assert best is not None
+    best_len = len(best)
+    if best_len == 1:
+        return tuple(best)
+    max_size = max(m.bit_count() for m in masks)
+    chosen = []
+
+    def branch(uncovered):
+        nonlocal best, best_len
+        budget.charge()
+        if not uncovered:
+            if len(chosen) < best_len:
+                best, best_len = list(chosen), len(chosen)
+            return
+        # lower bound: remaining elements / largest set
+        need = (uncovered.bit_count() + max_size - 1) // max_size
+        if len(chosen) + need >= best_len:
+            return
+        pick, pick_count = -1, None
+        e = uncovered
+        while e:
+            b = e & -e
+            elem = b.bit_length() - 1
+            count = len(coverers[elem])
+            if pick_count is None or count < pick_count:
+                pick, pick_count = elem, count
+            e ^= b
+        for i in coverers[pick]:
+            chosen.append(i)
+            branch(uncovered & ~masks[i])
+            chosen.pop()
+
+    branch(universe)
+    return tuple(best)
+
+
 def whole_space_min_good_cover(space, is_good, budget):
-    """The cover pipeline without the split into components: one scan of the
-    whole space and one exact cover of all its points.  Returns what
-    cover.min_good_cover does."""
+    """The cover pipeline of maximal good opens, without the split into
+    components: one top-down scan of the whole space and one exact set cover
+    of all its points by the opens it found.  Returns what
+    cover.min_good_cover does, and is the check of its colouring of the
+    maximal points."""
     good = find_maximal_good_opens(space, is_good, budget)
     union = 0
     for mask, _ in good:
         union |= mask
     if union != space.full_mask:
         return None, next(_bits(space.full_mask & ~union))
-    chosen = exact_min_cover(space.full_mask, [mask for mask, _ in good], budget)
+    chosen = exact_set_cover(space.full_mask, [mask for mask, _ in good], budget)
     return [good[i] for i in chosen], None
 
 

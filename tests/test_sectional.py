@@ -57,16 +57,28 @@ def _pi21(space):
     return configuration_space(space, 2)[1]
 
 
-def _subdivision(space):
-    """Barycentric subdivision of a poset: its nonempty chains, each reaching
-    its subchains."""
+def _chains(space):
+    """The nonempty chains of a poset, as ascending tuples of points."""
     rows = space.reach_rows
-    chains = [
+    return [
         c for size in range(1, space.n + 1) for c in itertools.combinations(range(space.n), size)
         if all((rows[a] >> b) & 1 or (rows[b] >> a) & 1 for a, b in itertools.combinations(c, 2))
     ]
+
+
+def _subdivision(space):
+    """Barycentric subdivision of a poset: its nonempty chains, each reaching
+    its subchains."""
+    chains = _chains(space)
     pairs = [(i, j) for i, c in enumerate(chains) for j, d in enumerate(chains) if set(d) <= set(c)]
     return make_space(len(chains), pairs)
+
+
+def _subdivide_map(g):
+    """sd g: each chain of the source goes to its image chain."""
+    targets = _chains(g.target)
+    images = [targets.index(tuple(sorted({g(x) for x in c}))) for c in _chains(g.source)]
+    return CMap(_subdivision(g.source), _subdivision(g.target), images)
 
 
 def _sectionable_opens(f):
@@ -414,6 +426,19 @@ def test_relative_sec_on_sixteen_points():
     assert sd2c.n == 16
     result = relative_sec(_pi21(sd2c), identity_map(sd2c), route="both")
     assert result.value == ExtNat(1)
+    assert result.certificate.verify()
+
+
+def test_relative_sec_of_the_twice_subdivided_chain_onto_the_sierpinski_space():
+    """g: 3-chain -> S, g = (0, 0, 1), has CP; relsec(pi_{2,1}, sd^2 g) over
+    the 25 points of sd^2 of the chain is 2.  A scan of the maximal good
+    opens (oracles.whole_space_min_good_cover) takes 1,550,758 nodes here;
+    the cover search over the maximal points takes a few hundred."""
+    g = make_map(make_space(3, [(1, 0), (2, 1)]), sierpinski(), [0, 0, 1])
+    sd2g = _subdivide_map(_subdivide_map(g))
+    assert (sd2g.source.n, sd2g.target.n) == (25, 5)
+    result = relative_sec(_pi21(sd2g.target), sd2g, budget=Budget(10_000))
+    assert result.value == ExtNat(2)
     assert result.certificate.verify()
 
 
