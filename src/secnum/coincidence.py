@@ -6,9 +6,15 @@ self-map has a fixed point.  Both are decided by the strict-lift search
 finspace.first_lift, in which each x may go anywhere in Y minus g(x): a
 continuous map avoiding g everywhere is a counterexample witness.
 
-The checkers compare these searches against the covering invariants: a global
-coincidence-free map is exactly a global lift through the two-point
-configuration projection, which ties CP to the relative sectional number.
+The checkers compare these searches against the covering invariants, through
+the paper's bridge lemma: a lift of g through the configuration projection
+pi_{k,1}^Y over an open U is u -> (g(u),) + t(u) for a continuous
+t: U -> F(Y, k - 1) whose tuples avoid g(u), and conversely.  For k = 2 such
+a t is a map U -> Y that disagrees with g everywhere, so a global
+coincidence-free map is exactly a global lift, which ties CP to the relative
+sectional number.  relsec(pi_{k,1}^Y, g) is computed on that route, so F(Y, k)
+is never built; check_remark alone lifts through F(Y, 2) itself, since on the
+bridge route its "relsec = 1" test would be the CP search it is compared with.
 Each checker returns a TheoremReport holding one conclusion for a stable claim
 id: True, False or HYPOTHESIS_NOT_MET.  status_of is the one rule that spells
 a conclusion as a status (verified / hypothesis-not-met / violated, or
@@ -23,9 +29,11 @@ the question stayed open.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
-from .extnat import ExtNat
+from .cover import min_good_cover
+from .extnat import INF, ExtNat
 from .finspace import (
     CMap,
     FinSpace,
@@ -166,26 +174,77 @@ class TheoremReport:
         }
 
 
-def _relative_sec_of_projection(g: CMap, k: int, budget: Budget) -> ExtNat:
+@functools.lru_cache(maxsize=256)
+def _bridge_target(Y: FinSpace, k: int) -> tuple[FinSpace, tuple[int, ...]]:
+    """(T, avoid) of the bridge lemma for pi_{k,1}^Y, k >= 2: a lift of g
+    through pi_{k,1} over an open U is u -> (g(u),) + t(u) for a continuous
+    t: U -> T with t(u) in avoid[g(u)] for every u, and conversely.
+
+    For k = 2, T is Y and avoid[y] holds every point but y; for k >= 3, T is
+    F(Y, k - 1) and avoid[y] holds its tuples that do not contain y.  For
+    k > |Y| every mask is 0, as F(Y, k) is empty, and nothing is built."""
+    if k > Y.n:
+        return Y, (0,) * Y.n
+    if k == 2:
+        return Y, tuple(Y.full_mask & ~(1 << y) for y in range(Y.n))
+    T, _ = configuration_space(Y, k - 1)
+    # the points of F(Y, k - 1) are the (k - 1)-permutations in
+    # itertools.permutations order
+    contain = [0] * Y.n
+    for i, t in enumerate(itertools.permutations(range(Y.n), k - 1)):
+        for y in t:
+            contain[y] |= 1 << i
+    return T, tuple(T.full_mask & ~mask for mask in contain)
+
+
+def _bridge_cover(g: CMap, k: int, budget: Budget):
+    """cover.min_good_cover on the source X of g for relsec(pi_{k,1}^Y, g)
+    by the bridge lemma: ([(mask, t), ...], None) with t the assignment of
+    the lift into the T of _bridge_target on the open's points, or (None,
+    point) for a point in no good open.  X must be nonempty.  It tests and
+    charges exactly as _relative_sec_lift(configuration_space(Y, k)[1], g)
+    does: t(u) and (g(u),) + t(u) range over domains of equal size in the
+    same order, under the same forward checks."""
+    X, images = g.source, g.assignment
+    T, avoid = _bridge_target(g.target, k)
+    return min_good_cover(X, lambda mask: first_lift(X, T, avoid, images, budget, mask), budget)
+
+
+def _relative_sec_of_projection(g: CMap, k: int, budget: Budget,
+                                through_conf: bool = False) -> ExtNat:
     """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run.
 
-    The memo keeps the value alone, so a miss searches the lift route
-    directly rather than through relative_sec, whose (p, g) key would keep
-    the whole CoverResult.  Routed through that key, the default suite was
-    level (suite-serial run_s 1.232 -> 1.233 s, peak RSS +0.56 MB, over 10
-    alternating child runs), but a census_max_points=4 run (seed
+    The search takes the bridge route (_bridge_cover), which builds no
+    F(Y, k) and for k >= 3 builds F(Y, k - 1) instead.  With through_conf it
+    lifts through pi_{k,1} on F(Y, k) (_relative_sec_lift), the independent
+    route check_remark keeps.  Both routes give the same value for the same
+    nodes, so either may fill the one memo entry the other replays.
+
+    The memo keeps the value alone, so no certificate is built, and a miss
+    searches directly rather than through relative_sec, whose (p, g) key
+    would keep the whole CoverResult.  Routed through that key, the default
+    suite was level (suite-serial run_s 1.232 -> 1.233 s, peak RSS +0.56 MB,
+    over 10 alternating child runs), but a census_max_points=4 run (seed
     20240801, serial, in-process, one run each) went from 208 to 289 MB
     peak RSS and from 8.8 to 10.1 s."""
-    return shared_search(("relative_sec_pi", g, k), budget, lambda: _relative_sec_lift(
-        configuration_space(g.target, k)[1], g, budget).value)
+    def search() -> ExtNat:
+        if through_conf:
+            return _relative_sec_lift(configuration_space(g.target, k)[1], g, budget).value
+        if g.source.n == 0:
+            return ExtNat(1)  # the empty family covers the empty base
+        chosen, _ = _bridge_cover(g, k, budget)
+        return INF if chosen is None else ExtNat(len(chosen))
+
+    return shared_search(("relative_sec_pi", g, k), budget, search)
 
 
-def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None) -> dict:
+def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None,
+                     through_conf: bool = False) -> dict:
     """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g),
     then CP, as a report's quantities."""
     _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
-    sec_value = _relative_sec_of_projection(g, 2, budget)
+    sec_value = _relative_sec_of_projection(g, 2, budget, through_conf)
     return {
         "cp_holds": has_cp(X, Y, g, budget).holds,
         "sec_relative_pi21": sec_value,
@@ -197,8 +256,12 @@ def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | N
 def check_remark(X: FinSpace, Y: FinSpace, g: CMap,
                  budget: Budget | int | None = None) -> TheoremReport:
     """Hypothesis-free equivalence: the relative sectional number of the
-    two-point configuration projection is 1 exactly when CP fails."""
-    q = _pi21_quantities(X, Y, g, budget)
+    two-point configuration projection is 1 exactly when CP fails.
+
+    relsec is lifted through F(Y, 2) itself: on the bridge route a lift over
+    the whole of X is a coincidence-free map, so the claim would compare the
+    CP search with itself."""
+    q = _pi21_quantities(X, Y, g, budget, through_conf=True)
     consistent = (q["sec_relative_pi21"] == ExtNat(1)) == (not q["cp_holds"])
     return TheoremReport((X, Y, g), q, CLAIM_REMARK, consistent)
 

@@ -41,6 +41,7 @@ from .coincidence import (
     HYPOTHESIS_NOT_MET as HNM,
     VERIFIED,
     VIOLATED,
+    _bridge_target,
     has_cp,
     has_fpp,
     status_of,
@@ -968,6 +969,7 @@ def _share_searches_in_worker() -> None:
 # read through the functions bound at import, which a tracer may wrap later
 _COUNTED_CACHES = (("core", core.cache_info),
                    ("configuration_space", configuration_space.cache_info),
+                   ("_bridge_target", _bridge_target.cache_info),
                    ("product", product.cache_info),
                    ("connected_components", connected_components.cache_info),
                    ("_comparable_maps", _comparable_maps.cache_info))

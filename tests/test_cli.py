@@ -420,6 +420,34 @@ def test_check_huge_k_on_a_one_point_target_is_hypothesis_not_met(tmp_path, caps
     _key_lemma_past_the_target(tmp_path, capsys, 1, 100_000)
 
 
+def test_check_k_one_past_a_seven_point_target_builds_nothing(tmp_path, capsys):
+    """k = 8 on the discrete 7-point Y: no F(Y, 7) of 5,040 points is built,
+    which would pass the construction cap."""
+    _key_lemma_past_the_target(tmp_path, capsys, 7, 8)
+
+
+def test_check_main_theorem_on_a_target_past_the_cap_of_its_configurations(tmp_path, capsys):
+    """On the discrete 65-point Y with X = Y and g = id, F(Y, 2) would have
+    4,160 points, past the 4,096-point cap.  The main theorem's relsec takes
+    the bridge route, which builds no F(Y, 2), and answers; the remark lifts
+    through F(Y, 2) and exits 4."""
+    n = 65
+    space = tmp_path / "D.finsp"
+    space.write_text(f"space D {n}\n")
+    g = tmp_path / "g.fmap"
+    g.write_text(f"space D {n}\nmap g D D\n" + "".join(f"send {x} {x}\n" for x in range(n)))
+    files = ["--x", str(space), "--y", str(space), "--g", str(g)]
+    assert main(["check", "--claim", "main-theorem", *files]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quantities"]["sec_relative_pi21"] == 1
+    assert report["quantities"]["cp_holds"] is False
+    assert report["conclusions"][0]["status"] == "verified"
+    assert main(["check", "--claim", "remark", *files]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construction would have 4160 points" in captured.err
+
+
 def test_python_dash_m_runs_the_command_line():
     """`python -m secnum` works without an installed `secnum` script."""
     src = str(Path(secnum.__file__).resolve().parents[1])

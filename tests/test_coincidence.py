@@ -1,10 +1,12 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secnum.census import census_up_to
+from secnum.census import InstanceGenerator, census_up_to
 from secnum import coincidence
 from secnum.coincidence import (
     HYPOTHESIS_NOT_MET,
@@ -17,10 +19,13 @@ from secnum.coincidence import (
     has_fpp,
 )
 from secnum.extnat import INF, ExtNat
-from secnum.resources import BudgetExhausted, SelfCheckFailed
+from secnum.resources import Budget, BudgetExhausted, LimitExceeded, SelfCheckFailed
+from secnum.sectional import _relative_sec_lift
 from secnum.finspace import (
     CMap,
+    _bits,
     compose,
+    configuration_space,
     constant_map,
     discrete_space,
     empty_space,
@@ -255,3 +260,79 @@ def test_report_instance_text_is_formatted_on_first_read():
     for report in reports:
         assert "instance" not in vars(report)
     assert [report.to_json_dict()["instance"] for report in reports] == [text] * 3 + [text + " k=3"]
+
+
+# ---------------------------------------------------------------------------
+# the bridge lemma: relsec(pi_{k,1}^Y, g) without F(Y, k)
+
+
+def _assert_bridge_matches_the_configuration_route(g, k):
+    """The bridge route and the lift through pi_{k,1} on F(Y, k) agree on
+    the value, the uncovered point, the chosen masks and the nodes charged,
+    and each chosen lift t is the configuration lift without its first
+    coordinate g(u)."""
+    conf_budget, value_budget = Budget(), Budget()
+    expected = _relative_sec_lift(configuration_space(g.target, k)[1], g, conf_budget)
+    assert coincidence._relative_sec_of_projection(g, k, value_budget) == expected.value
+    assert value_budget.remaining == conf_budget.remaining
+    if g.source.n == 0:
+        return
+    bridge_budget = Budget()
+    chosen, uncovered = coincidence._bridge_cover(g, k, bridge_budget)
+    assert bridge_budget.remaining == conf_budget.remaining
+    assert uncovered == expected.uncovered_point
+    if chosen is None:
+        assert expected.certificate is None
+        return
+    n = g.target.n
+    configurations = list(itertools.permutations(range(n), k))
+    tuples = list(itertools.permutations(range(n), k - 1))
+    assert [mask for mask, _ in chosen] == [mask for mask, _ in expected.certificate.cover]
+    for (mask, lift), (_, conf_lift) in zip(chosen, expected.certificate.cover):
+        assert [configurations[c] for c in conf_lift] == [
+            (g(u),) + tuples[t] for u, t in zip(_bits(mask), lift)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bridge_route_matches_the_configuration_route_on_census_triples(k):
+    spaces = census_up_to(3, include_empty=True)
+    for X in spaces:
+        for Y in spaces:
+            for g in enumerate_maps(X, Y):
+                _assert_bridge_matches_the_configuration_route(g, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bridge_route_matches_the_configuration_route_into_discrete_targets(n):
+    """Every k from 2 to |Y| + 1: the last tuples of F(Y, k - 1) hold every
+    point when k = |Y|, and no lift exists at all past it."""
+    Y = discrete_space(n)
+    for X in census_up_to(3 if n < 5 else 2, include_empty=True):
+        for g in enumerate_maps(X, Y):
+            for k in range(2, n + 2):
+                _assert_bridge_matches_the_configuration_route(g, k)
+
+
+def _random_poset(rng, n):
+    return make_space(n, [(a, b) for a in range(n) for b in range(a) if rng.random() < 0.3])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bridge_route_matches_the_configuration_route_on_random_posets(seed):
+    rng = random.Random(f"bridge:{seed}")
+    X, Y = _random_poset(rng, rng.randint(4, 8)), _random_poset(rng, rng.randint(2, 5))
+    g = InstanceGenerator(f"bridge:{seed}").cmap(X, Y)
+    for k in range(2, min(Y.n, 4) + 2):
+        _assert_bridge_matches_the_configuration_route(g, k)
+
+
+def test_bridge_route_builds_nothing_past_the_target():
+    """For k > |Y| no F(Y, k - 1) is built: with k - 1 = |Y| = 7 it would
+    have 5,040 points, past the construction cap."""
+    Y = discrete_space(7)
+    configuration_space.cache_clear()
+    budget = Budget()
+    assert coincidence._relative_sec_of_projection(identity_map(Y), 8, budget) == INF
+    assert configuration_space.cache_info().misses == 0
+    with pytest.raises(LimitExceeded):
+        configuration_space(Y, 7)

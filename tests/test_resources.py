@@ -25,6 +25,9 @@ ENTRY_POINTS = {
         f, identity_map(f.target), budget),
     "relative_sec_pi": lambda f, budget: coincidence._relative_sec_of_projection(f, 2, budget),
 }
+# the replay cases: every entry point, and relsec(pi_{k,1}) at k = 3 as well
+REPLAYS = dict(ENTRY_POINTS, relative_sec_pi_k3=lambda f, budget:
+               coincidence._relative_sec_of_projection(f, 3, budget))
 
 
 def shared_search_names(source: str) -> set[str]:
@@ -47,13 +50,13 @@ def _nodes(call, f) -> int:
     return budget.limit - budget.remaining
 
 
-@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("name", REPLAYS)
 def test_a_hit_replays_the_nodes_of_a_fresh_search(name):
     """With N the nodes of a fresh search, a hit on Budget(N) ends at 0 and a
     hit on Budget(N - 1) runs out, as the fresh search does.  A search may
     charge no node (has_cp into one point fails at once); its hit on
     Budget(1) charges none."""
-    call = ENTRY_POINTS[name]
+    call = REPLAYS[name]
     for f in _census_maps():
         n = _nodes(call, f)
         if n > 1:
@@ -69,6 +72,21 @@ def test_a_hit_replays_the_nodes_of_a_fresh_search(name):
                 with pytest.raises(BudgetExhausted):
                     call(f, short)
                 assert short.remaining == -1
+
+
+def test_a_remark_hit_replays_the_nodes_of_a_fresh_main_theorem_check():
+    """check_remark fills relsec(pi_{2,1}, g) through F(Y, 2) and
+    check_main_theorem reads it back on the bridge route: the replay charges
+    what a fresh bridge search does."""
+    for f in _census_maps():
+        fresh = Budget()
+        coincidence.check_main_theorem(f.source, f.target, f, fresh)
+        with shared_searches() as tally:
+            coincidence.check_remark(f.source, f.target, f, Budget())
+            replayed = Budget()
+            coincidence.check_main_theorem(f.source, f.target, f, replayed)
+        assert tally["relative_sec_pi", "hits"] == 1
+        assert replayed.remaining == fresh.remaining
 
 
 def test_replay_charges_at_once():

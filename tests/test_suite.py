@@ -375,7 +375,8 @@ def test_report_write_and_timings_sidecar(tmp_path):
     counts = sidecar["cache_counts"]
     assert counts == report.cache_counts
     assert set(counts) == set(names.values()) | {
-        "core", "configuration_space", "product", "connected_components", "_comparable_maps"}
+        "core", "configuration_space", "_bridge_target", "product", "connected_components",
+        "_comparable_maps"}
     for name in names.values():
         assert calls[name] > 0
         assert counts[name]["hits"] + counts[name]["misses"] == calls[name], name
