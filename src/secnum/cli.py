@@ -115,7 +115,13 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
-    if args.claim == "key-lemma" and args.k < 2:
+    k = args.k
+    if args.claim != "key-lemma":
+        if k is not None:
+            raise InputError(f"--k applies to --claim key-lemma only, not {args.claim}")
+    elif k is None:
+        k = 2
+    elif k < 2:
         raise InputError("--k must be >= 2")
     _, X = _single_space(args.x)
     _, Y = _single_space(args.y)
@@ -123,7 +129,7 @@ def _cmd_check(args) -> int:
     g = _single_map(doc, args.g)
     if g.source != X or g.target != Y:
         raise InputError("g must be a map from the space in --x to the space in --y")
-    report = _CHECKS[args.claim](X, Y, g, args.k)
+    report = _CHECKS[args.claim](X, Y, g, k)
     _emit(report.to_json_dict())
     return 2 if report.conclusion is False else 0
 
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--x", required=True, help=".finsp file with the source space")
     check.add_argument("--y", required=True, help=".finsp file with the target space")
     check.add_argument("--g", required=True, help=".fmap file with g: X -> Y")
-    check.add_argument("--k", type=int, default=2, help="tuple length for key-lemma")
+    check.add_argument("--k", type=int, help="tuple length of --claim key-lemma (default: 2)")
     check.set_defaults(func=_cmd_check)
 
     census = sub.add_parser("census", help="emit all spaces up to isomorphism")

@@ -13,8 +13,12 @@ t: U -> F(Y, k - 1) whose tuples avoid g(u), and conversely.  For k = 2 such
 a t is a map U -> Y that disagrees with g everywhere, so a global
 coincidence-free map is exactly a global lift, which ties CP to the relative
 sectional number.  relsec(pi_{k,1}^Y, g) is computed on that route, so F(Y, k)
-is never built; check_remark alone lifts through F(Y, 2) itself, since on the
-bridge route its "relsec = 1" test would be the CP search it is compared with.
+is never built.  For k = 2 the cover's test of the whole of X is the CP
+search itself, so check_main_theorem searches CP once and hands the cover its
+verdict, whose nodes the cover charges again; check_cp_implies_fpp likewise
+reads FPP from CP when g is the identity of Y.  check_remark alone lifts
+through F(Y, 2) itself, since on the bridge route its "relsec = 1" test would
+be the CP search it is compared with.
 Each checker returns a TheoremReport holding one conclusion for a stable claim
 id: True, False or HYPOTHESIS_NOT_MET.  status_of is the one rule that spells
 a conclusion as a status (verified / hypothesis-not-met / violated, or
@@ -197,28 +201,43 @@ def _bridge_target(Y: FinSpace, k: int) -> tuple[FinSpace, tuple[int, ...]]:
     return T, tuple(T.full_mask & ~mask for mask in contain)
 
 
-def _bridge_cover(g: CMap, k: int, budget: Budget):
+def _bridge_cover(g: CMap, k: int, budget: Budget, cp=None):
     """cover.min_good_cover on the source X of g for relsec(pi_{k,1}^Y, g)
     by the bridge lemma: ([(mask, t), ...], None) with t the assignment of
     the lift into the T of _bridge_target on the open's points, or (None,
     point) for a point in no good open.  X must be nonempty.  It tests and
     charges exactly as _relative_sec_lift(configuration_space(Y, k)[1], g)
     does: t(u) and (g(u),) + t(u) range over domains of equal size in the
-    same order, under the same forward checks."""
+    same order, under the same forward checks.
+
+    For k = 2 the test of the whole of X is the has_cp search itself; cp,
+    when given, is (verdict, nodes) of that finished search, and the test
+    replays its nodes and takes its witness instead of searching again."""
     X, images = g.source, g.assignment
     T, avoid = _bridge_target(g.target, k)
-    return min_good_cover(X, lambda mask: first_lift(X, T, avoid, images, budget, mask), budget)
+
+    def is_good(mask: int):
+        if cp is None or mask != X.full_mask:
+            return first_lift(X, T, avoid, images, budget, mask)
+        verdict, nodes = cp
+        budget.replay(nodes)
+        return None if verdict.holds else verdict.witness.assignment
+
+    return min_good_cover(X, is_good, budget)
 
 
 def _relative_sec_of_projection(g: CMap, k: int, budget: Budget,
-                                through_conf: bool = False) -> ExtNat:
+                                through_conf: bool = False, cp=None) -> ExtNat:
     """relsec(pi_{k,1}^Y, g) for Y the target of g, shared within a run.
 
     The search takes the bridge route (_bridge_cover), which builds no
     F(Y, k) and for k >= 3 builds F(Y, k - 1) instead.  With through_conf it
     lifts through pi_{k,1} on F(Y, k) (_relative_sec_lift), the independent
     route check_remark keeps.  Both routes give the same value for the same
-    nodes, so either may fill the one memo entry the other replays.
+    nodes, so either may fill the one memo entry the other replays.  For
+    k = 2, cp is the (verdict, nodes) of a finished has_cp(X, Y, g), which
+    the bridge route takes as its test of the whole of X (_bridge_cover);
+    through_conf ignores it.
 
     The memo keeps the value alone, so no certificate is built, and a miss
     searches directly rather than through relative_sec, whose (p, g) key
@@ -232,7 +251,7 @@ def _relative_sec_of_projection(g: CMap, k: int, budget: Budget,
             return _relative_sec_lift(configuration_space(g.target, k)[1], g, budget).value
         if g.source.n == 0:
             return ExtNat(1)  # the empty family covers the empty base
-        chosen, _ = _bridge_cover(g, k, budget)
+        chosen, _ = _bridge_cover(g, k, budget, cp)
         return INF if chosen is None else ExtNat(len(chosen))
 
     return shared_search(("relative_sec_pi", g, k), budget, search)
@@ -240,13 +259,25 @@ def _relative_sec_of_projection(g: CMap, k: int, budget: Budget,
 
 def _pi21_quantities(X: FinSpace, Y: FinSpace, g: CMap, budget: Budget | int | None,
                      through_conf: bool = False) -> dict:
-    """The computation both pi_{2,1} checkers share: relsec(pi_{2,1}, g),
-    then CP, as a report's quantities."""
+    """The computation both pi_{2,1} checkers share, CP and relsec(pi_{2,1}, g),
+    as a report's quantities.
+
+    On the bridge route a lift over the whole of X is a coincidence-free
+    map, so CP is searched first and the cover takes its verdict and replays
+    its nodes for that open: one CP search per check, charged as two.  With
+    through_conf (check_remark) relsec is lifted through F(Y, 2) first and
+    CP searched apart."""
     _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
-    sec_value = _relative_sec_of_projection(g, 2, budget, through_conf)
+    if through_conf:
+        sec_value = _relative_sec_of_projection(g, 2, budget, through_conf=True)
+        cp = has_cp(X, Y, g, budget)
+    else:
+        before = budget.remaining
+        cp = has_cp(X, Y, g, budget)
+        sec_value = _relative_sec_of_projection(g, 2, budget, cp=(cp, before - budget.remaining))
     return {
-        "cp_holds": has_cp(X, Y, g, budget).holds,
+        "cp_holds": cp.holds,
         "sec_relative_pi21": sec_value,
         "hausdorff": is_hausdorff(Y),
         "target_points": Y.n,
@@ -308,8 +339,14 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
     composite and re-validates it, reproducing the contrapositive construction."""
     _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
+    before = budget.remaining
     cp = has_cp(X, Y, g, budget)
-    fpp = has_fpp(Y, budget)
+    if X == Y and g.assignment == tuple(range(Y.n)):
+        # g is the identity of Y, so has_fpp(Y) is this search under the same memo key
+        budget.replay(before - budget.remaining)
+        fpp = cp
+    else:
+        fpp = has_fpp(Y, budget)
     q = {"cp_holds": cp.holds, "fpp_holds": fpp.holds}
     if cp.holds or fpp.holds:  # FPP must hold with CP, and nothing is left without CP
         return TheoremReport((X, Y, g), q, CLAIM_CP_FPP, fpp.holds)

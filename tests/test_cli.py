@@ -231,6 +231,30 @@ def test_check_claims(files, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("claim, k", [
+    ("remark", "2"), ("main-theorem", "9"), ("cp-implies-fpp", "1"),
+])
+def test_check_k_is_for_key_lemma_only(files, capsys, claim, k):
+    # the other claims take no k, so a --k would be ignored
+    code = main([
+        "check", "--claim", claim, "--k", k,
+        "--x", files["S.finsp"], "--y", files["S.finsp"], "--g", files["g.fmap"],
+    ])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"error: --k applies to --claim key-lemma only, not {claim}\n"
+
+
+def test_check_key_lemma_takes_k_two_by_default(files, capsys):
+    argv = ["check", "--claim", "key-lemma",
+            "--x", files["S.finsp"], "--y", files["S.finsp"], "--g", files["g.fmap"]]
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    assert data["quantities"]["k"] == 2
+    assert (code, data) == run_json(capsys, argv + ["--k", "2"])
+
+
 def test_check_mismatched_spaces(files, tmp_path, capsys):
     other = tmp_path / "D.finsp"
     other.write_text("space D 2\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnum.census import InstanceGenerator, census_up_to
-from secnum import coincidence
+from secnum import coincidence, sectional
 from secnum.coincidence import (
     HYPOTHESIS_NOT_MET,
     VERIFIED,
@@ -30,6 +30,7 @@ from secnum.finspace import (
     discrete_space,
     empty_space,
     enumerate_maps,
+    first_lift,
     identity_map,
     make_space,
     pseudocircle,
@@ -281,6 +282,13 @@ def _assert_bridge_matches_the_configuration_route(g, k):
     chosen, uncovered = coincidence._bridge_cover(g, k, bridge_budget)
     assert bridge_budget.remaining == conf_budget.remaining
     assert uncovered == expected.uncovered_point
+    if k == 2:
+        # the whole of X taken from a finished has_cp: same cover, same nodes
+        cp_budget, shared_budget = Budget(), Budget()
+        verdict = has_cp(g.source, g.target, g, cp_budget)
+        cp = (verdict, cp_budget.limit - cp_budget.remaining)
+        assert coincidence._bridge_cover(g, 2, shared_budget, cp) == (chosen, uncovered)
+        assert shared_budget.remaining == conf_budget.remaining
     if chosen is None:
         assert expected.certificate is None
         return
@@ -336,3 +344,107 @@ def test_bridge_route_builds_nothing_past_the_target():
     assert configuration_space.cache_info().misses == 0
     with pytest.raises(LimitExceeded):
         configuration_space(Y, 7)
+
+
+# ---------------------------------------------------------------------------
+# one CP search per pi_{2,1} check
+
+
+def _whole_space_searches(monkeypatch, check, g) -> int:
+    """The first_lift searches over the whole source that check(X, Y, g)
+    makes outside a run, into Y or into F(Y, 2)."""
+    calls = []
+
+    def spy(source, target, fibers, images, budget, mask=None):
+        calls.append(mask is None or mask == source.full_mask)
+        return first_lift(source, target, fibers, images, budget, mask)
+
+    for module in (coincidence, sectional):
+        monkeypatch.setattr(module, "first_lift", spy)
+    check(g.source, g.target, g, Budget())
+    monkeypatch.undo()
+    return sum(calls)
+
+
+def _nodes_of(call) -> int:
+    budget = Budget()
+    call(budget)
+    return budget.limit - budget.remaining
+
+
+def _assert_main_theorem_searches_cp_once(monkeypatch, g):
+    """check_main_theorem makes one whole-X CP search, charges it once for
+    CP and once for the cover's test of X, and reads relsec as the lift
+    through F(Y, 2) does."""
+    X, Y = g.source, g.target
+    assert _whole_space_searches(monkeypatch, check_main_theorem, g) == 1
+    conf_budget = Budget()
+    conf = _relative_sec_lift(configuration_space(Y, 2)[1], g, conf_budget)
+    nodes = (_nodes_of(lambda budget: has_cp(X, Y, g, budget))
+             + conf_budget.limit - conf_budget.remaining)
+    report = check_main_theorem(X, Y, g, Budget(nodes))
+    assert report.quantities["sec_relative_pi21"] == conf.value
+    assert report.quantities["cp_holds"] == has_cp(X, Y, g).holds
+    assert _nodes_of(lambda budget: check_main_theorem(X, Y, g, budget)) == nodes
+    if nodes > 1:
+        with pytest.raises(BudgetExhausted):
+            check_main_theorem(X, Y, g, Budget(nodes - 1))
+
+
+def test_main_theorem_searches_cp_once_on_census_triples(monkeypatch):
+    spaces = census_up_to(3, include_empty=True)
+    for X in spaces:
+        for Y in spaces:
+            for g in enumerate_maps(X, Y):
+                _assert_main_theorem_searches_cp_once(monkeypatch, g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_main_theorem_searches_cp_once_on_random_posets(monkeypatch, seed):
+    rng = random.Random(f"bridge:{seed}")
+    X, Y = _random_poset(rng, rng.randint(4, 8)), _random_poset(rng, rng.randint(2, 5))
+    _assert_main_theorem_searches_cp_once(monkeypatch, InstanceGenerator(f"bridge:{seed}").cmap(X, Y))
+
+
+def _edge_cases():
+    s, d3, point = sierpinski(), discrete_space(3), make_space(1, [])
+    glued = make_space(3, [(1, 0)])  # the Sierpinski space beside a point
+    return {
+        "empty-source": CMap(empty_space(), s, []),
+        "glue-cp-fails": constant_map(glued, d3, 0),
+        "glue-cp-holds": CMap(glued, s, [0, 1, 0]),
+        "one-point-target": constant_map(pseudocircle(), point, 0),
+        "discrete-target": CMap(s, d3, [1, 1]),
+        "discrete-identity": identity_map(d3),
+        "sierpinski-identity": identity_map(s),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_main_theorem_searches_cp_once_on_edge_cases(monkeypatch, case):
+    _assert_main_theorem_searches_cp_once(monkeypatch, _edge_cases()[case])
+
+
+def test_the_remark_keeps_its_own_lift_of_the_whole_space(monkeypatch):
+    """check_remark lifts through F(Y, 2), so its CP search is not its test
+    of X: it searches a nonempty X twice, once into F(Y, 2)."""
+    for g in _edge_cases().values():
+        assert _whole_space_searches(monkeypatch, check_remark, g) == (2 if g.source.n else 1)
+
+
+def test_cp_implies_fpp_on_the_identity_searches_once(monkeypatch):
+    """With g the identity of Y, has_fpp(Y) is has_cp(Y, Y, g): searched once,
+    charged twice.  Any other g still searches FPP apart."""
+    for Y in census_up_to(3, include_empty=True) + [pseudocircle()]:
+        g = identity_map(Y)
+        assert _whole_space_searches(monkeypatch, check_cp_implies_fpp, g) == 1
+        nodes = _nodes_of(lambda budget: has_cp(Y, Y, g, budget))
+        report = check_cp_implies_fpp(Y, Y, g, Budget(2 * nodes) if nodes else None)
+        assert report.conclusion is True
+        assert report.quantities == {"cp_holds": has_fpp(Y).holds, "fpp_holds": has_fpp(Y).holds}
+        assert _nodes_of(lambda budget: check_cp_implies_fpp(Y, Y, g, budget)) == 2 * nodes
+        if nodes:
+            with pytest.raises(BudgetExhausted):
+                check_cp_implies_fpp(Y, Y, g, Budget(2 * nodes - 1))
+    s = sierpinski()
+    assert _whole_space_searches(monkeypatch, check_cp_implies_fpp, constant_map(s, s, 0)) == 2
