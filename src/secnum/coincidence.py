@@ -15,8 +15,7 @@ coincidence-free map is exactly a global lift, which ties CP to the relative
 sectional number.  relsec(pi_{k,1}^Y, g) is computed on that route, so F(Y, k)
 is never built.  For k = 2 the cover's test of the whole of X is the CP
 search itself, so check_main_theorem searches CP once and hands the cover its
-verdict, whose nodes the cover charges again; check_cp_implies_fpp likewise
-reads FPP from CP when g is the identity of Y.  check_remark alone lifts
+verdict, whose nodes the cover charges again.  check_remark alone lifts
 through F(Y, 2) itself, since on the bridge route its "relsec = 1" test would
 be the CP search it is compared with.
 Each checker returns a TheoremReport holding one conclusion for a stable claim
@@ -339,14 +338,8 @@ def check_cp_implies_fpp(X: FinSpace, Y: FinSpace, g: CMap,
     composite and re-validates it, reproducing the contrapositive construction."""
     _check_map_between(X, Y, g)
     budget = Budget.ensure(budget)
-    before = budget.remaining
     cp = has_cp(X, Y, g, budget)
-    if X == Y and g.assignment == tuple(range(Y.n)):
-        # g is the identity of Y, so has_fpp(Y) is this search under the same memo key
-        budget.replay(before - budget.remaining)
-        fpp = cp
-    else:
-        fpp = has_fpp(Y, budget)
+    fpp = has_fpp(Y, budget)
     q = {"cp_holds": cp.holds, "fpp_holds": fpp.holds}
     if cp.holds or fpp.holds:  # FPP must hold with CP, and nothing is left without CP
         return TheoremReport((X, Y, g), q, CLAIM_CP_FPP, fpp.holds)

@@ -430,21 +430,3 @@ def test_the_remark_keeps_its_own_lift_of_the_whole_space(monkeypatch):
     of X: it searches a nonempty X twice, once into F(Y, 2)."""
     for g in _edge_cases().values():
         assert _whole_space_searches(monkeypatch, check_remark, g) == (2 if g.source.n else 1)
-
-
-def test_cp_implies_fpp_on_the_identity_searches_once(monkeypatch):
-    """With g the identity of Y, has_fpp(Y) is has_cp(Y, Y, g): searched once,
-    charged twice.  Any other g still searches FPP apart."""
-    for Y in census_up_to(3, include_empty=True) + [pseudocircle()]:
-        g = identity_map(Y)
-        assert _whole_space_searches(monkeypatch, check_cp_implies_fpp, g) == 1
-        nodes = _nodes_of(lambda budget: has_cp(Y, Y, g, budget))
-        report = check_cp_implies_fpp(Y, Y, g, Budget(2 * nodes) if nodes else None)
-        assert report.conclusion is True
-        assert report.quantities == {"cp_holds": has_fpp(Y).holds, "fpp_holds": has_fpp(Y).holds}
-        assert _nodes_of(lambda budget: check_cp_implies_fpp(Y, Y, g, budget)) == 2 * nodes
-        if nodes:
-            with pytest.raises(BudgetExhausted):
-                check_cp_implies_fpp(Y, Y, g, Budget(2 * nodes - 1))
-    s = sierpinski()
-    assert _whole_space_searches(monkeypatch, check_cp_implies_fpp, constant_map(s, s, 0)) == 2
