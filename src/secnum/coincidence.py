@@ -126,8 +126,9 @@ def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
 
 def _cp_search(g: CMap, budget: Budget) -> CoincidenceVerdict:
     X, Y = g.source, g.target
-    avoid = [Y.full_mask & ~(1 << y) for y in range(Y.n)]
-    f = first_lift(X, Y, avoid, g.assignment, budget)
+    # the same avoid masks as the bridge cover's test, which _bridge_cover
+    # replays this search for on the whole of X
+    f = first_lift(X, *_bridge_target(Y, 2), g.assignment, budget)
     if f is None:
         return CoincidenceVerdict(None)
     return CoincidenceVerdict(_revalidate_witness(CMap(X, Y, f, validate=False), g))

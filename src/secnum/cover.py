@@ -12,9 +12,7 @@ partition of the maximal points (one per top reach class, which keeps this
 exact on preorders that are not T0) into classes whose unions are good:
 exact_min_cover finds it by branch-and-bound, a colouring of the maximal
 points, with masks taken in a fixed order, so results are deterministic.
-Each open is tested once per search, through find_maximal_good_opens with
-descend=False; its top-down scan of the maximal good opens (descend=True) is
-kept as an independent algorithm and is not on this path.
+Each open is tested at most once per search, at a charge of one node.
 
 A disconnected space is covered one connected component at a time; each
 component is open and closed.  For LS-category a good open lies inside one
@@ -66,52 +64,15 @@ _EQUATIONS = {
 }
 
 
-def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget,
-                            top: int | None = None, descend: bool = True):
-    """Maximal nonempty opens inside the open top (the whole space by
-    default) satisfying a shrink-closed property.
-
-    is_good(mask) returns a witness (any non-None value) or None.  Opens are
-    scanned from top down, one size level at a time and by
-    ascending mask within a level, charging budget one node per visited open.
-    An open inside an accepted one is skipped, which is sound exactly because
-    the property is monotone under shrinking.  A bad open hands the next
-    levels its children: the open minus the reach class of a point that no
-    other point of the open outside that class reaches.  Every smaller open
-    lies below a chain of such steps, and each open above a maximal good one
-    is bad, so every maximal good open is visited and nothing else is
-    accepted.  Dropping whole classes, not single points, keeps this exact on
-    preorders that are not T0.  Returns [(mask, witness), ...] in scan
-    order, that is by (-size, mask).  With descend=False only top itself is
-    tested, charging one node.
-    """
-    if top is None:
-        top = space.full_mask
-    if not descend:
-        budget.charge()
-        witness = is_good(top)
-        return [] if witness is None else [(top, witness)]
-    rows, co = space.reach_rows, space.co_rows
-    accepted: list[tuple[int, object]] = []
-    levels = {top.bit_count(): {top}} if top else {}  # size -> opens
-    while levels:
-        for mask in sorted(levels.pop(max(levels))):
-            budget.charge()
-            if any(mask & ~amask == 0 for amask, _ in accepted):
-                continue
-            witness = is_good(mask)
-            if witness is not None:
-                accepted.append((mask, witness))
-                continue
-            rest = mask
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                cls = rows[x] & co[x]
-                rest &= ~cls
-                child = mask & ~cls
-                if co[x] & mask == cls and child:
-                    levels.setdefault(child.bit_count(), set()).add(child)
-    return accepted
+def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget, top: int):
+    """[(top, witness)] when the open top of space is good, that is when
+    is_good(top) returns a witness (not None), else []; charges one node."""
+    # every good-open test goes through here: bench/tracer.py wraps this name
+    # as the span cover.open_scan and reads is_good at args[1], and calling
+    # is_good directly hid 1,416 tests from its cover.good_open.candidates
+    budget.charge()
+    witness = is_good(top)
+    return [] if witness is None else [(top, witness)]
 
 
 def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
@@ -147,29 +108,35 @@ def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
         lower = max(lower, len(clique))
     classes: list[int] = []
 
-    def branch(i: int) -> bool:
-        """True once a partition of lower classes is found."""
-        nonlocal best
-        budget.charge()
-        if i == len(masks):
-            best = list(classes)
-            return len(best) == lower
-        m = masks[i]
+    def placements(m: int):
+        """m joins each class whose union stays good, then opens a new one
+        while that can still beat best; each branch is undone before the next."""
         for j, union in enumerate(classes):
             if joinable(union | m):
                 classes[j] = union | m
-                if branch(i + 1):
-                    return True
+                yield
                 classes[j] = union
         if len(classes) + 1 < len(best):
             classes.append(m)
-            if branch(i + 1):
-                return True
+            yield
             classes.pop()
-        return False
 
-    if len(best) > lower:
-        branch(0)
+    # the placements of masks[0], masks[1], ... in progress: an explicit stack,
+    # so the depth has no limit but the number of masks
+    stack: list = []
+    while len(best) > lower:
+        budget.charge()
+        if len(stack) < len(masks):
+            stack.append(placements(masks[len(stack)]))
+        else:
+            best = list(classes)
+            if len(best) == lower:
+                break
+        # next gives None for a branch, and True once a placement is spent
+        while stack and next(stack[-1], True):
+            stack.pop()
+        if not stack:
+            break
     return tuple(best)
 
 
@@ -182,9 +149,9 @@ def min_good_cover(space: FinSpace, is_good, budget: Budget, glue: bool = True):
     otherwise by exact_min_cover over the minimal opens U_m of one maximal
     point m per top reach class; if some U_m is bad, the points in no good
     open are the up-set of the x with U_x bad, so U_x is tested in index
-    order.  Each open is tested at most once, through
-    find_maximal_good_opens(descend=False).  With glue=False every good open
-    lies inside one component, and the component covers are concatenated.
+    order.  Each open is tested at most once, through find_maximal_good_opens.
+    With glue=False every good open lies inside one component, and the
+    component covers are concatenated.
     With glue=True (the default) an open is good exactly when its trace on
     every component is, and each is_good witness lists one value per point
     of its open in ascending order; then the whole space is tested first,
@@ -195,11 +162,9 @@ def min_good_cover(space: FinSpace, is_good, budget: Budget, glue: bool = True):
 
     def test(mask: int) -> list:
         """[(mask, witness)] if the open mask is good, else []."""
-        found = tested.get(mask)
-        if found is None:
-            found = tested[mask] = find_maximal_good_opens(
-                space, is_good, budget, mask, descend=False)
-        return found
+        if mask not in tested:
+            tested[mask] = find_maximal_good_opens(space, is_good, budget, mask)
+        return tested[mask]
 
     parts = connected_components(space)
     if glue and len(parts) > 1:

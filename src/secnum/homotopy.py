@@ -308,11 +308,12 @@ def _contraction_point(X: FinSpace, mask: int, budget: Budget) -> int | None:
 def cat(X: FinSpace, budget: Budget | int | None = None) -> CoverResult:
     """Least size of an open cover by sets nullhomotopic within the space.
 
-    The candidates are the maximal such opens (the property shrinks), and the
-    minimum is exact set cover.  Such an open lies inside one connected
-    component, since a fence moves each point only to points it is comparable
-    with, so each component is covered on its own and cat of a disjoint union
-    is the sum of the values of its components.  The empty space takes the
+    The property shrinks, so cover.min_good_cover finds the least cover as
+    the fewest classes of maximal points whose unions of minimal opens are
+    nullhomotopic.  Such an open lies inside one connected component, since a
+    fence moves each point only to points it is comparable with, so each
+    component is covered on its own and cat of a disjoint union is the sum of
+    the values of its components.  The empty space takes the
     degenerate value 1 by the empty-cover convention.
     """
     budget = Budget.ensure(budget)

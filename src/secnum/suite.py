@@ -310,7 +310,11 @@ def _eval_sierpinski_boundary(S, budget):
     "a space has FPP exactly when (X, X; identity) has CP",
 )
 def _eval_fpp_iff_cp_identity(X, budget):
-    return has_fpp(X, budget).holds == has_cp(X, X, identity_map(X), budget).holds
+    # has_fpp is has_cp of the identity, so the FPP side is decided on its
+    # own: X has FPP when every continuous self-map fixes a point
+    fixed_point_free = any(all(y != x for x, y in enumerate(f.assignment))
+                           for f in enumerate_maps(X, X, budget))
+    return (not fixed_point_free) == has_fpp(X, budget).holds
 
 
 @_register(

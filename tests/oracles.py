@@ -9,12 +9,11 @@ of generator pairs from a graph search from every point.  The subspace
 route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
 library's point-mask route, the recursive map search as the check of the
-explicit-stack one, and the earlier cover pipeline on the whole space (the
-top-down scan of maximal good opens and an exact set cover of them) as the
+explicit-stack one, and a cover pipeline on the whole space (its maximal
+good opens by the list-sort-scan and an exact set cover of them) as the
 check of the colouring of maximal points that covers each connected
-component on its own.  The module also
-holds the random-preorder and disjoint-union strategies that the property
-tests share.
+component on its own.  The module also holds the random-preorder and
+disjoint-union strategies that the property tests share.
 """
 
 import itertools
@@ -23,7 +22,6 @@ import operator
 from hypothesis import strategies as st
 
 from secnum.census import canonical_form, census_up_to
-from secnum.cover import find_maximal_good_opens
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
@@ -344,11 +342,11 @@ def exact_set_cover(universe, masks, budget):
 
 def whole_space_min_good_cover(space, is_good, budget):
     """The cover pipeline of maximal good opens, without the split into
-    components: one top-down scan of the whole space and one exact set cover
-    of all its points by the opens it found.  Returns what
-    cover.min_good_cover does, and is the check of its colouring of the
-    maximal points."""
-    good = find_maximal_good_opens(space, is_good, budget)
+    components: the maximal good opens of the whole space
+    (brute_maximal_good_opens) and one exact set cover of all its points by
+    them.  Returns what cover.min_good_cover does, and is the check of its
+    colouring of the maximal points."""
+    good = brute_maximal_good_opens(space, is_good)
     union = 0
     for mask, _ in good:
         union |= mask

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from secnum import Budget, homotopy, run_suite, sectional
+from secnum import Budget, cover, homotopy, run_suite, sectional
 from secnum import coincidence as coin
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -53,13 +53,26 @@ def test_traced_sec_and_secat_calls_match_a_profiler_count(monkeypatch):
     cfg = child.suite_config({"smoke": True, "seed": 7, "parallelism": 1})
     # the code objects of the originals, read before the tracer wraps them
     names = {sectional.sec.__code__: "sectional.sec", sectional.secat.__code__: "sectional.secat",
-             homotopy.cat.__code__: "homotopy.cat", coin.has_cp.__code__: "coincidence.has_cp"}
+             homotopy.cat.__code__: "homotopy.cat", coin.has_cp.__code__: "coincidence.has_cp",
+             cover.find_maximal_good_opens.__code__: "cover.open_scan"}
     profiled = Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in names:
             profiled[names[frame.f_code]] += 1
 
+    # every is_good a cover search is given, counted before the tracer sees it
+    search = cover.min_good_cover
+
+    def counted_search(space, is_good, *args):
+        def counted(mask):
+            profiled["is_good"] += 1
+            return is_good(mask)
+
+        return search(space, counted, *args)
+
+    for module in (cover, coin):
+        monkeypatch.setattr(module, "min_good_cover", counted_search)
     t = tracing.Tracer()
     t.install()
     sys.setprofile(profile)
@@ -71,6 +84,10 @@ def test_traced_sec_and_secat_calls_match_a_profiler_count(monkeypatch):
     for name in names.values():
         assert profiled[name] > 0
         assert t.counts[name + ".calls"] == profiled[name], name
+    # every good-open test goes through cover.find_maximal_good_opens, one
+    # is_good call each, so the tracer counts each of them as a candidate
+    assert t.counts["cover.good_open.candidates"] == profiled["cover.open_scan"]
+    assert profiled["is_good"] == profiled["cover.open_scan"]
 
 
 def test_calculator_queries_run_and_verify(monkeypatch):

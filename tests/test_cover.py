@@ -1,14 +1,12 @@
-"""The maximal-good-opens scan, the cover search over the maximal points and
-the covering invariants built on them, against the brute-force oracles."""
-
-import time
+"""The cover search over the maximal points and the covering invariants
+built on it, against the brute-force oracles."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnum.census import census_up_to
-from secnum.cover import find_maximal_good_opens, min_good_cover
+from secnum.cover import min_good_cover
 from secnum.extnat import ExtNat
 from secnum.finspace import (
     CMap,
@@ -28,7 +26,6 @@ from secnum.sectional import _homotopy_section_test, _lift_test, relative_sec, s
 
 from oracles import (
     brute_cat,
-    brute_maximal_good_opens,
     brute_open_masks,
     brute_relative_sec_lift,
     brute_sec,
@@ -44,77 +41,14 @@ from oracles import (
 )
 
 
-def _inside_one_of(opens, seen):
+def _inside_one_of(opens):
     """Shrink-closed is_good: the witness is the index of the first of the
-    opens that contains the mask; every mask asked about goes into seen."""
+    opens that contains the mask."""
 
     def is_good(mask):
-        seen.add(mask)
         return next((i for i, big in enumerate(opens) if mask & ~big == 0), None)
 
     return is_good
-
-
-def _assert_scan_matches_oracle(space, opens):
-    seen, seen_brute = set(), set()
-    got = find_maximal_good_opens(space, _inside_one_of(opens, seen), Budget())
-    assert got == brute_maximal_good_opens(space, _inside_one_of(opens, seen_brute))
-    assert seen == seen_brute
-
-
-@st.composite
-def spaces_with_opens(draw):
-    """A preorder of at most 8 points, T0 or not, and up to three of its
-    opens."""
-    space = draw(preorders(8))
-    opens = draw(st.lists(st.sampled_from(brute_open_masks(space)), max_size=3))
-    return space, opens
-
-
-@settings(max_examples=300)
-@given(spaces_with_opens())
-def test_scan_matches_the_list_sort_scan_oracle(instance):
-    """Same (mask, witness) list in the same order, and is_good asked about
-    the same masks."""
-    _assert_scan_matches_oracle(*instance)
-
-
-def test_scan_drops_whole_reach_classes_on_non_t0_spaces():
-    """Points 0 and 1 reach each other and 2 stands apart.  The full open is
-    bad, and no point of it can be dropped alone (0 and 1 each reach the
-    other), so a scan that drops single points never reaches {2}; dropping
-    the class {0, 1} does."""
-    space = make_space(3, [(0, 1), (1, 0)])
-    assert brute_open_masks(space) == [0b000, 0b011, 0b100, 0b111]
-    seen = set()
-    got = find_maximal_good_opens(space, _inside_one_of([0b100], seen), Budget())
-    assert got == [(0b100, 0)]
-    assert seen == {0b111, 0b100, 0b011}
-    _assert_scan_matches_oracle(space, [0b100])
-
-
-def test_scan_is_bounded_by_the_node_budget():
-    """With no good open the scan goes down through every open of 40
-    discrete points (2**40 of them); the budget stops it at once."""
-    started = time.perf_counter()
-    with pytest.raises(BudgetExhausted):
-        find_maximal_good_opens(discrete_space(40), lambda mask: None, Budget(1000))
-    assert time.perf_counter() - started < 1
-
-
-@pytest.mark.parametrize("opens, asked, visited", [
-    ([], {0b1111, 0b0111, 0b1011, 0b0011, 0b0001, 0b0010}, 6),
-    # {0,1,3} is bad, and its child {0,1} lies inside the accepted {0,1,2}:
-    # visited and charged, but not asked about
-    ([0b0111], {0b1111, 0b0111, 0b1011}, 4),
-])
-def test_scan_charges_one_node_per_visited_open(opens, asked, visited):
-    """On the pseudocircle (0 and 1 below both 2 and 3), the nodes charged
-    are the opens the scan visits: those asked about plus those skipped."""
-    budget, seen = Budget(), set()
-    find_maximal_good_opens(pseudocircle(), _inside_one_of(opens, seen), budget)
-    assert seen == asked
-    assert budget.limit - budget.remaining == visited
 
 
 @st.composite
@@ -177,9 +111,9 @@ def small_spaces_or_unions():
 
 
 def _assert_split_matches_whole_space(space, is_good, glue=True):
-    """Same value and same uncovered point as one scan of the whole space and
-    a set cover of its maximal good opens, and a cover of the space by good
-    opens."""
+    """Same value and same uncovered point as whole_space_min_good_cover, a
+    set cover of the maximal good opens of the whole space, and a cover of
+    the space by good opens."""
     split, split_point = min_good_cover(space, is_good, Budget(), glue=glue)
     whole, whole_point = whole_space_min_good_cover(space, is_good, Budget())
     assert split_point == whole_point
@@ -319,8 +253,8 @@ def test_glued_cover_elements_on_interleaved_components():
 
 
 def test_cat_of_three_and_four_pseudocircles_within_a_small_budget():
-    """One scan of the whole space visits products of the circles' opens:
-    3,815,442 nodes for three circles, and more than 10**7 for four."""
+    """Each circle is a component of its own, so the search never visits
+    the products of the circles' opens."""
     C = pseudocircle()
     for copies in (3, 4):
         result = cat(disjoint_union(*[C] * copies), Budget(10**4))
@@ -330,8 +264,7 @@ def test_cat_of_three_and_four_pseudocircles_within_a_small_budget():
 
 def test_secat_of_the_discrete_cover_of_three_pseudocircles():
     """The identity assignment from 12 discrete points onto three disjoint
-    pseudocircles: secat is cat of one circle, 2, within 10**3 nodes where
-    one scan of the whole target took 281,550."""
+    pseudocircles: secat is cat of one circle, 2, within 10**3 nodes."""
     Y = disjoint_union(*[pseudocircle()] * 3)
     result = secat(CMap(discrete_space(12), Y, range(12)), Budget(10**3))
     assert result.value == ExtNat(2)
@@ -339,7 +272,7 @@ def test_secat_of_the_discrete_cover_of_three_pseudocircles():
 
 
 # ---------------------------------------------------------------------------
-# the cover search over the maximal points against the scan and set cover
+# the cover search over the maximal points against the whole-space oracle
 
 
 def _on_every_component(space, accepts):
@@ -375,7 +308,7 @@ def _good_open_tests(space):
     return tests
 
 
-def test_cover_search_matches_the_scan_on_the_census():
+def test_cover_search_matches_the_oracle_on_the_census():
     """Every preorder of at most 4 points, T0 or not, under every test."""
     for space in census_up_to(4):
         for is_good, glue in _good_open_tests(space):
@@ -392,11 +325,11 @@ def posets(draw, max_points):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(preorders(8), posets(8)), st.data())
-def test_cover_search_matches_the_scan_on_preorders(space, data):
+def test_cover_search_matches_the_oracle_on_preorders(space, data):
     """Preorders of at most 8 points, T0 and not, under every test and under
     a test that accepts the opens inside one of up to three opens."""
     opens = data.draw(st.lists(st.sampled_from(brute_open_masks(space)), max_size=3))
-    inside = _inside_one_of(opens, set())
+    inside = _inside_one_of(opens)
     tests = _good_open_tests(space) + [
         (_on_every_component(space, lambda trace: inside(trace) is not None), True)]
     for is_good, glue in tests:
@@ -414,8 +347,9 @@ def _holds_at_most_two_tops(mask):
 
 def test_cover_search_on_a_fan_of_fourteen_tops():
     """Pairs of tops are good and triples bad, so the value is 7; the search
-    proves that 6 classes are too few within 10**5 nodes, where
-    whole_space_min_good_cover's scan and set cover run out of 10**6."""
+    proves that 6 classes are too few within 10**5 nodes (the colouring of
+    the maximal points that replaced a scan and set cover of the maximal good
+    opens, BENCH_31.json)."""
     cover, uncovered = min_good_cover(_fan(14), _holds_at_most_two_tops, Budget(10**5))
     assert uncovered is None and len(cover) == 7
     assert all(_holds_at_most_two_tops(mask) is not None for mask, _ in cover)
@@ -425,6 +359,15 @@ def test_cover_search_on_a_fan_of_eighteen_tops_runs_out_of_nodes():
     """An inconclusive search raises; it never returns its best cover so far."""
     with pytest.raises(BudgetExhausted):
         min_good_cover(_fan(18), _holds_at_most_two_tops, Budget(10_000))
+
+
+def test_cover_search_deeper_than_the_recursion_limit_runs_out_of_nodes():
+    """Classes of at most 500 of 1,100 tops: the branches go one level deeper
+    per top, past the interpreter's recursion limit (1,000 by default), and
+    the inconclusive search raises BudgetExhausted, not RecursionError."""
+    with pytest.raises(BudgetExhausted):
+        min_good_cover(_fan(1100), lambda mask: 0 if (mask >> 2).bit_count() <= 500 else None,
+                       Budget(10**5))
 
 
 def test_min_good_cover_of_the_empty_space():

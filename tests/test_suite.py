@@ -87,6 +87,22 @@ def test_violated_outcome_records_its_instance_as_witness():
     assert out == {"status": VIOLATED, "witness": [2, False, 4]}
 
 
+def test_fpp_iff_cp_identity_decides_fpp_without_has_cp(monkeypatch):
+    """The claim's FPP side does not come from has_cp, so a has_cp that
+    wrongly finds CP on the two discrete points (the swap fixes no point),
+    wherever it is read, makes the claim violated."""
+    payload = (discrete_space(2),)
+    assert _eval_task(("fpp_iff_cp_identity", payload, 10**4))["status"] == VERIFIED
+
+    def wrong_has_cp(X, Y, g, budget=None):
+        return coincidence.CoincidenceVerdict(None)
+
+    monkeypatch.setattr(coincidence, "has_cp", wrong_has_cp)
+    monkeypatch.setattr(suite, "has_cp", wrong_has_cp)
+    assert _eval_task(("fpp_iff_cp_identity", payload, 10**4)) == {
+        "status": VIOLATED, "witness": [[1, 2]]}
+
+
 def _concluding(monkeypatch, kind, conclusion):
     claim = Claim("concludes", "a stub claim", "none", kind, lambda *instance: conclusion)
     monkeypatch.setitem(CLAIMS_BY_ID, claim.id, claim)
