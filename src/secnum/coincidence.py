@@ -126,9 +126,8 @@ def has_cp(X: FinSpace, Y: FinSpace, g: CMap,
 
 def _cp_search(g: CMap, budget: Budget) -> CoincidenceVerdict:
     X, Y = g.source, g.target
-    # the same avoid masks as the bridge cover's test, which _bridge_cover
-    # replays this search for on the whole of X
-    f = first_lift(X, *_bridge_target(Y, 2), g.assignment, budget)
+    # the bridge cover's k = 2 test, which _bridge_cover replays on all of X
+    f = first_lift(X, Y, _avoid_masks(Y), g.assignment, budget)
     if f is None:
         return CoincidenceVerdict(None)
     return CoincidenceVerdict(_revalidate_witness(CMap(X, Y, f, validate=False), g))
@@ -178,19 +177,22 @@ class TheoremReport:
         }
 
 
+def _avoid_masks(Y: FinSpace) -> tuple[int, ...]:
+    """The bridge lemma's avoid masks for k = 2 (T is Y): every point but y."""
+    return tuple(Y.full_mask & ~(1 << y) for y in range(Y.n))
+
+
 @functools.lru_cache(maxsize=256)
 def _bridge_target(Y: FinSpace, k: int) -> tuple[FinSpace, tuple[int, ...]]:
-    """(T, avoid) of the bridge lemma for pi_{k,1}^Y, k >= 2: a lift of g
+    """(T, avoid) of the bridge lemma for pi_{k,1}^Y, k >= 3: a lift of g
     through pi_{k,1} over an open U is u -> (g(u),) + t(u) for a continuous
     t: U -> T with t(u) in avoid[g(u)] for every u, and conversely.
 
-    For k = 2, T is Y and avoid[y] holds every point but y; for k >= 3, T is
-    F(Y, k - 1) and avoid[y] holds its tuples that do not contain y.  For
+    T is F(Y, k - 1) and avoid[y] holds its tuples that do not contain y (for
+    k = 2, T is Y and the masks are _avoid_masks(Y), kept in no cache).  For
     k > |Y| every mask is 0, as F(Y, k) is empty, and nothing is built."""
     if k > Y.n:
         return Y, (0,) * Y.n
-    if k == 2:
-        return Y, tuple(Y.full_mask & ~(1 << y) for y in range(Y.n))
     T, _ = configuration_space(Y, k - 1)
     # the points of F(Y, k - 1) are the (k - 1)-permutations in
     # itertools.permutations order
@@ -203,8 +205,8 @@ def _bridge_target(Y: FinSpace, k: int) -> tuple[FinSpace, tuple[int, ...]]:
 
 def _bridge_cover(g: CMap, k: int, budget: Budget, cp=None):
     """cover.min_good_cover on the source X of g for relsec(pi_{k,1}^Y, g)
-    by the bridge lemma: ([(mask, t), ...], None) with t the assignment of
-    the lift into the T of _bridge_target on the open's points, or (None,
+    by the bridge lemma: ([(mask, t), ...], None) with t the witness the
+    open's test gave, the lift's assignment into T on its points, or (None,
     point) for a point in no good open.  X must be nonempty.  It tests and
     charges exactly as _relative_sec_lift(configuration_space(Y, k)[1], g)
     does: t(u) and (g(u),) + t(u) range over domains of equal size in the
@@ -213,8 +215,8 @@ def _bridge_cover(g: CMap, k: int, budget: Budget, cp=None):
     For k = 2 the test of the whole of X is the has_cp search itself; cp,
     when given, is (verdict, nodes) of that finished search, and the test
     replays its nodes and takes its witness instead of searching again."""
-    X, images = g.source, g.assignment
-    T, avoid = _bridge_target(g.target, k)
+    X, Y, images = g.source, g.target, g.assignment
+    T, avoid = (Y, _avoid_masks(Y)) if k == 2 else _bridge_target(Y, k)
 
     def is_good(mask: int):
         if cp is None or mask != X.full_mask:

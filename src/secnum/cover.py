@@ -65,14 +65,13 @@ _EQUATIONS = {
 
 
 def find_maximal_good_opens(space: FinSpace, is_good, budget: Budget, top: int):
-    """[(top, witness)] when the open top of space is good, that is when
-    is_good(top) returns a witness (not None), else []; charges one node."""
+    """is_good(top): the witness that the open top of space is good, or None
+    when it is not; charges one node."""
     # every good-open test goes through here: bench/tracer.py wraps this name
     # as the span cover.open_scan and reads is_good at args[1], and calling
     # is_good directly hid 1,416 tests from its cover.good_open.candidates
     budget.charge()
-    witness = is_good(top)
-    return [] if witness is None else [(top, witness)]
+    return is_good(top)
 
 
 def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
@@ -80,14 +79,15 @@ def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
     the tuple of those unions in the order the classes open.
 
     masks are good opens whose union is universe, and joinable(mask) is truthy
-    exactly when the open mask is good.  One mask is its own cover.
-    Otherwise a first-fit pass over masks in the given order (each joins the
-    first class whose union stays good, or opens a new one) bounds the value
-    above, and a greedy clique of masks whose pairwise unions are bad, or 2 if
-    universe itself is bad, bounds it below.  Branch-and-bound then puts each
-    mask in turn into every class whose union stays good, or into a new class
-    while that can still beat the best partition, charging budget one node per
-    branch; it stops at the first partition that meets the lower bound.
+    exactly when the open mask is good.  One mask is its own cover; with more
+    than one, universe must be bad.  Then a first-fit pass over masks in the
+    given order (each joins the first class whose union stays good, or opens
+    a new one) bounds the value above, and a greedy clique of masks whose
+    pairwise unions are bad, or 2, bounds it below.  Branch-and-bound then
+    puts each mask in turn into every class whose union stays good, or into a
+    new class while that can still beat the best partition, charging budget
+    one node per branch; it stops at the first partition that meets the
+    lower bound.
     """
     if len(masks) == 1:
         return tuple(masks)
@@ -99,7 +99,7 @@ def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
                 break
         else:
             best.append(m)
-    lower = 1 if joinable(universe) else 2
+    lower = 2
     if len(best) > lower:
         clique: list[int] = []
         for m in masks:
@@ -143,34 +143,32 @@ def exact_min_cover(universe: int, masks: list[int], budget: Budget, joinable):
 def min_good_cover(space: FinSpace, is_good, budget: Budget, glue: bool = True):
     """Minimum cover of the space by opens with a shrink-closed property.
 
-    Returns ([(mask, witness), ...], None), good opens with their is_good
-    witnesses, or (None, point) naming the lowest point that lies in no good
-    open.  A connected component is covered by itself when it is good, and
-    otherwise by exact_min_cover over the minimal opens U_m of one maximal
-    point m per top reach class; if some U_m is bad, the points in no good
-    open are the up-set of the x with U_x bad, so U_x is tested in index
-    order.  Each open is tested at most once, through find_maximal_good_opens.
-    With glue=False every good open lies inside one component, and the
-    component covers are concatenated.
-    With glue=True (the default) an open is good exactly when its trace on
-    every component is, and each is_good witness lists one value per point
-    of its open in ascending order; then the whole space is tested first,
-    and otherwise element j of the cover is the union of element j of each
-    component's cover, its witness the union of theirs.
+    Returns ([(mask, witness), ...], None), good opens each with the witness
+    is_good gave it, or (None, point) naming the lowest point that lies in no
+    good open.  A connected component is covered by itself when it is good,
+    and otherwise by exact_min_cover over the minimal opens U_m of one
+    maximal point m per top reach class; if some U_m is bad, the points in
+    no good open are the up-set of the x with U_x bad, so U_x is tested in
+    index order.  Each open is tested at most once, through
+    find_maximal_good_opens, whose witness or None one memo keeps.  With
+    glue=False every good open lies inside one component, and the component
+    covers are concatenated.  With glue=True (the default) an open is good
+    exactly when its trace on every component is, and each is_good witness
+    lists one value per point of its open in ascending order; then the whole
+    space is tested first, and otherwise element j of the cover is the union
+    of element j of each component's cover, its witness the union of theirs.
     """
-    tested: dict[int, list] = {}
+    tested: dict = {}  # mask -> its is_good witness, or None
 
-    def test(mask: int) -> list:
-        """[(mask, witness)] if the open mask is good, else []."""
+    def test(mask: int) -> bool:
+        """Whether the open mask is good."""
         if mask not in tested:
             tested[mask] = find_maximal_good_opens(space, is_good, budget, mask)
-        return tested[mask]
+        return tested[mask] is not None
 
     parts = connected_components(space)
-    if glue and len(parts) > 1:
-        whole = test(space.full_mask)
-        if whole:
-            return whole, None
+    if glue and len(parts) > 1 and test(space.full_mask):
+        return [(space.full_mask, tested[space.full_mask])], None
     rows, co = space.reach_rows, space.co_rows
     pending = []  # (component, the opens its classes are unions of)
     uncovered = None
@@ -200,7 +198,7 @@ def min_good_cover(space: FinSpace, is_good, budget: Budget, glue: bool = True):
                 good |= rows[x]
     if uncovered is not None:
         return None, uncovered
-    covers = [[test(mask)[0] for mask in exact_min_cover(part, opens, budget, test)]
+    covers = [[(mask, tested[mask]) for mask in exact_min_cover(part, opens, budget, test)]
               for part, opens in pending]
     if glue and len(covers) > 1:
         return [_glue(pieces) for pieces in zip_longest(*covers)], None
@@ -345,15 +343,15 @@ class CoverResult:
         }
 
 
-def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget,
-                  glue: bool = True) -> CoverResult:
+def _cover_result(base: FinSpace, mode: str, is_good, context, budget: Budget) -> CoverResult:
     """Cover result from is_good witnesses, which are assignments on the
     open's points into the source of context[0]; the certificate keeps the
-    chosen (mask, witness) pairs as they are."""
+    chosen (mask, witness) pairs as they are.  Witnesses glue in every mode
+    but MODE_CONTRACTION, whose good opens lie inside one component."""
     context = tuple(context)
     if base.n == 0:
         return CoverResult(ExtNat(1), certificate=CoverCertificate(mode, base, (), context))
-    chosen, uncovered = min_good_cover(base, is_good, budget, glue)
+    chosen, uncovered = min_good_cover(base, is_good, budget, mode != MODE_CONTRACTION)
     if chosen is None:
         return CoverResult(INF, uncovered_point=uncovered)
     return CoverResult(ExtNat(len(chosen)),

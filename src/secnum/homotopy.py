@@ -323,4 +323,4 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CoverResult:
         return None if point is None else (point,) * mask.bit_count()
 
     return shared_search(("cat", X), budget, lambda: _cover_result(
-        X, MODE_CONTRACTION, contraction, (identity_map(X),), budget, glue=False))
+        X, MODE_CONTRACTION, contraction, (identity_map(X),), budget))

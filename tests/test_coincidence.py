@@ -346,6 +346,21 @@ def test_bridge_route_builds_nothing_past_the_target():
         configuration_space(Y, 7)
 
 
+def test_cp_searches_evict_no_bridge_target():
+    """has_cp builds its avoid masks uncached, so CP searches on more targets
+    than _bridge_target holds leave its key-lemma k = 3 entry in place."""
+    Y = discrete_space(3)
+    check_key_lemma(Y, Y, identity_map(Y), 3)  # puts _bridge_target(Y, 3) in the cache
+    before = coincidence._bridge_target.cache_info()
+    point = make_space(1, [])
+    for n in range(1, before.maxsize + 10):
+        target = discrete_space(n)
+        has_cp(point, target, constant_map(point, target, 0))
+    assert coincidence._bridge_target.cache_info() == before
+    coincidence._bridge_target(Y, 3)
+    assert coincidence._bridge_target.cache_info().misses == before.misses
+
+
 # ---------------------------------------------------------------------------
 # one CP search per pi_{2,1} check
 

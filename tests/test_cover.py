@@ -112,9 +112,16 @@ def small_spaces_or_unions():
 
 def _assert_split_matches_whole_space(space, is_good, glue=True):
     """Same value and same uncovered point as whole_space_min_good_cover, a
-    set cover of the maximal good opens of the whole space, and a cover of
-    the space by good opens."""
-    split, split_point = min_good_cover(space, is_good, Budget(), glue=glue)
+    set cover of the maximal good opens of the whole space, a cover of the
+    space by good opens, and no open handed to is_good twice."""
+    asked = []
+
+    def recorded(mask):
+        asked.append(mask)
+        return is_good(mask)
+
+    split, split_point = min_good_cover(space, recorded, Budget(), glue=glue)
+    assert len(asked) == len(set(asked))
     whole, whole_point = whole_space_min_good_cover(space, is_good, Budget())
     assert split_point == whole_point
     assert (split is None) == (whole is None)

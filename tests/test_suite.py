@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from secnum import coincidence, cover, homotopy, resources, sectional, suite
+from secnum import census, coincidence, cover, homotopy, resources, sectional, suite
 from secnum.coincidence import TheoremReport, check_remark
 from secnum.extnat import ExtNat
 from secnum.finspace import (
@@ -66,6 +66,18 @@ def test_readme_claim_table_matches_registry():
         claim = CLAIMS_BY_ID[claim_id]
         assert kind == claim.kind, claim_id
         assert text.startswith(claim.statement), claim_id
+
+
+def test_readme_census_counts_match_the_census_module():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    note = re.search(r"preorders on up to (\d+) points up to isomorphism\s+\(([\d,\s]+) spaces"
+                     r" for sizes 1\.\.(\d+); posets: ([\d,\s]+)\)", readme)
+    assert note is not None
+    top, preorders, sizes_top, posets = note.groups()
+    assert int(top) == int(sizes_top) == census.CENSUS_HARD_MAX
+    sizes = range(1, census.CENSUS_HARD_MAX + 1)
+    assert [int(c) for c in preorders.split(",")] == [census.KNOWN_PREORDER_COUNTS[n] for n in sizes]
+    assert [int(c) for c in posets.split(",")] == [census.KNOWN_POSET_COUNTS[n] for n in sizes]
 
 
 def test_sierpinski_boundary_is_inconclusive_on_a_tiny_budget():
