@@ -94,6 +94,20 @@ class FinSpace:
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "_hash", hash((n, rows)))
 
+    @classmethod
+    def _from_rows(cls, reach_rows, co_rows) -> FinSpace:
+        """The space with these reach rows, given with their transpose, which
+        the caller vouches for; nothing is checked or recomputed."""
+        self = object.__new__(cls)
+        rows = tuple(reach_rows)
+        n = len(rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "reach_rows", rows)
+        object.__setattr__(self, "co_rows", tuple(co_rows))
+        object.__setattr__(self, "full_mask", (1 << n) - 1)
+        object.__setattr__(self, "_hash", hash((n, rows)))
+        return self
+
     def __setattr__(self, key, value):
         raise AttributeError("FinSpace is immutable")
 
@@ -355,27 +369,43 @@ def _tuple_space(factors, points) -> FinSpace:
     Point t reaches point t' exactly when t'[i] lies in U_{t[i]} for every
     coordinate i.  So with below[i][a] the mask of the points whose i-th
     coordinate lies in U_a (an OR of coordinate fibers), the row of t is the
-    AND of below[i][t[i]] over its coordinates: O(N*k + n*n*k) big-int
-    operations for N points of k coordinates, where testing every pair of
-    points would take O(N*N*k).
+    AND of below[i][t[i]] over its coordinates.  Dually, with above[i][a] the
+    mask of the points whose i-th coordinate c has a in U_c (the OR of the
+    fibers over the co row of a), the co row of t is the AND of
+    above[i][t[i]].  Both take O(N*k + n*n*k) big-int operations for N points
+    of k coordinates, where testing every pair of points would take
+    O(N*N*k), and the co rows need no walk over the bits of every row.
     """
-    belows = []
+    belows, aboves = [], []
     for factor, coordinates in zip(factors, zip(*points)):
         fibers = fiber_masks(coordinates, factor.n)
-        below = []
-        for row, fiber in zip(factor.reach_rows, fibers):
-            acc = 0
+        below, above = [], []
+        for row, co_row, fiber in zip(factor.reach_rows, factor.co_rows, fibers):
+            down = up = 0
             while fiber and row:  # below[a] is read only where some t[i] is a
                 low = row & -row
-                acc |= fibers[low.bit_length() - 1]
+                down |= fibers[low.bit_length() - 1]
                 row ^= low
-            below.append(acc)
+            while fiber and co_row:  # and so is above[a]
+                low = co_row & -co_row
+                up |= fibers[low.bit_length() - 1]
+                co_row ^= low
+            below.append(down)
+            above.append(up)
         belows.append(below)
-    if len(belows) == 1:  # a subspace: the row of t is below[t[0]]
-        rows = [belows[0][a] for a, in points]
+        aboves.append(above)
+    if len(belows) == 1:  # a subspace: the rows of t are below[t[0]] and above[t[0]]
+        (below,), (above,) = belows, aboves
+        rows = [below[a] for a, in points]
+        co = [above[a] for a, in points]
+    elif len(belows) == 2:
+        (below0, below1), (above0, above1) = belows, aboves
+        rows = [below0[a] & below1[b] for a, b in points]
+        co = [above0[a] & above1[b] for a, b in points]
     else:
         rows = [functools.reduce(operator.and_, map(list.__getitem__, belows, t)) for t in points]
-    return FinSpace(rows, validate=False)
+        co = [functools.reduce(operator.and_, map(list.__getitem__, aboves, t)) for t in points]
+    return FinSpace._from_rows(rows, co)
 
 
 @functools.lru_cache(maxsize=512)

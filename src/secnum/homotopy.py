@@ -15,11 +15,16 @@ procedures against each other.
 
 A collapse is a decision about points, so core reduction runs on a point mask
 of the ambient space and builds one subspace, the final core; a core's stages
-are the collapsed pairs of points.  One search decides whether a map is
+are the collapsed pairs of points.  The scan does not restart after a
+collapse of x: it tests again only the points comparable with x, the only
+ones whose strict up- and down-sets, and so whose removability and lowest
+partner, the collapse changed, so it finds the stages of a rescan from the
+lowest point, in the same order.  One search decides whether a map is
 nullhomotopic, for nullhomotopy_target and for cat's good-open test (the
 inclusion of an open): it reduces the map's domain to its core mask and runs
 the fence search from that mask into the core of the target, so no subspace
-is built per open, and only whole targets go through the core cache.  cat
+is built per open, and only whole targets go through the core cache; an
+open that is the whole space takes its core mask from that cached core.  cat
 answers with a cover.CoverResult whose witnesses are constant maps.
 """
 
@@ -90,22 +95,6 @@ class Core:
     stages: tuple[tuple[int, int], ...]
 
 
-def _find_collapse(space: FinSpace, mask: int):
-    """First removable pair (x, y) of the subspace on the points of mask, both
-    scanned in ascending order: collapsing x onto y is continuous and the two
-    points are reach-comparable, so the collapse is a deformation retract."""
-    rows, co = space.reach_rows, space.co_rows
-    for x in _bits(mask):
-        others = mask & ~(1 << x)
-        strict_down = rows[x] & others
-        strict_up = co[x] & others
-        for y in _bits(strict_down | strict_up):
-            if strict_down & ~rows[y] or strict_up & ~co[y]:
-                continue
-            return x, y
-    return None
-
-
 def _core_mask(space: FinSpace, mask: int):
     """Core of the subspace on the points of mask, by collapses on points of
     the space; no subspace is built.
@@ -113,15 +102,45 @@ def _core_mask(space: FinSpace, mask: int):
     Returns (core mask, retraction, stages): retraction[p] is the core point
     that p retracts to, for every p in mask, and stages lists the collapses
     (x, y) in order.  These are the collapses of the search on
-    subspace_of_mask(space, mask), renamed to points of the space.
+    subspace_of_mask(space, mask), renamed to points of the space: each stage
+    collapses the lowest removable x onto its lowest partner y, a point
+    reach-comparable with x whose down-set holds the strict down-set of x and
+    whose up-set holds its strict up-set, so that sending x to y is
+    continuous and a deformation retract.
+
+    The scan keeps a mask of the points not yet shown unremovable and tests
+    them lowest first.  Removing x changes the strict up- and down-sets, and
+    so the removability and the lowest partner, only of the points comparable
+    with x, so after a collapse only those are put back; every other point
+    keeps its verdict, and the stages are those of a rescan from the lowest
+    point after every collapse.  The retraction follows from the stages by
+    one pass over them in reverse: x goes where its partner y goes.
     """
-    retraction = list(range(space.n))
+    rows, co = space.reach_rows, space.co_rows
     stages = []
-    while (pair := _find_collapse(space, mask)) is not None:
-        x, y = pair
-        mask &= ~(1 << x)
-        stages.append(pair)
-        retraction = [y if p == x else p for p in retraction]
+    pending = mask
+    while pending:
+        b = pending & -pending
+        x = b.bit_length() - 1
+        others = mask ^ b
+        strict_down = rows[x] & others
+        strict_up = co[x] & others
+        partners = strict_down | strict_up
+        while partners:  # lowest first; the else runs when none is left
+            low = partners & -partners
+            y = low.bit_length() - 1
+            if not (strict_down & ~rows[y] or strict_up & ~co[y]):
+                break
+            partners ^= low
+        else:
+            pending ^= b
+            continue
+        mask = others
+        pending = (pending | rows[x] | co[x]) & others
+        stages.append((x, y))
+    retraction = list(range(space.n))
+    for x, y in reversed(stages):
+        retraction[x] = retraction[y]
     return mask, retraction, tuple(stages)
 
 
@@ -276,10 +295,14 @@ def _constant_in_component(source: FinSpace, mask: int, images, target: FinSpace
     """A point c of target such that the map sending each point p of mask to
     images[p] is homotopic to the constant at c, or None.  The fence search
     runs from the core mask of the domain, its images retracted onto the core
-    of target, until it meets a constant map."""
+    of target, until it meets a constant map.  When the domain is the whole
+    of target, its core mask is read from core(target)."""
     t_core = core(target)
     retraction = t_core.retraction.assignment
-    cmask = _core_mask(source, mask)[0]
+    if source == target and mask == source.full_mask:
+        cmask = t_core.inclusion.image_mask()
+    else:
+        cmask = _core_mask(source, mask)[0]
     start = tuple(retraction[images[p]] for p in _bits(cmask))
     found, _ = _component_bfs(source, t_core.space, start, budget, mask=cmask,
                               stop=lambda t: len(set(t)) == 1)

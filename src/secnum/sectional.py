@@ -59,15 +59,18 @@ def _homotopy_section_test(f: CMap, budget: Budget):
     into core(Y) lifts strictly through the composite of f with the
     retraction of Y onto its core.  Then s(u) = lift(r(u)), where r retracts
     U onto its core.  core(Y), its retraction and the fibers of the composite
-    are fixed for the whole search, so they are computed once.
+    are fixed for the whole search, so they are computed once, and the core
+    mask and retraction of U = Y are read from core(Y).
     """
     Y, E = f.target, f.source
     y_core = core(Y)
     retraction = y_core.retraction.assignment
     fibers = fiber_masks([retraction[fy] for fy in f.assignment], y_core.space.n)
+    inclusion = y_core.inclusion
+    whole = (inclusion.image_mask(), [inclusion.assignment[c] for c in retraction])
 
     def is_good(mask: int) -> tuple[int, ...] | None:
-        cmask, r, _ = _core_mask(Y, mask)
+        cmask, r = whole if mask == Y.full_mask else _core_mask(Y, mask)[:2]
         points = list(_bits(cmask))
         start = tuple(retraction[p] for p in points)
         images = [0] * Y.n

@@ -8,7 +8,8 @@ Constructed spaces come from testing every pair of points, and the closure
 of generator pairs from a graph search from every point.  The subspace
 route of core reduction and of the cat and secat good-open tests (one
 subspace per collapse and per candidate open) is kept as the check of the
-library's point-mask route, the recursive map search as the check of the
+library's point-mask route, the restart-from-scratch collapse scan as the
+check of the incremental one, the recursive map search as the check of the
 explicit-stack one, and a cover pipeline on the whole space (its maximal
 good opens by the list-sort-scan and an exact set cover of them) as the
 check of the colouring of maximal points that covers each connected
@@ -105,6 +106,35 @@ def brute_nullhomotopic_inclusion(space, mask):
     return any(
         components[(c,) * sub.n] == inc_label for c in range(space.n)
     )
+
+
+def _find_collapse(space, mask):
+    """First removable pair (x, y) of the subspace on the points of mask, both
+    scanned in ascending order."""
+    rows, co = space.reach_rows, space.co_rows
+    for x in _bits(mask):
+        others = mask & ~(1 << x)
+        strict_down = rows[x] & others
+        strict_up = co[x] & others
+        for y in _bits(strict_down | strict_up):
+            if strict_down & ~rows[y] or strict_up & ~co[y]:
+                continue
+            return x, y
+    return None
+
+
+def rescan_core_mask(space, mask):
+    """homotopy._core_mask by a scan that restarts from the lowest point after
+    every collapse and moves the retraction along at each stage: the same
+    (core mask, retraction, stages)."""
+    retraction = list(range(space.n))
+    stages = []
+    while (pair := _find_collapse(space, mask)) is not None:
+        x, y = pair
+        mask &= ~(1 << x)
+        stages.append(pair)
+        retraction = [y if p == x else p for p in retraction]
+    return mask, retraction, tuple(stages)
 
 
 def _subspace_find_collapse(space):

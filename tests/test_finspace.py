@@ -791,3 +791,38 @@ def test_space_equality_and_pickle():
     assert pickle.loads(pickle.dumps(s1)) == s1
     f = make_map(s1, s1, [1, 1])
     assert pickle.loads(pickle.dumps(f)) == f
+
+
+def _tuple_spaces(X):
+    """Every tuple-space constructor applied to X: products with X and the
+    Sierpinski space, pullbacks along maps into X (one of them empty),
+    configuration spaces for k = 2, 3 and k > n, subspaces on the empty and
+    the full mask, and the core."""
+    from secnum.homotopy import core
+
+    pt = discrete_space(1)
+    spaces = [product(X, X)[0], product(X, sierpinski())[0], product(pseudocircle(), X)[0]]
+    to_x = [constant_map(pt, X, X.n - 1), identity_map(X),
+            product(X, sierpinski())[1], CMap(discrete_space(X.n), X, range(X.n))]
+    for p in to_x:
+        for g in to_x:
+            spaces.append(pullback(p, g)[0])
+    two = discrete_space(2)
+    empty = pullback(constant_map(pt, two, 0), CMap(X, two, [1] * X.n))[0]
+    assert empty.n == 0
+    spaces.append(empty)
+    spaces += [configuration_space(X, k)[0] for k in (2, 3, X.n + 1)]
+    spaces += [subspace_of_mask(X, 0)[0], subspace_of_mask(X, X.full_mask)[0]]
+    spaces.append(core(X).space)
+    return spaces
+
+
+def test_tuple_spaces_build_the_transpose_of_their_rows():
+    """The co rows that the tuple-space constructors build by ANDs are the
+    transpose of the reach rows, and survive a pickle round trip."""
+    import pickle
+
+    for X in census_up_to(3) + [pseudocircle()]:
+        for space in _tuple_spaces(X):
+            assert space.co_rows == brute_co_rows(space.reach_rows)
+            assert pickle.loads(pickle.dumps(space)).co_rows == space.co_rows

@@ -49,6 +49,7 @@ from oracles import (
     continuous_maps,
     outcome_and_nodes,
     preorders,
+    rescan_core_mask,
     subspace_contraction_point,
     subspace_core,
     subspace_homotopy_section_witness,
@@ -309,6 +310,31 @@ def test_mask_routes_match_the_subspace_routes_on_the_census():
             if mask:
                 _assert_core_routes_agree(space, mask)
                 _assert_good_open_routes_agree(space, mask, maps)
+
+
+def test_core_scan_matches_the_rescan_on_every_census_mask():
+    """The incremental scan finds the stages, core mask and retraction of
+    the scan that restarts after every collapse, on every mask, open or not,
+    of every census space of at most 4 points."""
+    for space in census_up_to(4, include_empty=True):
+        for mask in range(1 << space.n):
+            assert _core_mask(space, mask) == rescan_core_mask(space, mask)
+
+
+@st.composite
+def posets(draw, max_points):
+    """Closures of random relations i -> j with i < j, so T0."""
+    n = draw(st.integers(1, max_points))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return make_space(n, [(min(i, j), max(i, j)) for i, j in pairs if i != j])
+
+
+@settings(max_examples=300)
+@given(st.one_of(posets(8), preorders(8)), st.data())
+def test_core_scan_matches_the_rescan_on_random_masks(space, data):
+    for mask in data.draw(st.lists(st.integers(0, space.full_mask), min_size=1, max_size=8)):
+        assert _core_mask(space, mask) == rescan_core_mask(space, mask)
 
 
 @st.composite
