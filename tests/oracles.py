@@ -13,8 +13,8 @@ check of the incremental one, the recursive map search as the check of the
 explicit-stack one, and a cover pipeline on the whole space (its maximal
 good opens by the list-sort-scan and an exact set cover of them) as the
 check of the colouring of maximal points that covers each connected
-component on its own.  The module also holds the random-preorder and
-disjoint-union strategies that the property tests share.
+component on its own.  The module also holds the random-preorder,
+random-poset and disjoint-union strategies that the property tests share.
 """
 
 import itertools
@@ -622,6 +622,14 @@ def preorders(draw, max_points, min_points=1):
     n = draw(st.integers(min_points, max_points))
     point = st.integers(0, n - 1)
     return make_space(n, draw(st.lists(st.tuples(point, point), max_size=2 * n)))
+
+
+@st.composite
+def posets(draw, max_points):
+    """T0 preorders: closures of random relations that only go downwards."""
+    n = draw(st.integers(1, max_points))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return make_space(n, [(a, b) for a, b in pairs if a > b])
 
 
 @st.composite

@@ -33,6 +33,7 @@ from oracles import (
     disjoint_union,
     disjoint_union_map,
     outcome_and_nodes,
+    posets,
     preorder_families,
     preorders,
     relabel,
@@ -320,14 +321,6 @@ def test_cover_search_matches_the_oracle_on_the_census():
     for space in census_up_to(4):
         for is_good, glue in _good_open_tests(space):
             _assert_split_matches_whole_space(space, is_good, glue)
-
-
-@st.composite
-def posets(draw, max_points):
-    """T0 preorders: closures of random relations that only go downwards."""
-    n = draw(st.integers(1, max_points))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
-    return make_space(n, [(a, b) for a, b in pairs if a > b])
 
 
 @settings(max_examples=200, deadline=None)

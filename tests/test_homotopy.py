@@ -48,6 +48,7 @@ from oracles import (
     brute_open_masks,
     continuous_maps,
     outcome_and_nodes,
+    posets,
     preorders,
     rescan_core_mask,
     subspace_contraction_point,
@@ -319,15 +320,6 @@ def test_core_scan_matches_the_rescan_on_every_census_mask():
     for space in census_up_to(4, include_empty=True):
         for mask in range(1 << space.n):
             assert _core_mask(space, mask) == rescan_core_mask(space, mask)
-
-
-@st.composite
-def posets(draw, max_points):
-    """Closures of random relations i -> j with i < j, so T0."""
-    n = draw(st.integers(1, max_points))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=2 * n))
-    return make_space(n, [(min(i, j), max(i, j)) for i, j in pairs if i != j])
 
 
 @settings(max_examples=300)
