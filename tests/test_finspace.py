@@ -37,6 +37,7 @@ from secnum.finspace import (
     subspace,
     subspace_of_mask,
 )
+from secnum.homotopy import core
 from secnum.resources import Budget, BudgetExhausted, LimitExceeded
 
 from oracles import (
@@ -798,8 +799,6 @@ def _tuple_spaces(X):
     Sierpinski space, pullbacks along maps into X (one of them empty),
     configuration spaces for k = 2, 3 and k > n, subspaces on the empty and
     the full mask, and the core."""
-    from secnum.homotopy import core
-
     pt = discrete_space(1)
     spaces = [product(X, X)[0], product(X, sierpinski())[0], product(pseudocircle(), X)[0]]
     to_x = [constant_map(pt, X, X.n - 1), identity_map(X),
