@@ -361,9 +361,9 @@ def iter_open_masks(space: FinSpace, budget: Budget):
         stack.append((taken, forbidden | co_rows[x]))
 
 
-def _tuple_space(factors, points) -> FinSpace:
-    """Subspace of the product of factors on the given points, which are
-    tuples with one coordinate per factor, in the order given; reach is
+def _tuple_space(factors, columns) -> FinSpace:
+    """Subspace of the product of factors on the points whose coordinates in
+    factor i are listed, in point order, by columns[i]; reach is
     componentwise.
 
     Point t reaches point t' exactly when t'[i] lies in U_{t[i]} for every
@@ -377,7 +377,7 @@ def _tuple_space(factors, points) -> FinSpace:
     O(N*N*k), and the co rows need no walk over the bits of every row.
     """
     belows, aboves = [], []
-    for factor, coordinates in zip(factors, zip(*points)):
+    for factor, coordinates in zip(factors, columns):
         fibers = fiber_masks(coordinates, factor.n)
         below, above = [], []
         for row, co_row, fiber in zip(factor.reach_rows, factor.co_rows, fibers):
@@ -394,15 +394,16 @@ def _tuple_space(factors, points) -> FinSpace:
             above.append(up)
         belows.append(below)
         aboves.append(above)
-    if len(belows) == 1:  # a subspace: the rows of t are below[t[0]] and above[t[0]]
-        (below,), (above,) = belows, aboves
-        rows = [below[a] for a, in points]
-        co = [above[a] for a, in points]
-    elif len(belows) == 2:
-        (below0, below1), (above0, above1) = belows, aboves
-        rows = [below0[a] & below1[b] for a, b in points]
-        co = [above0[a] & above1[b] for a, b in points]
+    if len(columns) == 1:  # a subspace: the rows of t are below[t[0]] and above[t[0]]
+        (below,), (above,), (coordinates,) = belows, aboves, columns
+        rows = list(map(below.__getitem__, coordinates))
+        co = list(map(above.__getitem__, coordinates))
+    elif len(columns) == 2:
+        (below0, below1), (above0, above1), (first, second) = belows, aboves, columns
+        rows = [below0[a] & below1[b] for a, b in zip(first, second)]
+        co = [above0[a] & above1[b] for a, b in zip(first, second)]
     else:
+        points = list(zip(*columns))
         rows = [functools.reduce(operator.and_, map(list.__getitem__, belows, t)) for t in points]
         co = [functools.reduce(operator.and_, map(list.__getitem__, aboves, t)) for t in points]
     return FinSpace._from_rows(rows, co)
@@ -412,14 +413,13 @@ def _tuple_space(factors, points) -> FinSpace:
 def product(a: FinSpace, b: FinSpace):
     """Product space with componentwise reach; returns (space, proj_a, proj_b).
 
-    Points are the pairs (i, j) in lexicographic order, index i * b.n + j.
-    """
+    Points are the pairs (i, j) in lexicographic order, index i * b.n + j,
+    and the projections' assignments are the coordinate columns."""
     check_product(a.n * b.n)
-    n = a.n * b.n
-    space = _tuple_space((a, b), list(itertools.product(range(a.n), range(b.n))))
-    proj_a = CMap(space, a, (i // b.n for i in range(n)), validate=False)
-    proj_b = CMap(space, b, (i % b.n for i in range(n)), validate=False)
-    return space, proj_a, proj_b
+    first = [i for i in range(a.n) for _ in range(b.n)]
+    second = list(range(b.n)) * a.n
+    space = _tuple_space((a, b), (first, second))
+    return space, CMap(space, a, first, validate=False), CMap(space, b, second, validate=False)
 
 
 def subspace(space: FinSpace, points):
@@ -433,7 +433,7 @@ def subspace(space: FinSpace, points):
     for p in pts:
         if not 0 <= p < space.n:
             raise ValueError(f"point {p} out of range")
-    sub = _tuple_space((space,), [(p,) for p in pts])
+    sub = _tuple_space((space,), (pts,))
     return sub, CMap(sub, space, pts, validate=False)
 
 
@@ -447,20 +447,20 @@ def pullback(p: CMap, g: CMap):
     Points are the pairs (x, e) with g(x) = p(e), ordered lexicographically;
     reach is componentwise, and each row is the AND of a mask over x and a
     mask over e (see _tuple_space).  Returns (space, to_base, to_total) where
-    to_base: P -> X is the pulled-back map g*(p) and to_total: P -> E.
-    The point cap counts the pairs, the sum over x of |p^-1(g(x))|, before
-    any is listed.
-    """
+    to_base: P -> X is the pulled-back map g*(p) and to_total: P -> E, whose
+    assignments are the x and e columns.  The point cap counts the pairs, the
+    sum over x of |p^-1(g(x))|, before any is listed."""
     if p.target != g.target:
         raise ValueError("pullback needs p and g to share their target")
     X, E = g.source, p.source
     fibers = fiber_masks(p.assignment, p.target.n)
     check_product(sum(fibers[b].bit_count() for b in g.assignment))
-    pairs = [(x, e) for x, b in enumerate(g.assignment) for e in _bits(fibers[b])]
-    space = _tuple_space((X, E), pairs)
-    to_base = CMap(space, X, (x for x, _ in pairs), validate=False)
-    to_total = CMap(space, E, (e for _, e in pairs), validate=False)
-    return space, to_base, to_total
+    xs, es = [], []  # the columns, in one pass over the fibers
+    for x, fiber in enumerate([fibers[b] for b in g.assignment]):
+        xs += [x] * fiber.bit_count()
+        es += _bits(fiber)
+    space = _tuple_space((X, E), (xs, es))
+    return space, CMap(space, X, xs, validate=False), CMap(space, E, es, validate=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -471,10 +471,9 @@ def configuration_space(space: FinSpace, k: int):
     projection pi_{k,1}; for k = 1 it is the space itself with the identity.
     Points are the k-permutations of the points in itertools.permutations
     order, and each row is the AND of one mask per coordinate (see
-    _tuple_space).  The point cap counts the n!/(n-k)! configurations.  For
-    k > n the space is empty, and it is returned before anything of size k
-    is made, so any such k costs O(1).
-    """
+    _tuple_space, on the transposed permutations).  The point cap counts the
+    n!/(n-k)! configurations.  For k > n the space is empty, and it is
+    returned before anything of size k is made, so any such k costs O(1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
@@ -483,9 +482,9 @@ def configuration_space(space: FinSpace, k: int):
         empty = FinSpace((), validate=False)
         return empty, CMap(empty, space, (), validate=False)
     check_product(math.perm(space.n, k))
-    tuples = list(itertools.permutations(range(space.n), k))
-    conf = _tuple_space((space,) * k, tuples)
-    return conf, CMap(conf, space, (t[0] for t in tuples), validate=False)
+    columns = list(zip(*itertools.permutations(range(space.n), k)))
+    conf = _tuple_space((space,) * k, columns)
+    return conf, CMap(conf, space, columns[0], validate=False)
 
 
 # ---------------------------------------------------------------------------

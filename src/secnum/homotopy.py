@@ -21,10 +21,10 @@ ones whose strict up- and down-sets, and so whose removability and lowest
 partner, the collapse changed, so it finds the stages of a rescan from the
 lowest point, in the same order.  One search decides whether a map is
 nullhomotopic, for nullhomotopy_target and for cat's good-open test (the
-inclusion of an open): it reduces the map's domain to its core mask and runs
-the fence search from that mask into the core of the target, so no subspace
-is built per open, and only whole targets go through the core cache; an
-open that is the whole space takes its core mask from that cached core.  cat
+inclusion of an open): it reduces the target to its core mask once per
+search and each domain to its own, and runs the fence search from the one
+mask into the other, so it builds no space at all; the core cache serves
+the public callers (homotopic, homotopy_fence, is_contractible).  cat
 answers with a cover.CoverResult whose witnesses are constant maps.
 """
 
@@ -189,15 +189,19 @@ def _component_bfs(
     budget: Budget,
     stop=None,
     mask: int | None = None,
+    target_mask: int | None = None,
 ):
-    """BFS over the comparability graph of continuous maps src -> tgt, or from
-    the subspace of src on the points of mask without building it; maps are
-    tuples as iter_assignments yields them.
-
-    stop(t) may end the search early; returns (found_tuple_or_None, parents),
-    where parents maps each visited tuple to the one it was reached from.
-    """
+    """BFS over the comparability graph of continuous maps src -> tgt, or
+    between the subspaces on the points of mask and of target_mask without
+    building them; maps are tuples as iter_assignments yields them.  Subspaces
+    keep their points in ascending order, so with the target rows cut to
+    target_mask this is the search into subspace_of_mask(tgt, target_mask),
+    renamed to points of tgt.  stop(t) may end the search early; returns
+    (found_tuple_or_None, parents), parents mapping each visited tuple to the
+    one it was reached from."""
     rows, co = tgt.reach_rows, tgt.co_rows
+    if target_mask is not None:  # once per search; every domain then lies in it
+        rows, co = [r & target_mask for r in rows], [c & target_mask for c in co]
     points = list(_bits(src.full_mask if mask is None else mask))
     domains = [0] * src.n  # entries outside mask are ignored
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
@@ -290,23 +294,24 @@ def homotopy_fence(f: CMap, g: CMap, budget: Budget | int | None = None) -> Fenc
     return Fence(tuple(maps))
 
 
-def _constant_in_component(source: FinSpace, mask: int, images, target: FinSpace,
-                           budget: Budget) -> int | None:
-    """A point c of target such that the map sending each point p of mask to
-    images[p] is homotopic to the constant at c, or None.  The fence search
-    runs from the core mask of the domain, its images retracted onto the core
-    of target, until it meets a constant map.  When the domain is the whole
-    of target, its core mask is read from core(target)."""
-    t_core = core(target)
-    retraction = t_core.retraction.assignment
-    if source == target and mask == source.full_mask:
-        cmask = t_core.inclusion.image_mask()
-    else:
-        cmask = _core_mask(source, mask)[0]
-    start = tuple(retraction[images[p]] for p in _bits(cmask))
-    found, _ = _component_bfs(source, t_core.space, start, budget, mask=cmask,
-                              stop=lambda t: len(set(t)) == 1)
-    return None if found is None else t_core.inclusion(found[0])
+def _constant_in_component(target: FinSpace, budget: Budget):
+    """constant(source, images, mask): the assignment on the points of mask
+    of a constant map homotopic to the map sending each such point p to
+    images[p] in target, or None.  The core mask and retraction of target
+    are computed once; each search runs from the core mask of the domain
+    (that of target when the domain is the whole of target), its images
+    retracted, into the core mask of target until it meets a constant map."""
+    t_mask, retraction, _ = _core_mask(target, target.full_mask)
+
+    def constant(source: FinSpace, images, mask: int) -> tuple[int, ...] | None:
+        whole = source == target and mask == source.full_mask
+        cmask = t_mask if whole else _core_mask(source, mask)[0]
+        start = tuple(retraction[images[p]] for p in _bits(cmask))
+        found, _ = _component_bfs(source, target, start, budget, mask=cmask,
+                                  target_mask=t_mask, stop=lambda t: len(set(t)) == 1)
+        return None if found is None else (found[0],) * mask.bit_count()
+
+    return constant
 
 
 def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | None:
@@ -314,7 +319,8 @@ def nullhomotopy_target(f: CMap, budget: Budget | int | None = None) -> int | No
     budget = Budget.ensure(budget)
     if f.source.n == 0:
         return 0 if f.target.n else None
-    return _constant_in_component(f.source, f.source.full_mask, f.assignment, f.target, budget)
+    found = _constant_in_component(f.target, budget)(f.source, f.assignment, f.source.full_mask)
+    return None if found is None else found[0]
 
 
 def is_contractible(X: FinSpace) -> bool:
@@ -322,10 +328,10 @@ def is_contractible(X: FinSpace) -> bool:
     return X.n > 0 and core(X).space.n == 1
 
 
-def _contraction_point(X: FinSpace, mask: int, budget: Budget) -> int | None:
-    """A point c such that the inclusion of the open on mask is homotopic
-    within X to the constant map at c, or None."""
-    return _constant_in_component(X, mask, range(X.n), X, budget)
+def _contraction_test(X: FinSpace, budget: Budget):
+    """cat's is_good: the opens of X whose inclusion is homotopic within X
+    to a constant map, witnessed by that map's assignment."""
+    return functools.partial(_constant_in_component(X, budget), X, range(X.n))
 
 
 def cat(X: FinSpace, budget: Budget | int | None = None) -> CoverResult:
@@ -340,10 +346,5 @@ def cat(X: FinSpace, budget: Budget | int | None = None) -> CoverResult:
     degenerate value 1 by the empty-cover convention.
     """
     budget = Budget.ensure(budget)
-
-    def contraction(mask: int) -> tuple[int, ...] | None:
-        point = _contraction_point(X, mask, budget)
-        return None if point is None else (point,) * mask.bit_count()
-
     return shared_search(("cat", X), budget, lambda: _cover_result(
-        X, MODE_CONTRACTION, contraction, (identity_map(X),), budget))
+        X, MODE_CONTRACTION, _contraction_test(X, budget), (identity_map(X),), budget))

@@ -14,8 +14,9 @@ and is kept as the cross-check.  relative_secat takes the pullback route.
 
 secat's good-open test works the same way on homotopy: the candidate open
 is reduced to its core on a point mask of the target, and the fence search
-and the lift test run on that mask (_homotopy_section_test, which computes
-the core of the target and the fibers it lifts through once per search).
+and the lift test run from that mask into the target's core mask, which
+_homotopy_section_test computes once per search with the fibers it lifts
+through; no space is built.
 
 On a disconnected base each value is the maximum of its values on the
 connected components: a component is open and closed, so local sections,
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from .cover import MODE_HOMOTOPY, MODE_LIFT, MODE_SECTION, CoverResult, _cover_result
 from .extnat import ExtNat
 from .finspace import CMap, _bits, fiber_masks, first_lift, identity_map, pullback
-from .homotopy import _component_bfs, _core_mask, core, is_contractible
+from .homotopy import _component_bfs, _core_mask, is_contractible
 from .resources import Budget, SelfCheckFailed, shared_search
 
 
@@ -55,19 +56,17 @@ def _homotopy_section_test(f: CMap, budget: Budget):
     assignment of s on the open's points, in ascending order.
 
     Works in compressed map space, on point masks of Y: s exists over U
-    exactly when some map in the fence component of the inclusion of core(U)
-    into core(Y) lifts strictly through the composite of f with the
-    retraction of Y onto its core.  Then s(u) = lift(r(u)), where r retracts
-    U onto its core.  core(Y), its retraction and the fibers of the composite
-    are fixed for the whole search, so they are computed once, and the core
-    mask and retraction of U = Y are read from core(Y).
+    exactly when some map from the core mask of U into the core mask of Y,
+    in the fence component of the inclusion, lifts strictly through the
+    composite of f with the retraction r_Y of Y onto its core.  Then s(u) =
+    lift(r(u)), where r retracts U onto its core.  The core mask of Y, r_Y
+    and the fibers of the composite are fixed for the whole search, so
+    _core_mask runs on Y once, and the open U = Y reuses its result.
     """
     Y, E = f.target, f.source
-    y_core = core(Y)
-    retraction = y_core.retraction.assignment
-    fibers = fiber_masks([retraction[fy] for fy in f.assignment], y_core.space.n)
-    inclusion = y_core.inclusion
-    whole = (inclusion.image_mask(), [inclusion.assignment[c] for c in retraction])
+    whole = _core_mask(Y, Y.full_mask)[:2]
+    y_mask, retraction = whole
+    fibers = fiber_masks([retraction[fy] for fy in f.assignment], Y.n)
 
     def is_good(mask: int) -> tuple[int, ...] | None:
         cmask, r = whole if mask == Y.full_mask else _core_mask(Y, mask)[:2]
@@ -82,7 +81,8 @@ def _homotopy_section_test(f: CMap, budget: Budget):
             found["lift"] = first_lift(Y, E, fibers, images, budget, cmask)
             return found["lift"] is not None
 
-        hit, _ = _component_bfs(Y, y_core.space, start, budget, stop=try_lift, mask=cmask)
+        hit, _ = _component_bfs(Y, Y, start, budget, stop=try_lift, mask=cmask,
+                                target_mask=y_mask)
         if hit is None:
             return None
         lift = dict(zip(points, found["lift"]))

@@ -7,9 +7,12 @@ traced counts.  This runs the benchmark's own tracer around its smoke
 suite config and checks that every span it declares is reached, and that
 it sees every call a profiler sees.  It also runs a few calculator queries
 of every kind, so a change to a constructor or an entry point the
-calculator calls fails here.
+calculator calls fails here, and pins the answers to the first 300
+queries of the calculator stream at the acceptance seed.
 """
 
+import hashlib
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -18,6 +21,10 @@ from secnum import Budget, cover, homotopy, run_suite, sectional
 from secnum import coincidence as coin
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# sha256 of the fingerprints of the answers to the first 300 calculator
+# queries at seed 20240801, hashed as bench/child.py hashes a run's answers
+CALCULATOR_ANSWERS_SHA256 = "b86686c757630eb70c59a0ad8a868cc9c5dae0c4cf0a50c3db97c3006594b147"
 
 # the claims whose evaluators call one coincidence.check_* checker each
 CHECKED_CLAIMS = (coin.CLAIM_REMARK, coin.CLAIM_MAIN, coin.CLAIM_KEY_LEMMA, coin.CLAIM_CP_FPP)
@@ -99,3 +106,15 @@ def test_calculator_queries_run_and_verify(monkeypatch):
     for kind, args in queries:
         result = calculator.run_query(kind, args, Budget())
         assert calculator.verify(kind, args, result), kind
+
+
+def test_calculator_answers_match_their_pin(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import calculator
+    import child
+
+    digest = hashlib.sha256()
+    for kind, args in calculator.make_queries(20240801, 300):
+        result = calculator.run_query(kind, args, Budget())
+        digest.update(json.dumps(child._fingerprint(result), sort_keys=True).encode())
+    assert digest.hexdigest() == CALCULATOR_ANSWERS_SHA256

@@ -20,7 +20,7 @@ from secnum.finspace import (
     pseudocircle,
     subspace_of_mask,
 )
-from secnum.homotopy import _contraction_point, cat
+from secnum.homotopy import _contraction_test, cat
 from secnum.resources import Budget, BudgetExhausted
 from secnum.sectional import _homotopy_section_test, _lift_test, relative_sec, sec, secat
 
@@ -217,8 +217,7 @@ def test_cat_on_disjoint_unions_matches_the_oracle(space):
     result = cat(space)
     assert result.value == brute_cat(space)
     assert result.certificate.verify()
-    _assert_split_matches_whole_space(
-        space, lambda mask: _contraction_point(space, mask, Budget()), glue=False)
+    _assert_split_matches_whole_space(space, _contraction_test(space, Budget()), glue=False)
 
 
 @settings(max_examples=100)
@@ -308,7 +307,7 @@ def _good_open_tests(space):
     tests = [(_lift_test(pi, identity_map(space), Budget()), True)
              for pi in (minimal_open_cover(space), point, configuration_space(space, 2)[1])]
     tests += [(_homotopy_section_test(f, Budget()), True) for f in (minimal_open_cover(space), point)]
-    tests.append((lambda mask: _contraction_point(space, mask, Budget()), False))
+    tests.append((_contraction_test(space, Budget()), False))
     for t in range(1, space.n + 1):
         tests.append((_on_every_component(space, lambda trace, t=t: trace.bit_count() <= t), True))
         tests.append((_on_every_component(

@@ -825,3 +825,23 @@ def test_tuple_spaces_build_the_transpose_of_their_rows():
         for space in _tuple_spaces(X):
             assert space.co_rows == brute_co_rows(space.reach_rows)
             assert pickle.loads(pickle.dumps(space)).co_rows == space.co_rows
+        _assert_empty_columns_match_the_oracle(X)
+
+
+def _assert_empty_columns_match_the_oracle(X):
+    """A product with an empty factor, and pullbacks whose fibers over the
+    middle points of X are empty, against brute_pullback_rows; a product is
+    the pullback of its factors' maps to a point, and its projections, like
+    a pullback's maps, are its coordinate columns."""
+    point, empty = discrete_space(1), empty_space()
+    for a, b in ((X, empty), (empty, X)):
+        square, proj_a, proj_b = product(a, b)
+        pairs, rows = brute_pullback_rows(constant_map(b, point, 0), constant_map(a, point, 0))
+        assert pairs == [] and square.reach_rows == tuple(rows) and square.co_rows == ()
+        assert proj_a.assignment == tuple(x for x, _ in pairs)
+        assert proj_b.assignment == tuple(e for _, e in pairs)
+    ends = subspace_of_mask(X, 1 | 1 << (X.n - 1))[1]
+    for g in (identity_map(X), product(X, sierpinski())[1]):
+        space = pullback(ends, g)[0]
+        assert space.co_rows == brute_co_rows(space.reach_rows)
+        _assert_pullback_matches_oracle(ends, g)

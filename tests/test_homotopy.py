@@ -28,7 +28,7 @@ from secnum.finspace import (
 )
 from secnum.homotopy import (
     Fence,
-    _contraction_point,
+    _contraction_test,
     _core_mask,
     cat,
     core,
@@ -278,11 +278,18 @@ def _assert_space_core_agrees(space):
 def _assert_good_open_routes_agree(space, mask, maps):
     """cat's and secat's good-open tests give the same witness and charge
     the same nodes on the mask route as on the subspace route."""
-    assert outcome_and_nodes(_contraction_point, space, mask) == outcome_and_nodes(
+    assert outcome_and_nodes(_fresh_contraction_point, space, mask) == outcome_and_nodes(
         subspace_contraction_point, space, mask)
     for f in maps:
         assert outcome_and_nodes(_fresh_section_test, f, mask) == outcome_and_nodes(
             subspace_homotopy_section_witness, f, mask)
+
+
+def _fresh_contraction_point(space, mask, budget):
+    """cat's good-open test, from a fresh factory, on one open: the point of
+    its constant witness."""
+    witness = _contraction_test(space, budget)(mask)
+    return None if witness is None else witness[0]
 
 
 def _fresh_section_test(f, mask, budget):
@@ -311,6 +318,26 @@ def test_mask_routes_match_the_subspace_routes_on_the_census():
             if mask:
                 _assert_core_routes_agree(space, mask)
                 _assert_good_open_routes_agree(space, mask, maps)
+
+
+def test_target_mask_route_matches_the_subspace_route_on_proper_cores():
+    """Every open of every census space of at most 4 points whose core is a
+    proper subspace, so that the points of the target's core mask are not
+    the indices of its core subspace: cat's and secat's good-open tests, and
+    nullhomotopy_target on the inclusion of the open, search into the core
+    mask and give the witness and node count of the search into the core
+    subspace."""
+    spaces = [space for space in census_up_to(4) if core(space).space.n < space.n]
+    assert any(core(space).inclusion.assignment != tuple(range(core(space).space.n))
+               for space in spaces)
+    for space in spaces:
+        maps = _census_maps_into(space)
+        for mask in brute_open_masks(space):
+            if mask:
+                _assert_good_open_routes_agree(space, mask, maps)
+                incl = subspace_of_mask(space, mask)[1]
+                assert outcome_and_nodes(nullhomotopy_target, incl) == outcome_and_nodes(
+                    subspace_contraction_point, space, mask)
 
 
 def test_core_scan_matches_the_rescan_on_every_census_mask():

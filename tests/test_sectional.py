@@ -18,6 +18,7 @@ from secnum.cover import (
 from secnum.extnat import INF, ExtNat
 from secnum.finspace import (
     CMap,
+    FinSpace,
     compose,
     configuration_space,
     constant_map,
@@ -33,7 +34,7 @@ from secnum.finspace import (
     sierpinski,
     subspace,
 )
-from secnum.homotopy import cat, homotopic, is_contractible
+from secnum.homotopy import cat, homotopic, is_contractible, nullhomotopy_target
 from secnum.resources import Budget, SelfCheckFailed
 from secnum.sectional import (
     _lift_test,
@@ -49,6 +50,7 @@ from oracles import (
     brute_relative_sec_lift,
     brute_sec,
     continuous_maps,
+    posets,
     preorders,
 )
 
@@ -591,3 +593,41 @@ def test_secat_le_cat_needs_connected_target():
         assert secat(f).value <= cat(y).value
         checked += 1
     assert checked > 10
+
+
+def _spaces_built(call):
+    """How many FinSpace objects call() constructs, counted at
+    FinSpace.__init__ and FinSpace._from_rows; the caches of constructed
+    spaces are emptied first, so that no hit hides a construction."""
+    for cache in (homotopy.core, product, configuration_space):
+        cache.cache_clear()
+    built = []
+    init, from_rows = FinSpace.__init__, FinSpace._from_rows
+
+    def counted_init(self, *args, **kwargs):
+        built.append(FinSpace.__init__)
+        init(self, *args, **kwargs)
+
+    def counted_from_rows(cls, *args, **kwargs):
+        built.append(FinSpace._from_rows)
+        return from_rows(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FinSpace, "__init__", counted_init)
+        patch.setattr(FinSpace, "_from_rows", classmethod(counted_from_rows))
+        call()
+    return len(built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(6), st.data())
+def test_homotopy_searches_build_no_space_but_a_pullback(Y, data):
+    """cat, secat and nullhomotopy_target search on point masks of the
+    spaces they are given and build none; relative_secat builds exactly one
+    space, its pullback."""
+    f = data.draw(continuous_maps(data.draw(posets(3)), Y))
+    g = data.draw(continuous_maps(data.draw(posets(4)), Y))
+    assert _spaces_built(lambda: cat(Y)) == 0
+    assert _spaces_built(lambda: secat(f)) == 0
+    assert _spaces_built(lambda: nullhomotopy_target(f)) == 0
+    assert _spaces_built(lambda: relative_secat(f, g)) == 1
