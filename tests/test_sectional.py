@@ -605,11 +605,11 @@ def _spaces_built(call):
     init, from_rows = FinSpace.__init__, FinSpace._from_rows
 
     def counted_init(self, *args, **kwargs):
-        built.append(FinSpace.__init__)
+        built.append("__init__")
         init(self, *args, **kwargs)
 
     def counted_from_rows(cls, *args, **kwargs):
-        built.append(FinSpace._from_rows)
+        built.append("_from_rows")
         return from_rows(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
